@@ -42,7 +42,6 @@ from .signal_core import (
 from .transform import (
     ConversionRate,
     ModulationSpec,
-    clamp_rate,
     conversion_rate,
     f0_mean_transfer,
     modulate,

@@ -8,6 +8,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate
-from .errors import InsufficientData, ProsoVCError, UnreadableFile
+from .conditioning import ModelDims
+from .errors import InsufficientData, ParseError, ProsoVCError, UnreadableFile
 from .formats import (
     FTB_PROSODY,
     read_ftb,
@@ -26,7 +28,6 @@ from .formats import (
 from .pipeline import (
     DEFAULT_KMEANS_K,
     CorpusItem,
-    ModelBundle,
     convert,
     extract_features,
     load_bundle,
@@ -35,7 +36,7 @@ from .pipeline import (
 )
 from .encoders import average_mel_target, load_alignment, speaker_embedding
 from .prosody import F0Config, train_unit_codebook, unitize
-from .signal_core import load_wav, save_wav
+from .signal_core import MelConfig, load_wav, save_wav
 from .transform import ModulationSpec
 
 
@@ -101,23 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_extract(args) -> int:
     wave = load_wav(args.input)
-    bundle = load_bundle(args.ckpt) if args.ckpt else _default_bundle()
-    if args.f0_min is not None or args.f0_max is not None or args.yin_threshold is not None:
-        base = bundle.f0_cfg
-        bundle.f0_cfg = F0Config(
-            f0_min=base.f0_min if args.f0_min is None else args.f0_min,
-            f0_max=base.f0_max if args.f0_max is None else args.f0_max,
-            yin_threshold=base.yin_threshold if args.yin_threshold is None else args.yin_threshold,
-            rms_floor=base.rms_floor,
-        )
-    mel, track = extract_features(wave, bundle)
+    if args.ckpt:
+        bundle = load_bundle(args.ckpt)
+        mel_cfg, f0_cfg, speaker_dim, codebook = (bundle.mel_cfg, bundle.f0_cfg,
+                                                  bundle.dims.speaker_dim, bundle.codebook)
+    else:
+        mel_cfg, f0_cfg, speaker_dim, codebook = MelConfig(), F0Config(), ModelDims().speaker_dim, None
+    overrides = {"f0_min": args.f0_min, "f0_max": args.f0_max, "yin_threshold": args.yin_threshold}
+    try:
+        f0_cfg = dataclasses.replace(f0_cfg, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise ParseError(f"F0 flags: {exc}") from exc
+    mel, track = extract_features(wave, mel_cfg, f0_cfg)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_ftb_matrix(f"{prefix}.mel.ftb", mel.values)
     write_ftb_prosody(f"{prefix}.prosody.ftb", track)
-    write_ftb_vector(f"{prefix}.spk.ftb", speaker_embedding(mel, bundle.dims.speaker_dim))
+    write_ftb_vector(f"{prefix}.spk.ftb", speaker_embedding(mel, speaker_dim))
 
-    codebook = bundle.codebook
     if codebook is None:
         try:
             codebook = train_unit_codebook([mel], min(args.kmeans_k, mel.n_frames), args.seed)
@@ -135,6 +137,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    _check_gl_iters(args)
     src = load_wav(args.src)
     trg = load_wav(args.trg)
     align = load_alignment(args.src_align)
@@ -166,12 +169,19 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pair_rows = _load_pair_list(args.pairs)
-    bundle = load_bundle(args.ckpt)
-    pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
+    _check_gl_iters(args)
     levels = args.levels
     if levels is None:
         levels = evaluate.F0_SWEEP_LEVELS if args.mode == "f0" else evaluate.RATE_SWEEP_LEVELS
+    key = "octave_shift" if args.mode == "f0" else "rate_multiplier"
+    try:
+        for level in levels:
+            ModulationSpec(**{key: level})
+    except ValueError as exc:
+        raise ParseError(f"--levels: {exc}") from exc
+    pair_rows = _load_pair_list(args.pairs)
+    bundle = load_bundle(args.ckpt)
+    pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
     rows = evaluate.modulation_sweep(pairs, bundle, report_path=args.out,
                                      levels=tuple(levels), mode=args.mode,
                                      seed=args.seed, gl_iters=args.gl_iters)
@@ -179,14 +189,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _default_bundle() -> ModelBundle:
-    from .conditioning import ModelDims
-    from .diffusion import init_decoder_params, make_schedule
-    from .signal_core import MelConfig
-
-    dims = ModelDims()
-    return ModelBundle(init_decoder_params(dims, np.random.default_rng(0)),
-                       make_schedule(), MelConfig())
+def _check_gl_iters(args) -> None:
+    if args.gl_iters < 0:
+        raise ParseError(f"--gl-iters must be >= 0, got {args.gl_iters}")
 
 
 def _modulation_from_args(args) -> ModulationSpec:
@@ -204,7 +209,10 @@ def _modulation_from_args(args) -> ModulationSpec:
         values["rate_multiplier"] = args.rate
     if args.f0_curve:
         values["frame_f0_delta"] = _load_curve(args.f0_curve)
-    return ModulationSpec(**values)
+    try:
+        return ModulationSpec(**values)
+    except ValueError as exc:
+        raise ParseError(f"modulation: {exc}") from exc
 
 
 def load_modulation_file(path) -> dict:
@@ -225,7 +233,10 @@ def load_modulation_file(path) -> dict:
         key = key.strip()
         value = value.strip()
         if key in ("octave_shift", "semitone_shift", "energy_gain", "rate_multiplier"):
-            out[key] = float(value)
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise UnreadableFile(f"{path}:{lineno}: {key} is not a number: {value!r}") from None
         elif key == "f0_curve":
             out["frame_f0_delta"] = _load_curve(value)
         else:

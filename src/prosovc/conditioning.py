@@ -79,13 +79,18 @@ def step_embedding(t: float, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(t * omega), np.cos(t * omega)])
 
 
-def build_style(speaker: np.ndarray, t: float, params: CondParams) -> np.ndarray:
-    """tanh(affine(concat(speaker, step_embedding(t))))."""
+def build_style(speaker: np.ndarray, t: float, params: CondParams,
+                cache: dict | None = None) -> np.ndarray:
+    """tanh(affine(concat(speaker, step_embedding(t)))); a given cache receives s_in and style."""
     speaker = np.asarray(speaker, dtype=np.float64)
     t_dim = params.style_w.shape[1] - len(speaker)
     if t_dim < 2:
         raise DimMismatch(f"speaker dim {len(speaker)} incompatible with style projection")
-    return np.tanh(affine(params.style_w, params.style_b, np.concatenate([speaker, step_embedding(t, t_dim)])))
+    s_in = np.concatenate([speaker, step_embedding(t, t_dim)])
+    style = np.tanh(affine(params.style_w, params.style_b, s_in))
+    if cache is not None:
+        cache.update(s_in=s_in, style=style)
+    return style
 
 
 def _cond_input(track: ProsodyTrack, style: np.ndarray) -> np.ndarray:
@@ -96,26 +101,24 @@ def _cond_input(track: ProsodyTrack, style: np.ndarray) -> np.ndarray:
     return x
 
 
-def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams) -> np.ndarray:
-    """Condition tensor (T, n_mels) from prosody and a style vector."""
+def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams,
+                    cache: dict | None = None) -> np.ndarray:
+    """Condition tensor (T, n_mels) from prosody and a style vector; a given cache receives x, pre1 and h."""
     if len(style) != params.merge1_w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
     x = _cond_input(track, style)
-    h = relu(conv1d(params.merge1_w, params.merge1_b, x))
+    pre1 = conv1d(params.merge1_w, params.merge1_b, x)
+    h = relu(pre1)
+    if cache is not None:
+        cache.update(x=x, pre1=pre1, h=h)
     return conv1d(params.merge2_w, params.merge2_b, h).T
 
 
 def cond_forward_cache(track: ProsodyTrack, speaker: np.ndarray, t: float, params: CondParams):
     """Forward pass retaining intermediates for backprop; returns (cond, cache)."""
-    speaker = np.asarray(speaker, dtype=np.float64)
-    t_dim = params.style_w.shape[1] - len(speaker)
-    s_in = np.concatenate([speaker, step_embedding(t, t_dim)])
-    style = np.tanh(affine(params.style_w, params.style_b, s_in))
-    x = _cond_input(track, style)
-    pre1 = conv1d(params.merge1_w, params.merge1_b, x)
-    h = relu(pre1)
-    cond = conv1d(params.merge2_w, params.merge2_b, h)
-    return cond.T, {"s_in": s_in, "style": style, "x": x, "pre1": pre1, "h": h}
+    cache = {}
+    cond = build_condition(track, build_style(speaker, t, params, cache), params, cache)
+    return cond, cache
 
 
 def cond_backward(d_cond: np.ndarray, cache, params: CondParams):

@@ -125,13 +125,18 @@ def _decoder_input(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams
     return np.concatenate([xn.T, condition.T], axis=0)
 
 
-def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Estimated noise, same shape as x_t (T, n_mels)."""
+def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
+                  cache: dict | None = None) -> np.ndarray:
+    """Estimated noise, same shape as x_t (T, n_mels); a given cache receives the layer intermediates."""
     if x_t.shape != condition.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} != condition {condition.shape}")
     d_in = _decoder_input(x_t, condition, params)
-    a1 = relu(conv1d(params.w1, params.b1, d_in))
-    a2 = relu(conv1d(params.w2, params.b2, a1))
+    pre1 = conv1d(params.w1, params.b1, d_in)
+    a1 = relu(pre1)
+    pre2 = conv1d(params.w2, params.b2, a1)
+    a2 = relu(pre2)
+    if cache is not None:
+        cache.update(d_in=d_in, pre1=pre1, a1=a1, pre2=pre2, a2=a2)
     return conv1d(params.w3, params.b3, a2).T
 
 
@@ -159,14 +164,8 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
                       t: float, eps: np.ndarray):
     """Loss and gradients of noise_loss w.r.t. every parameter."""
     cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, params.cond)
-    if x_t.shape != cond.shape:
-        raise ShapeMismatch(f"x_t {x_t.shape} != condition {cond.shape}")
-    d_in = _decoder_input(x_t, cond, params)
-    pre1 = conv1d(params.w1, params.b1, d_in)
-    a1 = relu(pre1)
-    pre2 = conv1d(params.w2, params.b2, a1)
-    a2 = relu(pre2)
-    eps_hat = conv1d(params.w3, params.b3, a2).T
+    cache = {}
+    eps_hat = predict_noise(x_t, cond, params, cache)
 
     diff = eps_hat - eps
     loss = float(np.mean(diff * diff))
@@ -174,11 +173,11 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
         raise NonFiniteLoss(f"loss became {loss}")
 
     d_eps_hat = (2.0 / diff.size) * diff
-    dw3, db3, da2 = conv1d_backward(params.w3, a2, d_eps_hat.T)
-    dpre2 = relu_backward(pre2, da2)
-    dw2, db2, da1 = conv1d_backward(params.w2, a1, dpre2)
-    dpre1 = relu_backward(pre1, da1)
-    dw1, db1, dd_in = conv1d_backward(params.w1, d_in, dpre1)
+    dw3, db3, da2 = conv1d_backward(params.w3, cache["a2"], d_eps_hat.T)
+    dpre2 = relu_backward(cache["pre2"], da2)
+    dw2, db2, da1 = conv1d_backward(params.w2, cache["a1"], dpre2)
+    dpre1 = relu_backward(cache["pre1"], da1)
+    dw1, db1, dd_in = conv1d_backward(params.w1, cache["d_in"], dpre1)
     n_mels = params.dims.n_mels
     d_cond = dd_in[n_mels:].T
     cgrads = cond_backward(d_cond, ccache, params.cond)

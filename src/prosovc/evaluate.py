@@ -97,7 +97,7 @@ def _f0_row(result, bundle: ModelBundle) -> dict:
     achieved_mean = math.nan
     rmse = math.nan
     try:
-        _, extracted = extract_features(result.wave, bundle)
+        _, extracted = extract_features(result.wave, bundle.mel_cfg, bundle.f0_cfg)
         achieved_mean = voiced_mean(extracted)
         rmse = f0_rmse(requested, extracted)
     except (NoVoicedFrames, NoCommonVoiced, LengthMismatch):

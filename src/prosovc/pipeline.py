@@ -10,7 +10,7 @@ re-sample in time, and vocode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .diffusion import (
     train_step,
 )
 from .encoders import Alignment, average_mel_target, speaker_embedding
-from .errors import InsufficientData, UnreadableFile
+from .errors import BadSchedule, InsufficientData, UnreadableFile
 from .formats import read_pfck, write_pfck
 from .prosody import (
     Codebook,
@@ -48,7 +48,6 @@ from .signal_core import (
 from .transform import (
     ConversionRate,
     ModulationSpec,
-    clamp_rate,
     conversion_rate,
     f0_mean_transfer,
     modulate,
@@ -81,34 +80,43 @@ class ModelBundle:
 
 def save_bundle(path, bundle: ModelBundle) -> None:
     blocks = {f"param.{k}": v for k, v in named_parameters(bundle.params).items()}
-    d = bundle.dims
-    blocks["meta.dims"] = np.array([d.n_mels, d.speaker_dim, d.t_embed_dim,
-                                    d.style_dim, d.cond_hidden, d.dec_hidden], dtype=np.float64)
-    blocks["meta.schedule"] = np.array([bundle.sched.n_steps, bundle.sched.beta_min,
-                                        bundle.sched.beta_max])
-    m = bundle.mel_cfg
-    blocks["meta.melcfg"] = np.array([m.sample_rate, m.fft_size, m.hop, m.window,
-                                      m.n_mels, m.fmin, m.fmax, m.log_floor])
-    f = bundle.f0_cfg
-    blocks["meta.f0cfg"] = np.array([f.f0_min, f.f0_max, f.yin_threshold, f.rms_floor])
+    for name, cfg in (("meta.dims", bundle.dims), ("meta.schedule", bundle.sched),
+                      ("meta.melcfg", bundle.mel_cfg), ("meta.f0cfg", bundle.f0_cfg)):
+        blocks[name] = np.array([getattr(cfg, f.name) for f in fields(cfg)], dtype=np.float64)
     blocks["meta.input_norm"] = np.array([bundle.params.input_shift, bundle.params.input_scale])
     if bundle.codebook is not None:
         blocks["codebook.centroids"] = bundle.codebook.centroids
     write_pfck(path, blocks)
 
 
+_CASTS = {"int": int, "float": float}
+
+
+def _meta_block(blocks: dict, name: str, length: int) -> np.ndarray:
+    values = blocks.get(name)
+    if values is None or values.shape != (length,):
+        raise UnreadableFile(f"checkpoint block {name} is missing or does not hold {length} values")
+    return values
+
+
+def _unpack(blocks: dict, name: str, cls, build=None):
+    """Rebuild config dataclass cls from its meta block, fields in declaration order."""
+    cls_fields = fields(cls)
+    values = _meta_block(blocks, name, len(cls_fields))
+    try:
+        kwargs = {f.name: _CASTS[f.type](v) for f, v in zip(cls_fields, values)}
+        return (build or cls)(**kwargs)
+    except (ValueError, OverflowError, BadSchedule) as exc:
+        raise UnreadableFile(f"checkpoint block {name} is invalid: {exc}") from exc
+
+
 def load_bundle(path) -> ModelBundle:
     blocks = read_pfck(path)
-    dv = blocks["meta.dims"].astype(int)
-    dims = ModelDims(*dv)
-    sv = blocks["meta.schedule"]
-    sched = make_schedule(int(sv[0]), float(sv[1]), float(sv[2]))
-    mv = blocks["meta.melcfg"]
-    mel_cfg = MelConfig(int(mv[0]), int(mv[1]), int(mv[2]), int(mv[3]), int(mv[4]),
-                        float(mv[5]), float(mv[6]), float(mv[7]))
-    fv = blocks["meta.f0cfg"]
-    f0_cfg = F0Config(float(fv[0]), float(fv[1]), float(fv[2]), float(fv[3]))
-    shift, scale = blocks["meta.input_norm"]
+    dims = _unpack(blocks, "meta.dims", ModelDims)
+    sched = _unpack(blocks, "meta.schedule", NoiseSchedule, make_schedule)
+    mel_cfg = _unpack(blocks, "meta.melcfg", MelConfig)
+    f0_cfg = _unpack(blocks, "meta.f0cfg", F0Config)
+    shift, scale = _meta_block(blocks, "meta.input_norm", 2)
     params = init_decoder_params(dims, np.random.default_rng(0), float(shift), float(scale))
     for name, arr in named_parameters(params).items():
         stored = blocks.get(f"param.{name}")
@@ -129,11 +137,11 @@ class ConvertResult:
     report: dict
 
 
-def extract_features(wave: Waveform, bundle: ModelBundle):
+def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
     """(mel, prosody track) with the prosody taken from the high-passed signal."""
-    mel = mel_spectrogram(wave, bundle.mel_cfg)
+    mel = mel_spectrogram(wave, mel_cfg)
     filtered = highpass_filter(wave, HPF_CUTOFF_HZ)
-    track = extract_prosody(filtered, bundle.mel_cfg, bundle.f0_cfg)
+    track = extract_prosody(filtered, mel_cfg, f0_cfg)
     return mel, track
 
 
@@ -142,8 +150,8 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
             seed: int = 0, gl_iters: int = 60) -> ConvertResult:
     """Full inference path; prosody conversion then decoding then vocoding."""
     started = time.perf_counter()
-    mel_src, track_src = extract_features(src, bundle)
-    mel_trg, track_trg = extract_features(trg, bundle)
+    mel_src, track_src = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
+    mel_trg, track_trg = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)
 
     mu_src = voiced_mean(track_src)
     mu_trg = voiced_mean(track_trg)
@@ -173,9 +181,9 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
 
     applied_rate = None
     if mod.rate_multiplier is not None:
-        applied_rate = clamp_rate(mod.rate_multiplier)
+        applied_rate = ConversionRate(mod.rate_multiplier)
     elif rate_control:
-        applied_rate = clamp_rate(rc.raw)
+        applied_rate = rc
     if applied_rate is not None:
         mel_out = resample_mel(mel_out, applied_rate)
 
@@ -229,10 +237,9 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e
 
     mels, tracks, priors = [], [], []
     for item in items:
-        mel = mel_spectrogram(item.wave, mel_cfg)
-        filtered = highpass_filter(item.wave, HPF_CUTOFF_HZ)
+        mel, track = extract_features(item.wave, mel_cfg, f0_cfg)
         mels.append(mel)
-        tracks.append(extract_prosody(filtered, mel_cfg, f0_cfg))
+        tracks.append(track)
         priors.append(average_mel_target(mel, item.align))
 
     codebook = train_unit_codebook(mels, kmeans_k, seed)

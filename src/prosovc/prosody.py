@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySequence, InsufficientData, TooShort
+from .errors import ConfigMismatch, DimMismatch, EmptySequence, InsufficientData, TooShort
 from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_signal
 
 ENERGY_FLOOR = 1e-10
@@ -29,7 +29,7 @@ class F0Config:
     def __post_init__(self):
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
-        if self.yin_threshold <= 0:
+        if not self.yin_threshold > 0:
             raise ValueError("yin_threshold must be positive")
 
 
@@ -110,7 +110,7 @@ class Codebook:
 def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()):
     """YIN F0 per mel-aligned frame; returns (f0_hz, voiced) with F0=0 where unvoiced."""
     if wave.sample_rate != mel_cfg.sample_rate:
-        raise TooShort("waveform sample rate does not match the analysis config")
+        raise ConfigMismatch("waveform sample rate does not match the analysis config")
     n = len(wave)
     if n == 0:
         raise TooShort("cannot extract F0 from an empty waveform")

@@ -214,16 +214,16 @@ def _padded_window(window: int, fft_size: int) -> np.ndarray:
     return out
 
 
+def _mel_edges(cfg: MelConfig) -> np.ndarray:
+    """The n_mels + 2 band edges in Hz, evenly spaced on the mel scale."""
+    lo, hi = 2595.0 * np.log10(1.0 + np.array([cfg.fmin, cfg.fmax], dtype=np.float64) / 700.0)
+    return 700.0 * (10.0 ** (np.linspace(lo, hi, cfg.n_mels + 2) / 2595.0) - 1.0)
+
+
 @lru_cache(maxsize=8)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular filters (n_mels x n_bins) spaced evenly on the mel scale."""
-    def hz_to_mel(f):
-        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-    def mel_to_hz(m):
-        return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2))
+    edges = _mel_edges(cfg)
     bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
     fb = np.zeros((cfg.n_mels, cfg.n_bins))
     for m in range(cfg.n_mels):
@@ -236,11 +236,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
 
 def mel_band_centers(cfg: MelConfig) -> np.ndarray:
     """Center frequency in Hz of each mel band."""
-    def hz_to_mel(f):
-        return 2595.0 * math.log10(1.0 + f / 700.0)
-
-    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    return 700.0 * (10.0 ** (mels[1:-1] / 2595.0) - 1.0)
+    return _mel_edges(cfg)[1:-1]
 
 
 def frame_signal(samples: np.ndarray, frame_len: int, hop: int, pad_mode: str) -> np.ndarray:

@@ -40,6 +40,11 @@ class ModulationSpec:
         for name in ("octave_shift", "semitone_shift", "energy_gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.rate_multiplier is not None:
+            rate = float(self.rate_multiplier)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError("rate_multiplier must be finite and > 0")
+            object.__setattr__(self, "rate_multiplier", rate)
 
     def is_identity(self) -> bool:
         return (
@@ -59,10 +64,6 @@ class ConversionRate:
     @property
     def clamped(self) -> float:
         return min(RATE_MAX, max(RATE_MIN, self.raw))
-
-
-def clamp_rate(raw: float) -> ConversionRate:
-    return ConversionRate(float(raw))
 
 
 def voiced_mean(track: ProsodyTrack) -> float:

@@ -37,7 +37,7 @@ from prosovc.signal_core import (
     save_wav,
 )
 from prosovc.synth import sawtooth_wave, silence, toy_utterance, write_alignment
-from prosovc.transform import clamp_rate, f0_mean_transfer, voiced_mean
+from prosovc.transform import ConversionRate, f0_mean_transfer, voiced_mean
 from prosovc.evaluate import modulation_sweep
 
 SR = 22050
@@ -65,7 +65,7 @@ def test_criterion_01_mean_transfer_exactness():
 def test_criterion_02_clamp_conformance():
     started = time.perf_counter()
     for raw in np.linspace(0.1, 5.0, 491):
-        rc = clamp_rate(float(raw))
+        rc = ConversionRate(float(raw))
         assert 0.66 <= rc.clamped <= 1.33
         if 0.66 <= raw <= 1.33:
             assert rc.clamped == raw
@@ -226,11 +226,11 @@ def test_criterion_09_rate_control():
     mel = MelSpectrogram(rng.standard_normal((100, 3)), cfg)
     expected = {0.66: 152, 0.75: 133, 1.20: 83, 1.33: 75}
     for rate, t_out in expected.items():
-        out = resample_mel(mel, clamp_rate(rate))
+        out = resample_mel(mel, ConversionRate(rate))
         assert out.n_frames == t_out
         assert np.array_equal(out.values[0], mel.values[0])
         assert np.array_equal(out.values[-1], mel.values[-1])
-    identity = resample_mel(mel, clamp_rate(1.0))
+    identity = resample_mel(mel, ConversionRate(1.0))
     assert np.array_equal(identity.values, mel.values)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

@@ -72,6 +72,15 @@ def test_extract_with_alignment(tmp_path):
     assert prior.shape == mel.shape
 
 
+@pytest.mark.parametrize("flags", [["--f0-min", "700", "--f0-max", "600"], ["--yin-threshold", "nan"]])
+def test_extract_bad_f0_flags_exit_2(tmp_path, capsys, flags):
+    save_wav(sawtooth_wave(220.0, 0.5), tmp_path / "tone.wav")
+    rc = main(["extract", "--in", str(tmp_path / "tone.wav"), "--out", str(tmp_path / "tone")] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("ParseError: ")
+    assert not (tmp_path / "tone.mel.ftb").exists()
+
+
 def test_extract_missing_file_exit_2(tmp_path):
     proc = subprocess.run(CLI + ["extract", "--in", str(tmp_path / "nope.wav"),
                                  "--out", str(tmp_path / "x")],
@@ -120,7 +129,7 @@ def test_convert_identity_pair_fixed_point(ckpt, pair_files):
     bundle = load_bundle(ckpt)
     src = load_wav(pair_files / "src.wav")
     align = load_alignment(pair_files / "src.tsv")
-    _, track_src = extract_features(src, bundle)
+    _, track_src = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
     result = convert(src, src, align, bundle, gl_iters=2)
     assert np.array_equal(result.conditioning_track.log_f0, track_src.log_f0)
     assert np.array_equal(result.conditioning_track.voiced, track_src.voiced)
@@ -154,7 +163,7 @@ def test_convert_frame_curve(ckpt, pair_files, tmp_path):
 
     bundle = load_bundle(ckpt)
     src = load_wav(pair_files / "src.wav")
-    _, track = extract_features(src, bundle)
+    _, track = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
     curve = np.full(track.n_frames, 0.1)
     write_ftb_vector(tmp_path / "curve.ftb", curve)
     report_path = tmp_path / "report.json"
@@ -193,6 +202,43 @@ def test_convert_report_reproducible(ckpt, pair_files, tmp_path):
         report.pop("elapsed_ms")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def convert_args(ckpt, pair_files, out):
+    return ["convert", "--src", str(pair_files / "src.wav"), "--trg", str(pair_files / "trg.wav"),
+            "--src-align", str(pair_files / "src.tsv"), "--ckpt", str(ckpt), "--out", str(out)]
+
+
+@pytest.mark.parametrize("flags", [["--octave", "nan"], ["--rate", "nan"], ["--rate", "-1"],
+                                   ["--gl-iters", "-5"]])
+def test_convert_bad_flag_value_exit_2(ckpt, pair_files, tmp_path, capsys, flags):
+    rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("line, error", [("rate_multiplier = nan", "ParseError"),
+                                         ("octave_shift = high", "UnreadableFile")])
+def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, line, error):
+    mod_file = tmp_path / "mod.txt"
+    mod_file.write_text(line + "\n")
+    rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--mod-file", str(mod_file)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
+def test_convert_malformed_checkpoint_exit_2(ckpt, pair_files, tmp_path, capsys):
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    blocks["meta.dims"][0] = 0.0
+    bad = tmp_path / "bad.pfck"
+    write_pfck(bad, blocks)
+    rc = main(convert_args(bad, pair_files, tmp_path / "o.wav"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("UnreadableFile: checkpoint block meta.dims")
 
 
 # -- train-toy ------------------------------------------------------------------
@@ -256,6 +302,18 @@ def test_sweep_rate_csv(ckpt, pair_files, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 6
     assert [line.split(",")[0] for line in lines[1:]] == ["0.66", "0.75", "1", "1.2", "1.33"]
+
+
+@pytest.mark.parametrize("flags", [["--gl-iters", "-5"], ["--levels", "0", "nan"],
+                                   ["--mode", "rate", "--levels", "1.0", "-1"]])
+def test_sweep_bad_flag_value_exit_2(ckpt, pair_files, tmp_path, capsys, flags):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")]
+              + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("ParseError: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_empty_pairs_exit_2(ckpt, tmp_path):

@@ -6,6 +6,7 @@ from prosovc.conditioning import (
     ModelDims,
     build_condition,
     build_style,
+    cond_forward_cache,
     init_cond_params,
     step_embedding,
 )
@@ -146,3 +147,12 @@ def test_condition_style_dim_mismatch(dims, params):
     track = constant_track(5)
     with pytest.raises(DimMismatch):
         build_condition(track, np.zeros(dims.style_dim + 3), params)
+
+
+def test_cond_forward_cache_is_the_inference_forward(dims, params):
+    # training and inference share one forward pass, so the condition agrees bit for bit
+    track = make_track(np.random.default_rng(5), n_frames=16)
+    spk = np.random.default_rng(6).standard_normal(dims.speaker_dim)
+    cond, cache = cond_forward_cache(track, spk, 0.3, params)
+    assert np.array_equal(cond, build_condition(track, build_style(spk, 0.3, params), params))
+    assert set(cache) == {"s_in", "style", "x", "pre1", "h"}

@@ -161,6 +161,16 @@ def test_predict_noise_shape(n_frames, tiny_dims):
     assert predict_noise(x, np.zeros_like(x), params).shape == x.shape
 
 
+def test_predict_noise_cache_does_not_change_output(tiny_dims):
+    params = init_decoder_params(tiny_dims, np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((10, tiny_dims.n_mels))
+    c = rng.standard_normal(x.shape)
+    cache = {}
+    assert np.array_equal(predict_noise(x, c, params, cache), predict_noise(x, c, params))
+    assert set(cache) == {"d_in", "pre1", "a1", "pre2", "a2"}
+
+
 def test_predict_noise_sensitive_to_condition(tiny_dims):
     params = init_decoder_params(tiny_dims, np.random.default_rng(4))
     rng = np.random.default_rng(5)

@@ -107,8 +107,8 @@ def test_f0_sweep_level_zero_is_transfer_mean(sweep_rows, trained_bundle, conver
     from prosovc.transform import f0_mean_transfer
 
     src, _, trg = conversion_pair
-    _, track_src = extract_features(src, trained_bundle)
-    _, track_trg = extract_features(trg, trained_bundle)
+    _, track_src = extract_features(src, trained_bundle.mel_cfg, trained_bundle.f0_cfg)
+    _, track_trg = extract_features(trg, trained_bundle.mel_cfg, trained_bundle.f0_cfg)
     transferred = voiced_mean(f0_mean_transfer(track_src, voiced_mean(track_trg)))
     zero_row = rows[2]
     assert zero_row["level"] == 0.0

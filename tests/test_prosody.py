@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosovc.errors import DimMismatch, EmptySequence, InsufficientData
+from prosovc.errors import ConfigMismatch, DimMismatch, EmptySequence, InsufficientData
 from prosovc.prosody import (
     Codebook,
     F0Config,
@@ -59,6 +59,11 @@ def test_f0_within_search_range(mel_cfg):
     f0, voiced = extract_f0(voiced_input(440), mel_cfg, cfg)
     assert np.all(f0[voiced] >= cfg.f0_min)
     assert np.all(f0[voiced] <= cfg.f0_max)
+
+
+def test_f0_sample_rate_mismatch(mel_cfg):
+    with pytest.raises(ConfigMismatch):
+        extract_f0(sawtooth_wave(200.0, 0.5, sample_rate=16000), mel_cfg)
 
 
 # -- log energy ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from prosovc.prosody import ProsodyTrack, UnitSequence
 from prosovc.transform import (
     ConversionRate,
     ModulationSpec,
-    clamp_rate,
     conversion_rate,
     f0_mean_transfer,
     modulate,
@@ -120,7 +119,7 @@ def test_rate_empty():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.1, max_value=5.0))
 def test_clamp_conformance(raw):
-    rc = clamp_rate(raw)
+    rc = ConversionRate(raw)
     assert 0.66 <= rc.clamped <= 1.33
     if 0.66 <= raw <= 1.33:
         assert rc.clamped == raw
@@ -165,6 +164,19 @@ def test_modulate_frame_curve_voiced_only():
     assert out.log_f0[0] == pytest.approx(np.log(100.0) + 0.1)
     assert out.log_f0[1] == 0.0
     assert out.log_f0[2] == pytest.approx(np.log(100.0) - 0.1)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+def test_modulation_rejects_unusable_rate(rate):
+    with pytest.raises(ValueError):
+        ModulationSpec(rate_multiplier=rate)
+
+
+def test_modulation_rate_stored_as_float():
+    # in-range and out-of-range positive rates are kept; convert clamps them later
+    assert ModulationSpec(rate_multiplier=2).rate_multiplier == 2.0
+    assert isinstance(ModulationSpec(rate_multiplier=2).rate_multiplier, float)
+    assert ConversionRate(ModulationSpec(rate_multiplier=2.0).rate_multiplier).clamped == 1.33
 
 
 def test_modulate_curve_length_mismatch():
