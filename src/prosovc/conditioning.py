@@ -45,29 +45,34 @@ class ModelDims:
 
 @dataclass
 class CondParams:
-    """Weights of the style projection and the two merge convolutions."""
+    """Weights of the style projection and the two merge convolutions, shaped by cond_shapes."""
 
-    style_w: np.ndarray   # (style_dim, speaker_dim + t_embed_dim)
-    style_b: np.ndarray   # (style_dim,)
-    merge1_w: np.ndarray  # (cond_hidden, 2 + style_dim, 3)
-    merge1_b: np.ndarray  # (cond_hidden,)
-    merge2_w: np.ndarray  # (n_mels, cond_hidden, 3)
-    merge2_b: np.ndarray  # (n_mels,)
+    style_w: np.ndarray
+    style_b: np.ndarray
+    merge1_w: np.ndarray
+    merge1_b: np.ndarray
+    merge2_w: np.ndarray
+    merge2_b: np.ndarray
+
+
+def cond_shapes(dims: ModelDims) -> dict[str, tuple]:
+    """CondParams field -> array shape, in field order."""
+    return {
+        "style_w": (dims.style_dim, dims.speaker_dim + dims.t_embed_dim), "style_b": (dims.style_dim,),
+        "merge1_w": (dims.cond_hidden, 2 + dims.style_dim, 3), "merge1_b": (dims.cond_hidden,),
+        "merge2_w": (dims.n_mels, dims.cond_hidden, 3), "merge2_b": (dims.n_mels,),
+    }
+
+
+def he_normal(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """He-normal weights (fan-in: all axes but the first) and zero rank-1 biases, drawn in table order."""
+    return {name: np.zeros(shape) if len(shape) == 1
+            else rng.standard_normal(shape) * np.sqrt(2.0 / int(np.prod(shape[1:])))
+            for name, shape in shapes.items()}
 
 
 def init_cond_params(dims: ModelDims, rng: np.random.Generator) -> CondParams:
-    def he(shape):
-        fan_in = int(np.prod(shape[1:]))
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-    return CondParams(
-        style_w=he((dims.style_dim, dims.speaker_dim + dims.t_embed_dim)),
-        style_b=np.zeros(dims.style_dim),
-        merge1_w=he((dims.cond_hidden, 2 + dims.style_dim, 3)),
-        merge1_b=np.zeros(dims.cond_hidden),
-        merge2_w=he((dims.n_mels, dims.cond_hidden, 3)),
-        merge2_b=np.zeros(dims.n_mels),
-    )
+    return CondParams(**he_normal(cond_shapes(dims), rng))
 
 
 def step_embedding(t: float, dim: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from .conditioning import (
     ModelDims,
     cond_backward,
     cond_forward_cache,
-    init_cond_params,
+    cond_shapes,
+    he_normal,
 )
 from .errors import BadSchedule, NonFiniteLoss, ShapeMismatch
 from .nn import conv1d, conv1d_backward, relu, relu_backward
@@ -54,58 +55,57 @@ def make_schedule(n_steps: int = 30, beta_min: float = 0.05, beta_max: float = 2
 
 @dataclass
 class DecoderParams:
-    """Conv-stack weights plus the embedded conditioning parameters.
+    """Conv-stack weights plus the embedded conditioning parameters, shaped by param_shapes.
 
     input_shift/input_scale standardize the decoder's view of the mel state
     (set from corpus statistics at training time; they are not trained).
     """
 
-    w1: np.ndarray  # (dec_hidden, 2*n_mels, 3)
+    w1: np.ndarray
     b1: np.ndarray
-    w2: np.ndarray  # (dec_hidden, dec_hidden, 3)
+    w2: np.ndarray
     b2: np.ndarray
-    w3: np.ndarray  # (n_mels, dec_hidden, 3)
+    w3: np.ndarray
     b3: np.ndarray
     cond: CondParams
     dims: ModelDims
     input_shift: float = 0.0
     input_scale: float = 1.0
 
-    def copy(self) -> "DecoderParams":
-        arrays = {name: getattr(self, name).copy() for name in _DEC_FIELDS}
-        cond = CondParams(**{name: getattr(self.cond, name).copy() for name in _COND_FIELDS})
-        return DecoderParams(cond=cond, dims=self.dims,
-                             input_shift=self.input_shift, input_scale=self.input_scale, **arrays)
+
+def param_shapes(dims: ModelDims) -> dict[str, tuple]:
+    """Checkpoint name -> shape of every trainable array: the one table of the parameter set."""
+    shapes = {
+        "dec.w1": (dims.dec_hidden, 2 * dims.n_mels, 3), "dec.b1": (dims.dec_hidden,),
+        "dec.w2": (dims.dec_hidden, dims.dec_hidden, 3), "dec.b2": (dims.dec_hidden,),
+        "dec.w3": (dims.n_mels, dims.dec_hidden, 3), "dec.b3": (dims.n_mels,),
+    }
+    shapes.update({f"cond.{name}": shape for name, shape in cond_shapes(dims).items()})
+    return shapes
 
 
-_DEC_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-_COND_FIELDS = ("style_w", "style_b", "merge1_w", "merge1_b", "merge2_w", "merge2_b")
+def params_from_named(named: dict[str, np.ndarray], dims: ModelDims,
+                      input_shift: float, input_scale: float) -> DecoderParams:
+    """Inverse of named_parameters: the arrays named in param_shapes(dims), as DecoderParams."""
+    groups = {"dec": {}, "cond": {}}
+    for name in param_shapes(dims):
+        group, field = name.split(".")
+        groups[group][field] = named[name]
+    return DecoderParams(cond=CondParams(**groups["cond"]), dims=dims,
+                         input_shift=input_shift, input_scale=input_scale, **groups["dec"])
 
 
 def init_decoder_params(dims: ModelDims, rng: np.random.Generator,
                         input_shift: float = 0.0, input_scale: float = 1.0) -> DecoderParams:
-    def he(shape):
-        fan_in = int(np.prod(shape[1:]))
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-    return DecoderParams(
-        w1=he((dims.dec_hidden, 2 * dims.n_mels, 3)),
-        b1=np.zeros(dims.dec_hidden),
-        w2=he((dims.dec_hidden, dims.dec_hidden, 3)),
-        b2=np.zeros(dims.dec_hidden),
-        w3=he((dims.n_mels, dims.dec_hidden, 3)),
-        b3=np.zeros(dims.n_mels),
-        cond=init_cond_params(dims, rng),
-        dims=dims,
-        input_shift=input_shift,
-        input_scale=input_scale,
-    )
+    return params_from_named(he_normal(param_shapes(dims), rng), dims, input_shift, input_scale)
 
 
 def named_parameters(params: DecoderParams) -> dict[str, np.ndarray]:
-    """Canonically ordered name -> array view of every trainable parameter."""
-    out = {f"dec.{name}": getattr(params, name) for name in _DEC_FIELDS}
-    out.update({f"cond.{name}": getattr(params.cond, name) for name in _COND_FIELDS})
+    """Name -> array view of every trainable parameter, in param_shapes order."""
+    out = {}
+    for name in param_shapes(params.dims):
+        group, field = name.split(".")
+        out[name] = getattr(params if group == "dec" else params.cond, field)
     return out
 
 
@@ -202,10 +202,8 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
     eps = rng.standard_normal(batch.x0.shape)
     x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
     loss, grads = _forward_backward(params, batch, x_t, t, eps)
-    out = params.copy()
-    for name, arr in named_parameters(out).items():
-        arr -= lr * grads[name]
-    return out, loss
+    updated = {name: arr - lr * grads[name] for name, arr in named_parameters(params).items()}
+    return params_from_named(updated, params.dims, params.input_shift, params.input_scale), loss
 
 
 def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
@@ -270,8 +268,9 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
         return noise_loss(predict_noise(x_t, cond, p), eps)
 
     worst = 0.0
-    probe = params.copy()
-    for name, arr in named_parameters(probe).items():
+    named = {name: arr.copy() for name, arr in named_parameters(params).items()}
+    probe = params_from_named(named, params.dims, params.input_shift, params.input_scale)
+    for name, arr in named.items():
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)
         for idx in range(flat.size):

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonMonotonic, OutOfRange, Overlap, ParseError, TooShort, UnreadableFile
+from .prosody import run_bounds
 from .signal_core import MelConfig, MelSpectrogram
 
 _PROJECTION_SEED = 0x5EED
@@ -91,13 +92,9 @@ def average_mel_target(mel: MelSpectrogram, align: Alignment) -> MelSpectrogram:
     """Replace each segment's frames by the segment mean frame."""
     ids = _segment_frame_ids(align, mel.n_frames, mel.config)
     out = mel.values.copy()
-    start = 0
-    while start < mel.n_frames:
-        end = start + 1
-        while end < mel.n_frames and ids[end] == ids[start]:
-            end += 1
+    bounds = run_bounds(ids)
+    for start, end in zip(bounds[:-1], bounds[1:]):
         out[start:end] = mel.values[start:end].mean(axis=0)
-        start = end
     return MelSpectrogram(out, mel.config)
 
 

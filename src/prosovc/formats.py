@@ -86,19 +86,24 @@ def read_ftb(path):
 # -- PFCK checkpoints ---------------------------------------------------------------
 
 def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
-    """Write named float arrays in insertion order."""
+    """Write named float arrays in insertion order.
+
+    The whole file is built before it is opened, so a block holding a finite
+    value that float32 cannot represent is refused with no file written.
+    """
+    parts = [PFCK_MAGIC, struct.pack("<I", PFCK_VERSION)]
+    for name, arr in blocks.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            f32 = arr.astype("<f4")
+        if np.any(np.isinf(f32) & np.isfinite(arr)):
+            raise UnwritableFile(f"{path}: block {name} holds values beyond the float32 range")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), f32.tobytes()]
     try:
         with open(path, "wb") as fh:
-            fh.write(PFCK_MAGIC)
-            fh.write(struct.pack("<I", PFCK_VERSION))
-            for name, arr in blocks.items():
-                arr = np.asarray(arr, dtype=np.float64)
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(_f32_bytes(arr))
+            fh.write(b"".join(parts))
     except OSError as exc:
         raise UnwritableFile(f"{path}: {exc}") from exc
 

@@ -22,6 +22,8 @@ from .diffusion import (
     init_decoder_params,
     make_schedule,
     named_parameters,
+    param_shapes,
+    params_from_named,
     predict_noise,
     reverse_sample,
     train_step,
@@ -92,17 +94,19 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 _CASTS = {"int": int, "float": float}
 
 
-def _meta_block(blocks: dict, name: str, length: int) -> np.ndarray:
+def _block(blocks: dict, name: str, shape: tuple) -> np.ndarray:
     values = blocks.get(name)
-    if values is None or values.shape != (length,):
-        raise UnreadableFile(f"checkpoint block {name} is missing or does not hold {length} values")
+    if values is None or values.shape != shape:
+        raise UnreadableFile(f"checkpoint block {name} is missing or not of shape {shape}")
+    if not np.all(np.isfinite(values)):
+        raise UnreadableFile(f"checkpoint block {name} holds non-finite values")
     return values
 
 
 def _unpack(blocks: dict, name: str, cls, build=None):
     """Rebuild config dataclass cls from its meta block, fields in declaration order."""
     cls_fields = fields(cls)
-    values = _meta_block(blocks, name, len(cls_fields))
+    values = _block(blocks, name, (len(cls_fields),))
     try:
         kwargs = {f.name: _CASTS[f.type](v) for f, v in zip(cls_fields, values)}
         return (build or cls)(**kwargs)
@@ -116,16 +120,19 @@ def load_bundle(path) -> ModelBundle:
     sched = _unpack(blocks, "meta.schedule", NoiseSchedule, make_schedule)
     mel_cfg = _unpack(blocks, "meta.melcfg", MelConfig)
     f0_cfg = _unpack(blocks, "meta.f0cfg", F0Config)
-    shift, scale = _meta_block(blocks, "meta.input_norm", 2)
-    params = init_decoder_params(dims, np.random.default_rng(0), float(shift), float(scale))
-    for name, arr in named_parameters(params).items():
-        stored = blocks.get(f"param.{name}")
-        if stored is None or stored.shape != arr.shape:
-            raise UnreadableFile(f"checkpoint block {name} is missing or shape-incompatible")
-        arr[...] = stored
+    shift, scale = _block(blocks, "meta.input_norm", (2,))
+    if not scale > 0:
+        raise UnreadableFile(f"checkpoint block meta.input_norm has input scale {scale}, not > 0")
+    named = {name: _block(blocks, f"param.{name}", shape) for name, shape in param_shapes(dims).items()}
+    params = params_from_named(named, dims, float(shift), float(scale))
     codebook = None
     if "codebook.centroids" in blocks:
-        codebook = Codebook(blocks["codebook.centroids"])
+        try:
+            codebook = Codebook(blocks["codebook.centroids"])
+            if codebook.dim != mel_cfg.n_mels:
+                raise ValueError(f"{codebook.dim} columns for {mel_cfg.n_mels} mel bands")
+        except ValueError as exc:
+            raise UnreadableFile(f"checkpoint block codebook.centroids is invalid: {exc}") from exc
     return ModelBundle(params, sched, mel_cfg, f0_cfg, codebook)
 
 

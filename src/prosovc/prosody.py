@@ -125,8 +125,7 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
     w = tau_max
     seg_len = 2 * tau_max
     n_frames = mel_cfg.frame_count(n)
-    padded = np.pad(wave.samples, tau_max, mode="constant")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, seg_len)[::mel_cfg.hop][:n_frames]
+    frames = frame_signal(wave.samples, seg_len, mel_cfg.hop, "constant")
 
     sq = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(frames**2, axis=1)], axis=1)
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
@@ -220,22 +219,19 @@ def _sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ c.T) + np.sum(c**2, axis=1)[None, :]
 
 
+def run_bounds(labels: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal labels, then len(labels) as the last run's end."""
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return np.concatenate([[0], starts, [len(labels)]])
+
+
 def unitize(feats: MelSpectrogram, codebook: Codebook) -> UnitSequence:
     """Nearest-centroid labels (ties to the lowest index), run-length encoded."""
     if feats.values.shape[1] != codebook.dim:
         raise DimMismatch(f"feature dim {feats.values.shape[1]} != codebook dim {codebook.dim}")
     labels = np.argmin(_sq_distances(feats.values, codebook.centroids), axis=1)
-    pairs = []
-    run_id, run_len = int(labels[0]), 1
-    for lab in labels[1:]:
-        lab = int(lab)
-        if lab == run_id:
-            run_len += 1
-        else:
-            pairs.append((run_id, run_len))
-            run_id, run_len = lab, 1
-    pairs.append((run_id, run_len))
-    return UnitSequence(tuple(pairs))
+    bounds = run_bounds(labels)
+    return UnitSequence(tuple((labels[s], e - s) for s, e in zip(bounds[:-1], bounds[1:])))
 
 
 def speaking_rate(units: UnitSequence) -> float:

@@ -241,6 +241,19 @@ def test_convert_malformed_checkpoint_exit_2(ckpt, pair_files, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("UnreadableFile: checkpoint block meta.dims")
 
 
+def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys):
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    blocks["param.dec.w3"][0, 0, 0] = np.nan
+    bad = tmp_path / "bad.pfck"
+    write_pfck(bad, blocks)
+    rc = main(convert_args(bad, pair_files, tmp_path / "o.wav"))
+    assert rc == 2
+    assert capsys.readouterr().err == "UnreadableFile: checkpoint block param.dec.w3 holds non-finite values\n"
+    assert not (tmp_path / "o.wav").exists()
+
+
 # -- train-toy ------------------------------------------------------------------
 
 def test_train_toy_deterministic_checkpoints(demo_corpus, tmp_path):
@@ -271,6 +284,22 @@ def test_train_toy_missing_alignment(demo_corpus, tmp_path):
     rc = main(["train-toy", "--corpus", str(broken), "--epochs", "1", "--seed", "0",
                "--ckpt", str(tmp_path / "c.pfck")])
     assert rc == 2
+
+
+def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
+    # lr 1e4 drives the float64 weights past the float32 range while the loss stays finite
+    root, _ = demo_corpus
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("spk0_utt0.wav", "spk0_utt0.tsv", "spk1_utt0.wav", "spk1_utt0.tsv"):
+        (corpus / name).write_bytes((root / name).read_bytes())
+    ckpt = tmp_path / "c.pfck"
+    rc = main(["train-toy", "--corpus", str(corpus), "--epochs", "1", "--seed", "0",
+               "--lr", "1e4", "--kmeans-k", "8", "--ckpt", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"UnwritableFile: {ckpt}: block param.") and err.count("\n") == 1
+    assert not ckpt.exists()
 
 
 # -- sweep ------------------------------------------------------------------------

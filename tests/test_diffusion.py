@@ -15,6 +15,7 @@ from prosovc.diffusion import (
     make_schedule,
     named_parameters,
     noise_loss,
+    param_shapes,
     predict_noise,
     reverse_sample,
     train_step,
@@ -144,6 +145,13 @@ def test_noise_loss_shape_mismatch():
 
 
 # -- noise predictor -------------------------------------------------------------------
+
+@pytest.mark.parametrize("default_dims", [True, False], ids=["default-dims", "tiny-dims"])
+def test_param_shapes_lists_every_parameter_in_order(tiny_dims, default_dims):
+    dims = ModelDims() if default_dims else tiny_dims
+    named = named_parameters(init_decoder_params(dims, np.random.default_rng(0)))
+    assert list(param_shapes(dims).items()) == [(name, arr.shape) for name, arr in named.items()]
+
 
 def test_predict_noise_zero_params(tiny_dims):
     params = init_decoder_params(tiny_dims, np.random.default_rng(0))

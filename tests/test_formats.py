@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_track
-from prosovc.errors import UnreadableFile
+from prosovc.errors import UnreadableFile, UnwritableFile
 from prosovc.formats import (
     FTB_MATRIX,
     FTB_PROSODY,
@@ -111,6 +111,13 @@ def test_pfck_roundtrip(tmp_path):
     for name in blocks:
         assert back[name].shape == blocks[name].shape
         assert np.allclose(back[name], blocks[name], atol=1e-6)
+
+
+def test_pfck_refuses_float32_overflow(tmp_path):
+    path = tmp_path / "c.pfck"
+    with pytest.raises(UnwritableFile, match="block big holds values beyond the float32 range"):
+        write_pfck(path, {"ok": np.zeros(2), "big": np.array([1.0, 1e39])})
+    assert not path.exists()
 
 
 def test_pfck_magic_and_version(tmp_path):

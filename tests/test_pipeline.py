@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from prosovc.conditioning import ModelDims
-from prosovc.diffusion import init_decoder_params, make_schedule
+from prosovc.diffusion import (
+    init_decoder_params,
+    make_schedule,
+    named_parameters,
+    param_shapes,
+    params_from_named,
+)
 from prosovc.errors import UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
 from prosovc.pipeline import ModelBundle, load_bundle, save_bundle
-from prosovc.prosody import F0Config
+from prosovc.prosody import Codebook, F0Config
 from prosovc.signal_core import MelConfig
 
 # Non-default values that float32 storage represents exactly.
@@ -14,12 +20,13 @@ DIMS = ModelDims(n_mels=40, speaker_dim=6, t_embed_dim=4, style_dim=5, cond_hidd
 MEL_CFG = MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400, n_mels=40,
                     fmin=62.5, fmax=7000.0, log_floor=2.0 ** -30)
 F0_CFG = F0Config(f0_min=62.5, f0_max=500.0, yin_threshold=0.125, rms_floor=2.0 ** -12)
+CODEBOOK = Codebook(np.arange(80.0).reshape(2, 40) / 8.0)
 
 
 @pytest.fixture
 def ckpt_path(tmp_path):
     params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    bundle = ModelBundle(params, make_schedule(12, 0.125, 24.0), MEL_CFG, F0_CFG)
+    bundle = ModelBundle(params, make_schedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK)
     path = tmp_path / "b.pfck"
     save_bundle(path, bundle)
     return path
@@ -33,6 +40,23 @@ def test_bundle_config_roundtrip(ckpt_path):
         # int fields come back as int, not numpy scalars
         assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
     assert (loaded.params.input_shift, loaded.params.input_scale) == (-4.5, 2.25)
+
+
+def test_bundle_params_roundtrip_bitwise(tmp_path):
+    # weights that float32 represents exactly come back bit for bit
+    rng = np.random.default_rng(3)
+    named = {name: rng.standard_normal(shape).astype(np.float32).astype(np.float64)
+             for name, shape in param_shapes(DIMS).items()}
+    params = params_from_named(named, DIMS, input_shift=-4.5, input_scale=2.25)
+    path = tmp_path / "b.pfck"
+    save_bundle(path, ModelBundle(params, make_schedule(12, 0.125, 24.0), MEL_CFG, F0_CFG))
+    loaded = load_bundle(path).params
+    reloaded = named_parameters(loaded)
+    assert list(reloaded) == list(named)
+    for name, arr in named.items():
+        assert reloaded[name].dtype == arr.dtype and reloaded[name].shape == arr.shape
+        assert reloaded[name].tobytes() == arr.tobytes()
+    assert (loaded.input_shift, loaded.input_scale) == (-4.5, 2.25)
 
 
 def test_meta_blocks_follow_field_order(ckpt_path):
@@ -51,6 +75,18 @@ def _shorten(blocks, name):
     blocks[name] = blocks[name][:-1]
 
 
+def _flatten(blocks, name):
+    blocks[name] = blocks[name].reshape(-1)
+
+
+def _narrow(blocks, name):
+    blocks[name] = blocks[name][:, :-1]
+
+
+def _zero_scale(blocks, name):
+    blocks[name] = np.array([blocks[name][0], 0.0])
+
+
 def _set_first(value):
     def mutate(blocks, name):
         blocks[name] = blocks[name].copy()
@@ -66,8 +102,16 @@ def _set_first(value):
     ("meta.schedule", _set_first(0.0)),
     ("meta.melcfg", _set_first(np.nan)),
     ("meta.dims", _set_first(np.inf)),
+    ("param.dec.w1", _drop),
+    ("param.cond.merge1_w", _shorten),
+    ("param.dec.w3", _set_first(np.nan)),
+    ("codebook.centroids", _flatten),
+    ("codebook.centroids", _set_first(np.nan)),
+    ("codebook.centroids", _narrow),
+    ("meta.input_norm", _zero_scale),
 ], ids=["missing", "missing-norm", "wrong-length", "rejected-value", "rejected-schedule",
-        "nan-int", "inf-int"])
+        "nan-int", "inf-int", "missing-param", "misshaped-param", "nan-param",
+        "1d-centroids", "nan-centroids", "narrow-centroids", "zero-scale"])
 def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
     blocks = read_pfck(ckpt_path)
     mutate(blocks, block)

@@ -139,6 +139,16 @@ def test_hpf_order4_supported():
     assert measured == pytest.approx(analytic, rel=0.1)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("sr", [16000, 22050])
+def test_hpf_matches_scipy_sosfilt(sr, order):
+    signal = pytest.importorskip("scipy.signal")
+    x = 0.3 * np.random.default_rng(sr + order).standard_normal(sr // 2)
+    ours = highpass_filter(Waveform(x, sr), 50.0, order).samples
+    ref = signal.sosfilt(signal.butter(order, 50.0, "highpass", fs=sr, output="sos"), x)
+    assert np.max(np.abs(ours - ref)) < 1e-10
+
+
 def test_hpf_invalid_cutoff():
     with pytest.raises(InvalidCutoff):
         highpass_filter(sine(100), 0.0)
