@@ -259,25 +259,40 @@ def stft(samples: np.ndarray, cfg: MelConfig, pad_mode: str = "reflect") -> np.n
     return np.fft.rfft(frames * _padded_window(cfg.window, cfg.fft_size), n=cfg.fft_size, axis=1)
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frame i into out[i*hop:], for frames of width k*hop.
+
+    The frames are cut into k columns of hop samples; column j of every frame
+    lands on block i + j. Adding the columns last-first makes each block sum
+    its frames in increasing frame order, so the result equals a per-frame
+    loop bit for bit. `frames` may be a broadcast view.
+    """
+    n_frames = frames.shape[0]
+    cols = frames.reshape(n_frames, -1, hop)
+    k = cols.shape[1]
+    out = np.zeros((n_frames + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        out[j:j + n_frames] += cols[:, j]
+    return out.reshape(-1)
+
+
 def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
     """Least-squares inverse of `stft`: weighted overlap-add, center-trimmed.
 
     Output length is (T - 1) * hop.
     """
     w = _padded_window(cfg.window, cfg.fft_size)
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1) * w
-    n_frames = spec.shape[0]
-    total = (n_frames - 1) * cfg.hop + cfg.fft_size
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    w2 = w * w
-    for i in range(n_frames):
-        start = i * cfg.hop
-        out[start:start + cfg.fft_size] += frames[i]
-        norm[start:start + cfg.fft_size] += w2
-    valid = norm > 1e-11
-    out[valid] /= norm[valid]
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
+    frames *= w
+    width = -(-cfg.fft_size // cfg.hop) * cfg.hop
+    if width != cfg.fft_size:  # pad to whole hops; adding 0.0 is exact
+        frames = np.pad(frames, ((0, 0), (0, width - cfg.fft_size)))
+        w = np.pad(w, (0, width - cfg.fft_size))
+    out = _overlap_add(frames, cfg.hop)
+    norm = _overlap_add(np.broadcast_to(w * w, frames.shape), cfg.hop)
+    out /= np.where(norm > 1e-11, norm, 1.0)
     half = cfg.fft_size // 2
+    total = (spec.shape[0] - 1) * cfg.hop + cfg.fft_size
     return out[half:total - half]
 
 

@@ -28,6 +28,21 @@ def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
     return np.maximum(linear, 0.0)
 
 
+def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Give `mag` the phase of `rebuilt`, in place on `rebuilt`, and return it.
+
+    Computes rebuilt * (mag / |rebuilt|), which is mag * exp(1j * angle(rebuilt))
+    without atan2, cos and sin. Exact-zero bins take phase 0, as angle(0) == 0.
+    """
+    amp = np.abs(rebuilt)
+    zero = amp == 0.0
+    rebuilt[zero] = 1.0
+    amp[zero] = 1.0
+    np.divide(mag, amp, out=amp)
+    rebuilt *= amp
+    return rebuilt
+
+
 def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int = 60, seed: int = 0) -> Waveform:
     """Iterative phase reconstruction from linear magnitudes.
 
@@ -36,11 +51,12 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int = 60, seed: int = 
     """
     if mag.ndim != 2 or mag.shape[1] != cfg.n_bins:
         raise ConfigMismatch(f"magnitude shape {mag.shape} does not match {cfg.n_bins} bins")
+    if n_iters < 0:
+        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * np.pi, mag.shape)
     spec = mag * np.exp(1j * phase)
     for _ in range(n_iters):
         wave = istft(spec, cfg)
-        rebuilt = stft(wave, cfg, pad_mode="constant")
-        spec = mag * np.exp(1j * np.angle(rebuilt))
+        spec = project_magnitude(stft(wave, cfg, pad_mode="constant"), mag)
     return Waveform(istft(spec, cfg), cfg.sample_rate)

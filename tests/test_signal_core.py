@@ -12,12 +12,15 @@ from prosovc.signal_core import (
     MelConfig,
     MelSpectrogram,
     Waveform,
+    _padded_window,
     butterworth_hp_gain,
     highpass_filter,
+    istft,
     load_wav,
     mel_band_centers,
     mel_spectrogram,
     save_wav,
+    stft,
 )
 
 SR = 22050
@@ -235,3 +238,60 @@ def test_mel_values_validated(mel_cfg):
         MelSpectrogram(np.full((3, 4), 1.0), mel_cfg)  # band mismatch
     with pytest.raises(ValueError):
         MelSpectrogram(np.full((3, mel_cfg.n_mels), np.nan), mel_cfg)
+
+
+# -- STFT / ISTFT -------------------------------------------------------------------
+
+ISTFT_CFGS = {
+    "default": MelConfig(),
+    "16k_window400": MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400, n_mels=40,
+                               fmin=62.5, fmax=7000.0),
+    "hop_not_dividing_fft": MelConfig(sample_rate=16000, fft_size=512, hop=200, window=400, n_mels=40),
+    "hop_equals_fft": MelConfig(sample_rate=8, fft_size=8, hop=8, window=8, n_mels=3, fmin=0.0, fmax=4.0),
+}
+
+
+def reference_istft(spec, cfg):
+    """Per-frame overlap-add loop: the oracle `istft` must match bit for bit."""
+    w = _padded_window(cfg.window, cfg.fft_size)
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1) * w
+    n_frames = spec.shape[0]
+    total = (n_frames - 1) * cfg.hop + cfg.fft_size
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    w2 = w * w
+    for i in range(n_frames):
+        start = i * cfg.hop
+        out[start:start + cfg.fft_size] += frames[i]
+        norm[start:start + cfg.fft_size] += w2
+    valid = norm > 1e-11
+    out[valid] /= norm[valid]
+    half = cfg.fft_size // 2
+    return out[half:total - half]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 57])
+@pytest.mark.parametrize("name", sorted(ISTFT_CFGS))
+def test_istft_equals_per_frame_loop(name, n_frames):
+    cfg = ISTFT_CFGS[name]
+    rng = np.random.default_rng(n_frames)
+    spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal((n_frames, cfg.n_bins))
+    ours = istft(spec, cfg)
+    assert len(ours) == (n_frames - 1) * cfg.hop
+    assert np.array_equal(ours, reference_istft(spec, cfg))
+
+
+@pytest.mark.parametrize("name", ["default", "16k_window400"])
+def test_stft_istft_match_scipy(name):
+    signal = pytest.importorskip("scipy.signal")
+    cfg = ISTFT_CFGS[name]
+    w = _padded_window(cfg.window, cfg.fft_size)
+    x = 0.3 * np.random.default_rng(cfg.sample_rate).standard_normal(cfg.sample_rate // 4)
+    kwargs = dict(window=w, nperseg=cfg.fft_size, noverlap=cfg.fft_size - cfg.hop)
+    _, _, ref = signal.stft(x, boundary="zeros", padded=False, detrend=False, **kwargs)
+    ours = stft(x, cfg, pad_mode="constant")
+    assert np.max(np.abs(ref.T * w.sum() - ours)) < 1e-12
+    _, ref_wave = signal.istft(ref, **kwargs)
+    ours_wave = istft(ours, cfg)
+    assert ref_wave.shape == ours_wave.shape
+    assert np.max(np.abs(ref_wave - ours_wave)) < 1e-12

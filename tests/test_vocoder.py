@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from prosovc.signal_core import MelSpectrogram, istft, mel_spectrogram, stft
 from prosovc.synth import sine_wave
-from prosovc.vocoder import griffin_lim, mel_to_linear
+from prosovc.vocoder import griffin_lim, mel_to_linear, project_magnitude
 
 SR = 22050
 
@@ -69,6 +70,45 @@ def test_spectral_convergence_non_increasing(mel_cfg):
         wave = istft(spec, mel_cfg)
         rebuilt = stft(wave, mel_cfg, pad_mode="constant")
         errors.append(np.linalg.norm(np.abs(rebuilt) - mag))
-        spec = mag * np.exp(1j * np.angle(rebuilt))
+        spec = project_magnitude(rebuilt, mag)
     diffs = np.diff(errors)
     assert np.all(diffs <= 1e-6)
+
+
+def test_griffin_lim_negative_iters_rejected(mel_cfg):
+    mag = np.ones((10, mel_cfg.n_bins))
+    with pytest.raises(ValueError, match="n_iters"):
+        griffin_lim(mag, mel_cfg, n_iters=-5, seed=0)
+
+
+def test_projection_of_zero_bins_is_mag_with_phase_zero():
+    rebuilt = np.array([[0.0 + 0.0j, 3.0 - 4.0j, 0.0 + 0.0j]])
+    mag = np.array([[2.0, 10.0, 0.5]])
+    out = project_magnitude(rebuilt, mag)
+    assert np.array_equal(out[:, [0, 2]], mag[:, [0, 2]] + 0j)
+    assert np.allclose(out[0, 1], 6.0 - 8.0j, rtol=0, atol=1e-15)
+
+
+def test_griffin_lim_leaves_mag_unmodified(mel_cfg):
+    mag = np.abs(np.random.default_rng(4).standard_normal((12, mel_cfg.n_bins)))
+    before = mag.copy()
+    griffin_lim(mag, mel_cfg, n_iters=3, seed=0)
+    assert np.array_equal(mag, before)
+
+
+def reference_griffin_lim(mag, cfg, n_iters, seed):
+    """The phase update written as mag * exp(1j * angle(rebuilt))."""
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, mag.shape)
+    spec = mag * np.exp(1j * phase)
+    for _ in range(n_iters):
+        rebuilt = stft(istft(spec, cfg), cfg, pad_mode="constant")
+        spec = mag * np.exp(1j * np.angle(rebuilt))
+    return istft(spec, cfg)
+
+
+def test_griffin_lim_matches_angle_phase_update(mel_cfg):
+    mag = np.abs(np.random.default_rng(5).standard_normal((40, mel_cfg.n_bins)))
+    mag[:, 100:140] = 0.0  # a zero band: the rebuilt spectrum is near zero there
+    wave = griffin_lim(mag, mel_cfg, n_iters=60, seed=3)
+    ref = reference_griffin_lim(mag, mel_cfg, 60, 3)
+    assert np.max(np.abs(wave.samples - ref)) <= 1e-12
