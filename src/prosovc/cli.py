@@ -223,6 +223,8 @@ def load_modulation_file(path) -> dict:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -274,6 +276,8 @@ def _load_pair_list(path) -> list[tuple[str, str, str]]:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise UnreadableFile(f"{path}: pair list is empty")
     rows = []

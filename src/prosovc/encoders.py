@@ -9,6 +9,7 @@ L2-normalized, so identical audio always maps to an identical vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +59,8 @@ def load_alignment(path) -> Alignment:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     segments = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -70,6 +73,8 @@ def load_alignment(path) -> Alignment:
             start, end = float(start_s), float(end_s)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric time ({exc})") from exc
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ParseError(f"{path}:{lineno}: non-finite time")
         segments.append(AlignSegment(label, start, end))
     return Alignment(tuple(segments))
 

@@ -60,6 +60,8 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
     """
     if mode not in ("f0", "rate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    if gl_iters < 0:
+        raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     if levels is None:
         levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
     rows = []

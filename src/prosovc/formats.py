@@ -12,6 +12,7 @@ row-major data.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -79,7 +80,10 @@ def read_ftb(path):
         return kind, data.reshape(-1)
     if kind == FTB_PROSODY:
         log_f0, voiced, log_energy = data.reshape(3, n)
-        return kind, ProsodyTrack(log_f0, voiced > 0.5, log_energy)
+        try:
+            return kind, ProsodyTrack(log_f0, voiced > 0.5, log_energy)
+        except ValueError as exc:
+            raise UnreadableFile(f"{path}: invalid prosody track ({exc})") from exc
     raise UnreadableFile(f"{path}: unknown FTB kind {kind}")
 
 
@@ -131,12 +135,12 @@ def read_pfck(path) -> dict[str, np.ndarray]:
             offset += 1
             shape = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+            count = math.prod(shape)
+            if 4 * count > len(blob) - offset:
+                raise UnreadableFile(f"{path}: truncated parameter block {name}")
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
         except (struct.error, ValueError, UnicodeDecodeError) as exc:
             raise UnreadableFile(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-        if arr.size != count:
-            raise UnreadableFile(f"{path}: truncated parameter block {name}")
-        blocks[name] = arr.astype(np.float64).reshape(shape)
+        blocks[name] = arr.astype(np.float64)
     return blocks

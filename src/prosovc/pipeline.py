@@ -156,6 +156,8 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
             seed: int = 0, gl_iters: int = 60) -> ConvertResult:
     """Full inference path; prosody conversion then decoding then vocoding."""
+    if gl_iters < 0:
+        raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
     mel_src, track_src = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
     mel_trg, track_trg = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)

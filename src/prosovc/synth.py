@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoders import Alignment, AlignSegment
-from .signal_core import Waveform
+from .signal_core import RECURSION_CHUNK, Waveform
 
 
 def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
@@ -43,6 +43,8 @@ def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
     Every `pause_every`-th slot is silence and is left out of the
     alignment, exercising the implicit-gap path downstream.
     """
+    if not 0.0 <= tilt < 0.95:
+        raise ValueError(f"tilt must be in [0, 0.95), got {tilt}")
     rng = np.random.default_rng(seed)
     n_slots = n_phones + n_phones // pause_every
     slot = duration / n_slots
@@ -72,11 +74,15 @@ def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
         cursor += n / sample_rate
     out = np.concatenate(samples)
     if tilt > 0.0:
+        # One-pole recursion over Python floats, chunked like signal_core._biquad.
         colored = np.empty_like(out)
         prev = 0.0
-        for i, v in enumerate(out):
-            prev = v + tilt * prev
-            colored[i] = prev
+        for start in range(0, len(out), RECURSION_CHUNK):
+            ys = out[start:start + RECURSION_CHUNK].tolist()
+            for i, v in enumerate(ys):
+                prev = v + tilt * prev
+                ys[i] = prev
+            colored[start:start + len(ys)] = ys
         out = colored * (1.0 - tilt)
     peak = np.abs(out).max()
     if peak > 0.95:

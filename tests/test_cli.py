@@ -229,6 +229,15 @@ def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, l
     assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
+def test_convert_mod_file_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
+    mod_file = tmp_path / "mod.txt"
+    mod_file.write_bytes("octave_shift = 0.25 # \xe9\n".encode("latin-1"))
+    rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--mod-file", str(mod_file)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"UnreadableFile: {mod_file}: not UTF-8 text") and err.count("\n") == 1
+
+
 def test_convert_malformed_checkpoint_exit_2(ckpt, pair_files, tmp_path, capsys):
     from prosovc.formats import read_pfck, write_pfck
 
@@ -351,3 +360,13 @@ def test_sweep_empty_pairs_exit_2(ckpt, tmp_path):
     rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt),
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_sweep_pairs_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    pairs.write_bytes(pairs.read_bytes() + "# \xe9\n".encode("latin-1"))
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"UnreadableFile: {pairs}: not UTF-8 text") and err.count("\n") == 1

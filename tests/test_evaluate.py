@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from prosovc import evaluate, pipeline
 from prosovc.errors import LengthMismatch, NoCommonVoiced, ShapeMismatch
 from prosovc.evaluate import (
     F0_SWEEP_HEADER,
@@ -160,3 +161,15 @@ def test_sweep_rejects_unknown_mode(trained_bundle, conversion_pair):
     src, src_align, trg = conversion_pair
     with pytest.raises(ValueError):
         modulation_sweep([(src, src_align, trg)], trained_bundle, mode="tempo")
+
+
+@pytest.mark.parametrize("mode", ["f0", "rate"])
+def test_sweep_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch, mode):
+    def work_reached(*args, **kwargs):
+        raise AssertionError("the sweep started converting before checking gl_iters")
+
+    monkeypatch.setattr(pipeline, "extract_features", work_reached)
+    monkeypatch.setattr(evaluate, "convert", work_reached)
+    src, src_align, trg = conversion_pair
+    with pytest.raises(ValueError, match="gl_iters"):
+        modulation_sweep([(src, src_align, trg)], trained_bundle, mode=mode, gl_iters=-1)

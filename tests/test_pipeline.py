@@ -11,6 +11,7 @@ from prosovc.diffusion import (
 )
 from prosovc.errors import UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
+from prosovc import pipeline
 from prosovc.pipeline import ModelBundle, load_bundle, save_bundle
 from prosovc.prosody import Codebook, F0Config
 from prosovc.signal_core import MelConfig
@@ -118,3 +119,13 @@ def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
     write_pfck(ckpt_path, blocks)
     with pytest.raises(UnreadableFile, match=f"checkpoint block {block}"):
         load_bundle(ckpt_path)
+
+
+def test_convert_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch):
+    def analysis_reached(*args, **kwargs):
+        raise AssertionError("convert analysed its inputs before checking gl_iters")
+
+    monkeypatch.setattr(pipeline, "extract_features", analysis_reached)
+    src, src_align, trg = conversion_pair
+    with pytest.raises(ValueError, match="gl_iters"):
+        pipeline.convert(src, trg, src_align, trained_bundle, gl_iters=-1)

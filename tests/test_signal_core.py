@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from prosovc.errors import ConfigMismatch, InvalidCutoff, TooShort, UnreadableFile, UnsupportedFormat
 from prosovc.signal_core import (
+    RECURSION_CHUNK,
     MelConfig,
     MelSpectrogram,
     Waveform,
+    _butterworth_hp_sections,
     _padded_window,
     butterworth_hp_gain,
     highpass_filter,
@@ -150,6 +152,52 @@ def test_hpf_matches_scipy_sosfilt(sr, order):
     ours = highpass_filter(Waveform(x, sr), 50.0, order).samples
     ref = signal.sosfilt(signal.butter(order, 50.0, "highpass", fs=sr, output="sos"), x)
     assert np.max(np.abs(ours - ref)) < 1e-10
+
+
+def reference_biquad(samples, b, a):
+    """Per-sample direct-form-I loop: the oracle `_biquad` must match bit for bit."""
+    b0, b1, b2 = b
+    a1, a2 = a
+    out = np.empty_like(samples)
+    x1 = x2 = y1 = y2 = 0.0
+    for n, x0 in enumerate(samples):
+        y0 = b0 * x0 + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
+        out[n] = y0
+        x2, x1 = x1, x0
+        y2, y1 = y1, y0
+    return out
+
+
+def assert_hpf_equals_loop(x, sr, order):
+    ref = x
+    for b, a in _butterworth_hp_sections(50.0, sr, order):
+        ref = reference_biquad(ref, b, a)
+    ours = highpass_filter(Waveform(x, sr), 50.0, order).samples
+    assert np.array_equal(ours, ref)
+    assert ours.tobytes() == ref.tobytes()  # signed zeros too
+
+
+CHUNK_EDGES = [1, 2, 3, RECURSION_CHUNK - 1, RECURSION_CHUNK, RECURSION_CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES + ["20 s"])
+@pytest.mark.parametrize("sr", [16000, 22050])
+@pytest.mark.parametrize("order", [2, 4])
+def test_hpf_equals_per_sample_loop(order, sr, n):
+    n = 20 * sr if n == "20 s" else n
+    assert_hpf_equals_loop(0.3 * np.random.default_rng(n).standard_normal(n), sr, order)
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+@pytest.mark.parametrize("signal", ["silence", "square"])
+@pytest.mark.parametrize("sr", [16000, 22050])
+@pytest.mark.parametrize("order", [2, 4])
+def test_hpf_equals_per_sample_loop_on_silence_and_square(order, sr, signal, n):
+    if signal == "silence":
+        x = np.zeros(n)
+    else:  # full scale, 100 Hz at 16 kHz
+        x = np.where(np.arange(n) % 160 < 80, 1.0, -1.0)
+    assert_hpf_equals_loop(x, sr, order)
 
 
 def test_hpf_invalid_cutoff():
