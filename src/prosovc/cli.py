@@ -1,4 +1,4 @@
-"""Command-line entry points: extract, convert, train-toy, sweep/eval.
+"""Command-line entry points: extract, convert, train-toy, sweep.
 
 Errors raised by the pipeline surface as a one-line diagnostic on stderr
 and a per-subsystem exit code (see errors.py); 0 means every output was
@@ -85,17 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmeans-k", type=int, default=DEFAULT_KMEANS_K)
     p.set_defaults(func=cmd_train_toy)
 
-    for name in ("sweep", "eval"):
-        p = sub.add_parser(name, help="run the modulation sweep over conversion pairs")
-        p.add_argument("--pairs", required=True,
-                       help="TSV of src_wav<TAB>src_align_tsv<TAB>trg_wav rows")
-        p.add_argument("--ckpt", required=True)
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--mode", choices=("f0", "rate"), default="f0")
-        p.add_argument("--levels", type=float, nargs="+")
-        p.add_argument("--gl-iters", type=int, default=30)
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_sweep)
+    p = sub.add_parser("sweep", help="run the modulation sweep over conversion pairs")
+    p.add_argument("--pairs", required=True,
+                   help="TSV of src_wav<TAB>src_align_tsv<TAB>trg_wav rows")
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--mode", choices=("f0", "rate"), default="f0")
+    p.add_argument("--levels", type=float, nargs="+")
+    p.add_argument("--gl-iters", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

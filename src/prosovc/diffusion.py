@@ -22,7 +22,7 @@ from .conditioning import (
     cond_shapes,
     he_normal,
 )
-from .errors import BadSchedule, NonFiniteLoss, ShapeMismatch
+from .errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from .nn import conv1d, conv1d_backward, relu, relu_backward
 from .prosody import ProsodyTrack
 
@@ -225,27 +225,33 @@ def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule,
 
     denoise_fn(x_t, t) must return the estimated noise for state x_t at
     grid time t.  Without an rng the sampler is deterministic (zero
-    injected noise).
+    injected noise).  A step that leaves the state non-finite raises
+    NonFiniteSample naming that step.
     """
     def noise():
         return rng.standard_normal(prior.shape) if rng is not None else 0.0
 
     grid = sched.grid
     x = prior + noise()
-    for i in range(sched.n_steps, 0, -1):
-        t = float(grid[i])
-        a = sched.alpha(t)
-        eps_hat = denoise_fn(x, t)
-        if np.shape(eps_hat) != x.shape:
-            raise ShapeMismatch(f"denoiser returned {np.shape(eps_hat)}, expected {x.shape}")
-        x0_hat = (x - (1.0 - a) * prior - math.sqrt(max(1.0 - a * a, 0.0)) * eps_hat) / a
-        t_next = float(grid[i - 1])
-        if i - 1 == 0:
-            x = x0_hat
-        else:
-            a_next = sched.alpha(t_next)
-            x = a_next * x0_hat + (1.0 - a_next) * prior \
-                + math.sqrt(max(1.0 - a_next * a_next, 0.0)) * noise()
+    # an overflow shows up as a non-finite state, reported once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(sched.n_steps, 0, -1):
+            t = float(grid[i])
+            a = sched.alpha(t)
+            eps_hat = denoise_fn(x, t)
+            if np.shape(eps_hat) != x.shape:
+                raise ShapeMismatch(f"denoiser returned {np.shape(eps_hat)}, expected {x.shape}")
+            x0_hat = (x - (1.0 - a) * prior - math.sqrt(max(1.0 - a * a, 0.0)) * eps_hat) / a
+            t_next = float(grid[i - 1])
+            if i - 1 == 0:
+                x = x0_hat
+            else:
+                a_next = sched.alpha(t_next)
+                x = a_next * x0_hat + (1.0 - a_next) * prior \
+                    + math.sqrt(max(1.0 - a_next * a_next, 0.0)) * noise()
+            if not np.isfinite(x).all():
+                raise NonFiniteSample(f"decoder state is non-finite after step "
+                                      f"{sched.n_steps - i + 1} of {sched.n_steps} (t={t:g})")
     return x
 
 

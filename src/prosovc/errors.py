@@ -88,6 +88,10 @@ class NonFiniteLoss(ProsoVCError):
     exit_code = 6
 
 
+class NonFiniteSample(ProsoVCError):
+    exit_code = 6
+
+
 # -- alignments and embeddings (exit 7) ----------------------------------------
 
 class NonMonotonic(ProsoVCError):

@@ -1,8 +1,8 @@
 """Objective metrics and the prosody-modulation sweep harness.
 
-The sweep drives the full conversion pipeline across a grid of octave
-shifts (or speaking-rate ratios), re-extracts prosody from the generated
-audio, and writes one CSV row per level.
+The sweep analyses each source/target pair once, synthesizes it across a
+grid of octave shifts (or speaking-rate ratios), re-extracts prosody from
+the generated audio, and writes one CSV row per level.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatch
-from .pipeline import ModelBundle, convert, extract_features
+# convert stays importable here: the traced benchmark replaces evaluate.convert.
+from .pipeline import ModelBundle, convert, extract_features, synthesize
 from .prosody import ProsodyTrack
 from .signal_core import MelSpectrogram
 from .transform import ModulationSpec, voiced_mean
@@ -51,7 +52,7 @@ def log_spectral_distance(a: MelSpectrogram, b: MelSpectrogram) -> float:
 def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
                      levels=None, mode: str = "f0", seed: int = 0,
                      gl_iters: int = 30) -> list[dict]:
-    """Run the pipeline once per level; one averaged row per level.
+    """Analyse each pair once, then synthesize once per level; one averaged row per level.
 
     pairs: list of (src Waveform, src Alignment, trg Waveform).
     mode "f0" sweeps octave shifts on top of the global mean transfer;
@@ -64,18 +65,20 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     if levels is None:
         levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
+    knob = "octave_shift" if mode == "f0" else "rate_multiplier"
+    features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg), src_align,
+                 extract_features(trg, bundle.mel_cfg, bundle.f0_cfg))
+                for src, src_align, trg in pairs]
     rows = []
     for level in levels:
+        mod = ModulationSpec(**{knob: level})
         cols = []
-        for src, src_align, trg in pairs:
+        for src_features, src_align, trg_features in features:
+            result = synthesize(src_features, trg_features, src_align, bundle, mod,
+                                rate_control=mode == "rate", seed=seed, gl_iters=gl_iters)
             if mode == "f0":
-                mod = ModulationSpec(octave_shift=level)
-                result = convert(src, trg, src_align, bundle, mod, seed=seed, gl_iters=gl_iters)
                 cols.append(_f0_row(result, bundle))
             else:
-                mod = ModulationSpec(rate_multiplier=level)
-                result = convert(src, trg, src_align, bundle, mod,
-                                 rate_control=True, seed=seed, gl_iters=gl_iters)
                 requested = result.report["applied_rate"]
                 achieved = result.report["source_frames"] / result.report["out_frames"]
                 cols.append({

@@ -1,10 +1,11 @@
 """End-to-end orchestration: feature extraction, conversion, and toy training.
 
-The inference path mirrors the intended flow: extract prosody from source
-and target, transfer the source F0 mean onto the target's, compute the
-unit-duration conversion rate, apply user modulation, condition the
-diffusion decoder, sample 30 steps from the average-mel prior, optionally
-re-sample in time, and vocode.
+The inference path mirrors the intended flow. extract_features analyses
+source and target (mel, prosody). synthesize then transfers the source F0
+mean onto the target's, computes the unit-duration conversion rate, applies
+user modulation, conditions the diffusion decoder, samples 30 steps from
+the average-mel prior, optionally re-samples in time, and vocodes. convert
+is the two in sequence; the sweep reuses one analysis for many syntheses.
 """
 
 from __future__ import annotations
@@ -155,12 +156,24 @@ def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
 def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBundle,
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
             seed: int = 0, gl_iters: int = 60) -> ConvertResult:
-    """Full inference path; prosody conversion then decoding then vocoding."""
+    """Full inference path: analysis of both waves, then synthesize."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
-    mel_src, track_src = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
-    mel_trg, track_trg = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)
+    src_features = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
+    trg_features = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)
+    result = synthesize(src_features, trg_features, src_align, bundle, mod,
+                        rate_control=rate_control, seed=seed, gl_iters=gl_iters)
+    result.report["elapsed_ms"] = (time.perf_counter() - started) * 1e3
+    return result
+
+
+def synthesize(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
+               mod: ModulationSpec, *, rate_control: bool, seed: int,
+               gl_iters: int) -> ConvertResult:
+    """Prosody conversion, decoding and vocoding from two extract_features results."""
+    mel_src, track_src = src_features
+    mel_trg, track_trg = trg_features
 
     mu_src = voiced_mean(track_src)
     mu_trg = voiced_mean(track_trg)
@@ -213,7 +226,6 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
         "requested_mean_hz": voiced_mean(requested),
         "out_frames": mel_out.n_frames,
         "out_samples": len(wave_out),
-        "elapsed_ms": (time.perf_counter() - started) * 1e3,
     }
     return ConvertResult(wave_out, mel_out, requested, report)
 

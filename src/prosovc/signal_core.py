@@ -261,11 +261,6 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def mel_band_centers(cfg: MelConfig) -> np.ndarray:
-    """Center frequency in Hz of each mel band."""
-    return _mel_edges(cfg)[1:-1]
-
-
 def frame_signal(samples: np.ndarray, frame_len: int, hop: int, pad_mode: str) -> np.ndarray:
     """Center-padded framing: frame i is centered at sample i*hop.
 

@@ -263,6 +263,32 @@ def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys
     assert not (tmp_path / "o.wav").exists()
 
 
+@pytest.fixture(scope="module")
+def blown_up_ckpt(ckpt, tmp_path_factory):
+    """The trained checkpoint with dec.w3 scaled by 1e12: the decoder state overflows."""
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    blocks["param.dec.w3"] = blocks["param.dec.w3"] * 1e12
+    path = tmp_path_factory.mktemp("blown") / "blown.pfck"
+    write_pfck(path, blocks)
+    return path
+
+
+def assert_non_finite_sample_exit_6(proc):
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("NonFiniteSample: decoder state is non-finite after step ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_convert_non_finite_decoder_exit_6(blown_up_ckpt, pair_files, tmp_path):
+    out = tmp_path / "o.wav"
+    proc = subprocess.run(CLI + convert_args(blown_up_ckpt, pair_files, out) + ["--gl-iters", "0"],
+                          capture_output=True, text=True)
+    assert_non_finite_sample_exit_6(proc)
+    assert not out.exists()
+
+
 # -- train-toy ------------------------------------------------------------------
 
 def test_train_toy_deterministic_checkpoints(demo_corpus, tmp_path):
@@ -334,7 +360,7 @@ def test_sweep_rate_csv(ckpt, pair_files, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     write_pairs_file(pairs, pair_files)
     out = tmp_path / "rate.csv"
-    rc = main(["eval", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(out),
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(out),
                "--mode", "rate", "--gl-iters", "2"])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -370,3 +396,14 @@ def test_sweep_pairs_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"UnreadableFile: {pairs}: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_sweep_non_finite_decoder_exit_6(blown_up_ckpt, pair_files, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(CLI + ["sweep", "--pairs", str(pairs), "--ckpt", str(blown_up_ckpt),
+                                 "--out", str(out), "--gl-iters", "0"],
+                          capture_output=True, text=True)
+    assert_non_finite_sample_exit_6(proc)
+    assert not out.exists()

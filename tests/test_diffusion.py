@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from prosovc.diffusion import (
     reverse_sample,
     train_step,
 )
-from prosovc.errors import BadSchedule, NonFiniteLoss, ShapeMismatch
+from prosovc.errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from prosovc.nn import affine, affine_backward
 
 
@@ -293,6 +294,25 @@ def test_reverse_rejects_bad_denoiser_shape(sched):
     prior = np.zeros((4, 4))
     with pytest.raises(ShapeMismatch):
         reverse_sample(prior, lambda x, t: np.zeros((2, 2)), sched)
+
+
+@pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
+def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
+    prior = np.zeros((4, 4))
+    calls = []
+
+    def denoise(x, t):
+        calls.append(t)
+        eps = np.zeros_like(x)
+        if len(calls) == 7:
+            eps[1, 2] = np.inf
+        return eps
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample, match=r"after step 7 of 30 \(t="):
+            reverse_sample(prior, denoise, sched, rng)
+    assert len(calls) == 7
 
 
 # -- gradient verification ---------------------------------------------------------------

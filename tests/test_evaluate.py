@@ -18,7 +18,8 @@ from prosovc.evaluate import (
 )
 from prosovc.prosody import ProsodyTrack
 from prosovc.signal_core import MelConfig, MelSpectrogram
-from prosovc.transform import voiced_mean
+from prosovc.synth import toy_utterance
+from prosovc.transform import ModulationSpec, voiced_mean
 
 
 def track_from_hz(f0, voiced):
@@ -166,10 +167,79 @@ def test_sweep_rejects_unknown_mode(trained_bundle, conversion_pair):
 @pytest.mark.parametrize("mode", ["f0", "rate"])
 def test_sweep_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch, mode):
     def work_reached(*args, **kwargs):
-        raise AssertionError("the sweep started converting before checking gl_iters")
+        raise AssertionError("the sweep started analysing or synthesizing before checking gl_iters")
 
-    monkeypatch.setattr(pipeline, "extract_features", work_reached)
-    monkeypatch.setattr(evaluate, "convert", work_reached)
+    monkeypatch.setattr(evaluate, "extract_features", work_reached)
+    monkeypatch.setattr(evaluate, "synthesize", work_reached)
     src, src_align, trg = conversion_pair
     with pytest.raises(ValueError, match="gl_iters"):
         modulation_sweep([(src, src_align, trg)], trained_bundle, mode=mode, gl_iters=-1)
+
+
+# -- one analysis per pair -------------------------------------------------------------
+
+SWEEP_MODES = {"f0": ("octave_shift", (-0.25, 0.25)), "rate": ("rate_multiplier", (0.75, 1.2))}
+
+
+@pytest.fixture(scope="module")
+def two_pairs(conversion_pair):
+    src, src_align = toy_utterance(seed=300, base_f0=130.0, duration=1.5)
+    trg, _ = toy_utterance(seed=400, base_f0=200.0, duration=1.5, tilt=0.2)
+    return [conversion_pair, (src, src_align, trg)]
+
+
+def same_value(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("mode", ["f0", "rate"])
+def test_sweep_rows_equal_per_level_convert_rows(trained_bundle, two_pairs, monkeypatch, mode):
+    # the toy decoder's output has no measurable voicing, so the F0 rows
+    # hold NaN quality columns; the output waves are compared as well
+    waves = []
+
+    def recorded(*args, **kwargs):
+        result = pipeline.synthesize(*args, **kwargs)
+        waves.append(result.wave.samples)
+        return result
+
+    monkeypatch.setattr(evaluate, "synthesize", recorded)
+    knob, levels = SWEEP_MODES[mode]
+    rows = modulation_sweep(two_pairs, trained_bundle, levels=levels, mode=mode, seed=2, gl_iters=2)
+    swept = iter(waves)
+    for level, row in zip(levels, rows, strict=True):
+        cols = []
+        for src, src_align, trg in two_pairs:
+            result = pipeline.convert(src, trg, src_align, trained_bundle, ModulationSpec(**{knob: level}),
+                                      rate_control=mode == "rate", seed=2, gl_iters=2)
+            np.testing.assert_array_equal(next(swept), result.wave.samples)
+            if mode == "f0":
+                cols.append(evaluate._f0_row(result, trained_bundle))
+            else:
+                requested = result.report["applied_rate"]
+                achieved = result.report["source_frames"] / result.report["out_frames"]
+                cols.append({"requested_rate": requested, "achieved_ratio": achieved,
+                             "sr_error": sr_ratio_error(requested, achieved),
+                             "out_frames": result.report["out_frames"]})
+        expected = {"level": level, **{key: float(np.mean([c[key] for c in cols])) for key in cols[0]}}
+        assert row.keys() == expected.keys()
+        assert all(same_value(row[key], expected[key]) for key in row), (row, expected)
+    assert next(swept, None) is None
+
+
+@pytest.mark.parametrize("mode", ["f0", "rate"])
+def test_sweep_analyses_each_pair_once(trained_bundle, two_pairs, monkeypatch, mode):
+    calls = []
+    real = pipeline.extract_prosody
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_prosody", counted)
+    _, levels = SWEEP_MODES[mode]
+    modulation_sweep(two_pairs, trained_bundle, levels=levels, mode=mode, gl_iters=0)
+    n_pairs, n_levels = len(two_pairs), len(levels)
+    # f0 rows re-extract prosody from each output to measure the achieved F0
+    expected = 2 * n_pairs + (n_pairs * n_levels if mode == "f0" else 0)
+    assert len(calls) == expected

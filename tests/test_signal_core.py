@@ -14,12 +14,12 @@ from prosovc.signal_core import (
     MelSpectrogram,
     Waveform,
     _butterworth_hp_sections,
+    _mel_edges,
     _padded_window,
     butterworth_hp_gain,
     highpass_filter,
     istft,
     load_wav,
-    mel_band_centers,
     mel_spectrogram,
     save_wav,
     stft,
@@ -241,7 +241,7 @@ def test_mel_frame_count(mel_cfg):
 
 def test_mel_1khz_argmax_band(mel_cfg):
     mel = mel_spectrogram(sine(1000), mel_cfg)
-    centers = mel_band_centers(mel_cfg)
+    centers = _mel_edges(mel_cfg)[1:-1]
     expected = int(np.argmin(np.abs(centers - 1000.0)))
     # frames whose window is fully inside the signal (reflection-free)
     interior = mel.values[2:-2]
