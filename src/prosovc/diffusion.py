@@ -201,8 +201,10 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
     t = i / sched.n_steps
     eps = rng.standard_normal(batch.x0.shape)
     x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
-    loss, grads = _forward_backward(params, batch, x_t, t, eps)
-    updated = {name: arr - lr * grads[name] for name, arr in named_parameters(params).items()}
+    # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = _forward_backward(params, batch, x_t, t, eps)
+        updated = {name: arr - lr * grads[name] for name, arr in named_parameters(params).items()}
     return params_from_named(updated, params.dims, params.input_shift, params.input_scale), loss
 
 

@@ -2,7 +2,8 @@
 
 The sweep analyses each source/target pair once, synthesizes it across a
 grid of octave shifts (or speaking-rate ratios), re-extracts prosody from
-the generated audio, and writes one CSV row per level.
+the generated audio, and writes one CSV row per level. A rate level acts
+only after decoding, so a rate sweep decodes each pair once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatch
 # convert stays importable here: the traced benchmark replaces evaluate.convert.
-from .pipeline import ModelBundle, convert, extract_features, synthesize
+from .pipeline import ModelBundle, convert, decode, extract_features, render
 from .prosody import ProsodyTrack
 from .signal_core import MelSpectrogram
 from .transform import ModulationSpec, voiced_mean
@@ -54,6 +55,9 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
                      gl_iters: int = 30) -> list[dict]:
     """Analyse each pair once, then synthesize once per level; one averaged row per level.
 
+    A synthesis is pipeline.decode then pipeline.render; a rate sweep
+    decodes each pair once and renders that decode at every level.
+
     pairs: list of (src Waveform, src Alignment, trg Waveform).
     mode "f0" sweeps octave shifts on top of the global mean transfer;
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
@@ -66,16 +70,19 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
     if levels is None:
         levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
     knob = "octave_shift" if mode == "f0" else "rate_multiplier"
-    features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg), src_align,
-                 extract_features(trg, bundle.mel_cfg, bundle.f0_cfg))
+    features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
+                 extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align)
                 for src, src_align, trg in pairs]
+    # a rate level acts only after decoding, so rate mode decodes each pair once
+    shared = [decode(*f, bundle, ModulationSpec(), seed=seed) for f in features] if mode == "rate" else None
     rows = []
     for level in levels:
         mod = ModulationSpec(**{knob: level})
         cols = []
-        for src_features, src_align, trg_features in features:
-            result = synthesize(src_features, trg_features, src_align, bundle, mod,
-                                rate_control=mode == "rate", seed=seed, gl_iters=gl_iters)
+        for k, pair_features in enumerate(features):
+            decoded = shared[k] if shared else decode(*pair_features, bundle, mod, seed=seed)
+            result = render(decoded, bundle, mod.rate_multiplier, rate_control=mode == "rate",
+                            seed=seed, gl_iters=gl_iters)
             if mode == "f0":
                 cols.append(_f0_row(result, bundle))
             else:

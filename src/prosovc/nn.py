@@ -9,13 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def _zero_padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """x with pad zero columns on each side, as np.pad would give it."""
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + x.shape[1]] = x
+    return xp
+
+
 def conv1d(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x: (c_in, T) -> (c_out, T)."""
     k = w.shape[2]
-    pad = k // 2
     t = x.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad)))
-    y = np.repeat(b[:, None], t, axis=1)
+    xp = _zero_padded(x, k // 2)
+    y = np.empty((b.shape[0], t), dtype=b.dtype)
+    y[...] = b[:, None]
     for j in range(k):
         y += w[:, :, j] @ xp[:, j:j + t]
     return y
@@ -26,7 +33,7 @@ def conv1d_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
     k = w.shape[2]
     pad = k // 2
     t = x.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad)))
+    xp = _zero_padded(x, pad)
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
     for j in range(k):

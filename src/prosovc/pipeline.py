@@ -1,11 +1,13 @@
 """End-to-end orchestration: feature extraction, conversion, and toy training.
 
 The inference path mirrors the intended flow. extract_features analyses
-source and target (mel, prosody). synthesize then transfers the source F0
-mean onto the target's, computes the unit-duration conversion rate, applies
-user modulation, conditions the diffusion decoder, samples 30 steps from
-the average-mel prior, optionally re-samples in time, and vocodes. convert
-is the two in sequence; the sweep reuses one analysis for many syntheses.
+source and target (mel, prosody). synthesize then runs its two halves:
+decode transfers the source F0 mean onto the target's, computes the
+unit-duration conversion rate, applies user modulation, conditions the
+diffusion decoder and samples 30 steps from the average-mel prior; render
+optionally re-samples in time and vocodes. convert is analysis and
+synthesize in sequence; the sweep reuses one analysis for many syntheses,
+and in rate mode one decode for every level.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .diffusion import (
     train_step,
 )
 from .encoders import Alignment, average_mel_target, speaker_embedding
-from .errors import BadSchedule, InsufficientData, UnreadableFile
+from .errors import BadSchedule, InsufficientData, NonFiniteLoss, UnreadableFile
 from .formats import read_pfck, write_pfck
 from .prosody import (
     Codebook,
@@ -172,6 +174,18 @@ def synthesize(src_features, trg_features, src_align: Alignment, bundle: ModelBu
                mod: ModulationSpec, *, rate_control: bool, seed: int,
                gl_iters: int) -> ConvertResult:
     """Prosody conversion, decoding and vocoding from two extract_features results."""
+    decoded = decode(src_features, trg_features, src_align, bundle, mod, seed=seed)
+    return render(decoded, bundle, mod.rate_multiplier, rate_control=rate_control, seed=seed,
+                  gl_iters=gl_iters)
+
+
+def decode(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
+           mod: ModulationSpec, *, seed: int):
+    """The first half of synthesize: everything up to the decoded, clipped mel.
+
+    Returns (mel, requested prosody track, unit conversion rate, report so
+    far). mod.rate_multiplier plays no part here; it acts in render.
+    """
     mel_src, track_src = src_features
     mel_trg, track_trg = trg_features
 
@@ -200,17 +214,6 @@ def synthesize(src_features, trg_features, src_align: Alignment, bundle: ModelBu
     sampled = reverse_sample(prior.values, denoise, bundle.sched, rng)
     mel_out = MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
                              bundle.mel_cfg)
-
-    applied_rate = None
-    if mod.rate_multiplier is not None:
-        applied_rate = ConversionRate(mod.rate_multiplier)
-    elif rate_control:
-        applied_rate = rc
-    if applied_rate is not None:
-        mel_out = resample_mel(mel_out, applied_rate)
-
-    wave_out = griffin_lim(mel_to_linear(mel_out), bundle.mel_cfg, gl_iters, seed)
-
     report = {
         "source_frames": mel_src.n_frames,
         "mu_src_hz": mu_src,
@@ -221,6 +224,29 @@ def synthesize(src_features, trg_features, src_align: Alignment, bundle: ModelBu
         "semitone_shift": mod.semitone_shift,
         "energy_gain": mod.energy_gain,
         "frame_curve": mod.frame_f0_delta is not None,
+    }
+    return mel_out, requested, rc, report
+
+
+def render(decoded, bundle: ModelBundle, rate_multiplier: float | None, *, rate_control: bool,
+           seed: int, gl_iters: int) -> ConvertResult:
+    """The second half of synthesize: rate control and vocoding of a decode result.
+
+    A given rate_multiplier wins over rate_control's unit conversion rate.
+    """
+    mel_out, requested, rc, report = decoded
+    applied_rate = None
+    if rate_multiplier is not None:
+        applied_rate = ConversionRate(rate_multiplier)
+    elif rate_control:
+        applied_rate = rc
+    if applied_rate is not None:
+        mel_out = resample_mel(mel_out, applied_rate)
+
+    wave_out = griffin_lim(mel_to_linear(mel_out), bundle.mel_cfg, gl_iters, seed)
+
+    report = {
+        **report,
         "rate_control": applied_rate is not None,
         "applied_rate": applied_rate.clamped if applied_rate is not None else 1.0,
         "requested_mean_hz": voiced_mean(requested),
@@ -281,7 +307,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e
     for epoch in range(epochs):
         order = rng.permutation(len(items))
         losses = []
-        for idx in order:
+        for step, idx in enumerate(order, 1):
             mates = by_speaker[items[idx].speaker]
             spk_idx = mates[int(rng.integers(len(mates)))]
             batch = TrainBatch(
@@ -290,7 +316,11 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e
                 prosody=tracks[idx],
                 speaker=spk_embeddings[spk_idx],
             )
-            params, loss = train_step(batch, params, lr, rng, sched)
+            try:
+                params, loss = train_step(batch, params, lr, rng, sched)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(f"{exc} at epoch {epoch + 1}/{epochs}, "
+                                    f"step {step}/{len(order)}") from exc
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
         if log is not None:

@@ -270,32 +270,67 @@ def frame_signal(samples: np.ndarray, frame_len: int, hop: int, pad_mode: str) -
     half = frame_len // 2
     if pad_mode == "reflect" and len(samples) <= half:
         raise TooShort(f"need more than {half} samples for centered framing")
-    padded = np.pad(samples, half, mode=pad_mode)
-    view = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
-    return view[::hop][:n_frames]
+    return _frame_view(np.pad(samples, half, mode=pad_mode), frame_len, hop, n_frames)
+
+
+def _frame_view(padded: np.ndarray, frame_len: int, hop: int, n_frames: int) -> np.ndarray:
+    """The first n_frames frames of `padded`, one every hop samples: a view, not a copy."""
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop][:n_frames]
+
+
+def _windowed_rfft(frames: np.ndarray, cfg: MelConfig, work=None, out=None) -> np.ndarray:
+    """rfft of each frame times the analysis window, optionally into the buffers
+    `work` (windowed frames) and `out` (spectrum)."""
+    work = np.multiply(frames, _padded_window(cfg.window, cfg.fft_size), out=work)
+    return np.fft.rfft(work, n=cfg.fft_size, axis=1, out=out)
 
 
 def stft(samples: np.ndarray, cfg: MelConfig, pad_mode: str = "reflect") -> np.ndarray:
     """Windowed FFT frames, shape (T, n_bins)."""
-    frames = frame_signal(samples, cfg.fft_size, cfg.hop, pad_mode)
-    return np.fft.rfft(frames * _padded_window(cfg.window, cfg.fft_size), n=cfg.fft_size, axis=1)
+    return _windowed_rfft(frame_signal(samples, cfg.fft_size, cfg.hop, pad_mode), cfg)
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum frame i into out[i*hop:], for frames of width k*hop.
+def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray) -> np.ndarray:
+    """Add frame i into the zeroed (n_frames + k - 1, hop) `blocks` from block i on.
 
-    The frames are cut into k columns of hop samples; column j of every frame
-    lands on block i + j. Adding the columns last-first makes each block sum
-    its frames in increasing frame order, so the result equals a per-frame
-    loop bit for bit. `frames` may be a broadcast view.
+    The frames are cut into k = ceil(width / hop) columns of hop samples, the
+    last one possibly narrower; column j of every frame lands on block i + j.
+    Adding the columns last-first makes each block sum its frames in
+    increasing frame order, so the result equals a per-frame loop bit for
+    bit. `frames` may be a broadcast view.
     """
     n_frames = frames.shape[0]
-    cols = frames.reshape(n_frames, -1, hop)
-    k = cols.shape[1]
-    out = np.zeros((n_frames + k - 1, hop))
-    for j in range(k - 1, -1, -1):
-        out[j:j + n_frames] += cols[:, j]
-    return out.reshape(-1)
+    for j in range(blocks.shape[0] - n_frames, -1, -1):
+        cols = frames[:, j * hop:(j + 1) * hop]
+        blocks[j:j + n_frames, :cols.shape[1]] += cols
+    return blocks
+
+
+def _wola_buffers(cfg: MelConfig, n_frames: int):
+    """(frames, blocks, divisor) for `_wola` of n_frames frames.
+
+    The divisor is the overlap-added squared window, with 1 wherever that
+    sum is not above 1e-11.
+    """
+    blocks = np.zeros((n_frames - 1 + -(-cfg.fft_size // cfg.hop), cfg.hop))
+    w = _padded_window(cfg.window, cfg.fft_size)
+    norm = _overlap_add(np.broadcast_to(w * w, (n_frames, cfg.fft_size)), cfg.hop, blocks.copy())
+    return np.empty((n_frames, cfg.fft_size)), blocks, np.where(norm > 1e-11, norm, 1.0)
+
+
+def _wola(spec: np.ndarray, cfg: MelConfig, frames: np.ndarray, blocks: np.ndarray,
+          divisor: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add of the inverse FFT of `spec`, into the given buffers.
+
+    Returns the flattened blocks, uncut: sample s of the signal is at
+    s + fft_size // 2.
+    """
+    np.fft.irfft(spec, n=cfg.fft_size, axis=1, out=frames)
+    frames *= _padded_window(cfg.window, cfg.fft_size)
+    blocks.fill(0.0)
+    _overlap_add(frames, cfg.hop, blocks)
+    blocks /= divisor
+    return blocks.reshape(-1)
 
 
 def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
@@ -303,19 +338,10 @@ def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
 
     Output length is (T - 1) * hop.
     """
-    w = _padded_window(cfg.window, cfg.fft_size)
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
-    frames *= w
-    width = -(-cfg.fft_size // cfg.hop) * cfg.hop
-    if width != cfg.fft_size:  # pad to whole hops; adding 0.0 is exact
-        frames = np.pad(frames, ((0, 0), (0, width - cfg.fft_size)))
-        w = np.pad(w, (0, width - cfg.fft_size))
-    out = _overlap_add(frames, cfg.hop)
-    norm = _overlap_add(np.broadcast_to(w * w, frames.shape), cfg.hop)
-    out /= np.where(norm > 1e-11, norm, 1.0)
+    n_frames = spec.shape[0]
+    padded = _wola(spec, cfg, *_wola_buffers(cfg, n_frames))
     half = cfg.fft_size // 2
-    total = (spec.shape[0] - 1) * cfg.hop + cfg.fft_size
-    return out[half:total - half]
+    return padded[half:(n_frames - 1) * cfg.hop + cfg.fft_size - half]
 
 
 def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:

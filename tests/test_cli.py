@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -336,6 +337,20 @@ def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
     assert err.startswith(f"UnwritableFile: {ckpt}: block param.") and err.count("\n") == 1
     assert not ckpt.exists()
 
+
+
+@pytest.mark.parametrize("lr", ["1e4", "10"])
+def test_train_toy_non_finite_loss_is_one_line(demo_corpus, tmp_path, lr):
+    root, _ = demo_corpus
+    ckpt = tmp_path / "c.pfck"
+    proc = subprocess.run(CLI + ["train-toy", "--corpus", str(root), "--epochs", "2", "--seed", "0",
+                                 "--lr", lr, "--ckpt", str(ckpt)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 6
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert re.fullmatch(r"NonFiniteLoss: loss became (inf|nan) at epoch [12]/2, step [1-4]/4\n",
+                        proc.stderr), proc.stderr
+    assert not ckpt.exists()
 
 # -- sweep ------------------------------------------------------------------------
 

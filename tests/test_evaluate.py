@@ -170,7 +170,8 @@ def test_sweep_rejects_negative_gl_iters_before_any_work(trained_bundle, convers
         raise AssertionError("the sweep started analysing or synthesizing before checking gl_iters")
 
     monkeypatch.setattr(evaluate, "extract_features", work_reached)
-    monkeypatch.setattr(evaluate, "synthesize", work_reached)
+    monkeypatch.setattr(evaluate, "decode", work_reached)
+    monkeypatch.setattr(evaluate, "render", work_reached)
     src, src_align, trg = conversion_pair
     with pytest.raises(ValueError, match="gl_iters"):
         modulation_sweep([(src, src_align, trg)], trained_bundle, mode=mode, gl_iters=-1)
@@ -199,11 +200,11 @@ def test_sweep_rows_equal_per_level_convert_rows(trained_bundle, two_pairs, monk
     waves = []
 
     def recorded(*args, **kwargs):
-        result = pipeline.synthesize(*args, **kwargs)
+        result = pipeline.render(*args, **kwargs)
         waves.append(result.wave.samples)
         return result
 
-    monkeypatch.setattr(evaluate, "synthesize", recorded)
+    monkeypatch.setattr(evaluate, "render", recorded)
     knob, levels = SWEEP_MODES[mode]
     rows = modulation_sweep(two_pairs, trained_bundle, levels=levels, mode=mode, seed=2, gl_iters=2)
     swept = iter(waves)
@@ -243,3 +244,19 @@ def test_sweep_analyses_each_pair_once(trained_bundle, two_pairs, monkeypatch, m
     # f0 rows re-extract prosody from each output to measure the achieved F0
     expected = 2 * n_pairs + (n_pairs * n_levels if mode == "f0" else 0)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("mode", ["f0", "rate"])
+def test_rate_sweep_decodes_each_pair_once(trained_bundle, two_pairs, monkeypatch, mode):
+    calls = []
+    real = pipeline.reverse_sample
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "reverse_sample", counted)
+    _, levels = SWEEP_MODES[mode]
+    modulation_sweep(two_pairs, trained_bundle, levels=levels, mode=mode, gl_iters=0)
+    n_pairs, n_levels = len(two_pairs), len(levels)
+    assert len(calls) == (n_pairs if mode == "rate" else n_pairs * n_levels)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prosovc.signal_core import MelSpectrogram, istft, mel_spectrogram, stft
+from prosovc.signal_core import MelConfig, MelSpectrogram, istft, mel_spectrogram, stft
 from prosovc.synth import sine_wave
 from prosovc.vocoder import griffin_lim, mel_to_linear, project_magnitude
 
@@ -112,3 +112,42 @@ def test_griffin_lim_matches_angle_phase_update(mel_cfg):
     wave = griffin_lim(mag, mel_cfg, n_iters=60, seed=3)
     ref = reference_griffin_lim(mag, mel_cfg, 60, 3)
     assert np.max(np.abs(wave.samples - ref)) <= 1e-12
+
+
+# -- the buffered loop against alternating istft/stft calls ---------------------------
+
+GL_CFGS = {
+    "1024_1024_256": MelConfig(),
+    "hop_200": MelConfig(hop=200),
+    "window_800": MelConfig(window=800),
+    "512_512_128": MelConfig(fft_size=512, window=512, hop=128),
+}
+
+
+def unbuffered_griffin_lim(mag, cfg, n_iters, seed):
+    """The loop griffin_lim must match bit for bit: one istft and one stft call per iteration."""
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, mag.shape)
+    spec = mag * np.exp(1j * phase)
+    for _ in range(n_iters):
+        wave = istft(spec, cfg)
+        spec = project_magnitude(stft(wave, cfg, pad_mode="constant"), mag)
+    return istft(spec, cfg)
+
+
+def gl_input(kind, cfg):
+    if kind == "zero":
+        return np.zeros((9, cfg.n_bins))
+    n_frames = 1 if kind == "one_frame" else 23
+    mag = np.abs(np.random.default_rng(cfg.hop).standard_normal((n_frames, cfg.n_bins)))
+    mag[:, 40:60] = 0.0  # a zero band: rebuilt bins near or at zero
+    return mag
+
+
+@pytest.mark.parametrize("kind", ["random", "one_frame", "zero"])
+@pytest.mark.parametrize("n_iters", [0, 1, 7])
+@pytest.mark.parametrize("name", sorted(GL_CFGS))
+def test_griffin_lim_equals_unbuffered_loop(name, n_iters, kind):
+    cfg = GL_CFGS[name]
+    mag = gl_input(kind, cfg)
+    wave = griffin_lim(mag, cfg, n_iters=n_iters, seed=11)
+    assert np.array_equal(wave.samples, unbuffered_griffin_lim(mag, cfg, n_iters, 11))
