@@ -1,13 +1,13 @@
 """End-to-end orchestration: feature extraction, conversion, and toy training.
 
 The inference path mirrors the intended flow. extract_features analyses
-source and target (mel, prosody). synthesize then runs its two halves:
-decode transfers the source F0 mean onto the target's, computes the
-unit-duration conversion rate, applies user modulation, conditions the
-diffusion decoder and samples 30 steps from the average-mel prior; render
-optionally re-samples in time and vocodes. convert is analysis and
-synthesize in sequence; the sweep reuses one analysis for many syntheses,
-and in rate mode one decode for every level.
+source and target (mel, prosody). Synthesis is two halves: decode
+transfers the source F0 mean onto the target's, computes the unit-duration
+conversion rate, applies user modulation, conditions the diffusion decoder
+and samples 30 steps from the average-mel prior; render optionally
+re-samples in time and vocodes. convert is analysis, decode and render in
+sequence; the sweep reuses one analysis for many syntheses, and in rate
+mode one decode for every level.
 """
 
 from __future__ import annotations
@@ -158,30 +158,23 @@ def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
 def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBundle,
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
             seed: int = 0, gl_iters: int = 60) -> ConvertResult:
-    """Full inference path: analysis of both waves, then synthesize."""
+    """Full inference path: analysis of both waves, decode, then render."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
     src_features = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
     trg_features = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)
-    result = synthesize(src_features, trg_features, src_align, bundle, mod,
-                        rate_control=rate_control, seed=seed, gl_iters=gl_iters)
+    decoded = decode(src_features, trg_features, src_align, bundle, mod, seed=seed)
+    result = render(decoded, bundle, mod.rate_multiplier, rate_control=rate_control, seed=seed,
+                    gl_iters=gl_iters)
     result.report["elapsed_ms"] = (time.perf_counter() - started) * 1e3
     return result
 
 
-def synthesize(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
-               mod: ModulationSpec, *, rate_control: bool, seed: int,
-               gl_iters: int) -> ConvertResult:
-    """Prosody conversion, decoding and vocoding from two extract_features results."""
-    decoded = decode(src_features, trg_features, src_align, bundle, mod, seed=seed)
-    return render(decoded, bundle, mod.rate_multiplier, rate_control=rate_control, seed=seed,
-                  gl_iters=gl_iters)
-
-
 def decode(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
            mod: ModulationSpec, *, seed: int):
-    """The first half of synthesize: everything up to the decoded, clipped mel.
+    """The first half of synthesis: from two extract_features results to the
+    decoded, clipped mel.
 
     Returns (mel, requested prosody track, unit conversion rate, report so
     far). mod.rate_multiplier plays no part here; it acts in render.
@@ -230,7 +223,7 @@ def decode(src_features, trg_features, src_align: Alignment, bundle: ModelBundle
 
 def render(decoded, bundle: ModelBundle, rate_multiplier: float | None, *, rate_control: bool,
            seed: int, gl_iters: int) -> ConvertResult:
-    """The second half of synthesize: rate control and vocoding of a decode result.
+    """The second half of synthesis: rate control and vocoding of a decode result.
 
     A given rate_multiplier wins over rate_control's unit conversion rate.
     """

@@ -280,7 +280,8 @@ def _frame_view(padded: np.ndarray, frame_len: int, hop: int, n_frames: int) -> 
 
 def _windowed_rfft(frames: np.ndarray, cfg: MelConfig, work=None, out=None) -> np.ndarray:
     """rfft of each frame times the analysis window, optionally into the buffers
-    `work` (windowed frames) and `out` (spectrum)."""
+    `work` (windowed frames) and `out` (spectrum). numpy.fft takes out= from
+    numpy 2.0, the floor in pyproject.toml."""
     work = np.multiply(frames, _padded_window(cfg.window, cfg.fft_size), out=work)
     return np.fft.rfft(work, n=cfg.fft_size, axis=1, out=out)
 
