@@ -5,6 +5,15 @@ vector; the merge network is a two-layer time convolution over
 [logF0, log energy, broadcast style] emitting one condition channel per
 mel band.  Log energy is rescaled by fixed constants so its numeric range
 matches the other inputs.
+
+The style rows repeat one column in every frame, so the first merge layer
+never builds them: it convolves the two prosody rows and adds, per kernel
+tap, that tap's style weights times the style vector to the frames where
+the tap reads signal rather than zero padding.  The backward pass mirrors
+this and forms no merge1 input gradient: a tap's style weight gradient is
+the outer product of its frame-summed upstream gradient with the style
+vector, and the style gradient sums each tap's weights times that sum.
+Both equal the convolution over the broadcast input up to rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDim, DimMismatch
-from .nn import affine, affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
+from .nn import (
+    affine,
+    affine_backward,
+    conv1d,
+    conv1d_backward,
+    conv1d_param_grads,
+    relu,
+    relu_backward,
+    tanh_backward,
+)
 from .prosody import ProsodyTrack
 
 STEP_FREQ_MAX = 1e4
@@ -98,24 +116,32 @@ def build_style(speaker: np.ndarray, t: float, params: CondParams,
     return style
 
 
-def _cond_input(track: ProsodyTrack, style: np.ndarray) -> np.ndarray:
-    x = np.empty((2 + len(style), track.n_frames))
+def _prosody_rows(track: ProsodyTrack) -> np.ndarray:
+    x = np.empty((2, track.n_frames))
     x[0] = track.log_f0
     x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
-    x[2:] = style[:, None]
     return x
+
+
+def _tap_frames(j: int, k: int, n_frames: int) -> slice:
+    """Output frames whose tap j of a kernel-k conv1d reads signal rather than padding."""
+    pad = k // 2
+    return slice(max(pad - j, 0), min(n_frames + pad - j, n_frames))
 
 
 def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams,
                     cache: dict | None = None) -> np.ndarray:
-    """Condition tensor (T, n_mels) from prosody and a style vector; a given cache receives x, pre1 and h."""
+    """Condition tensor (T, n_mels) from prosody and a style vector; a given cache receives prosody, pre1 and h."""
     if len(style) != params.merge1_w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
-    x = _cond_input(track, style)
-    pre1 = conv1d(params.merge1_w, params.merge1_b, x)
+    prosody = _prosody_rows(track)
+    pre1 = conv1d(params.merge1_w[:, :2], params.merge1_b, prosody)
+    k = params.merge1_w.shape[2]
+    for j in range(k):
+        pre1[:, _tap_frames(j, k, track.n_frames)] += (params.merge1_w[:, 2:, j] @ style)[:, None]
     h = relu(pre1)
     if cache is not None:
-        cache.update(x=x, pre1=pre1, h=h)
+        cache.update(prosody=prosody, pre1=pre1, h=h)
     return conv1d(params.merge2_w, params.merge2_b, h).T
 
 
@@ -131,8 +157,15 @@ def cond_backward(d_cond: np.ndarray, cache, params: CondParams):
     dy = d_cond.T
     dm2w, dm2b, dh = conv1d_backward(params.merge2_w, cache["h"], dy)
     dpre1 = relu_backward(cache["pre1"], dh)
-    dm1w, dm1b, dx = conv1d_backward(params.merge1_w, cache["x"], dpre1)
-    dstyle = dx[2:].sum(axis=1)
+    m1w = params.merge1_w
+    k = m1w.shape[2]
+    dm1w = np.empty_like(m1w)
+    dm1w[:, :2], dm1b = conv1d_param_grads(m1w[:, :2], cache["prosody"], dpre1)
+    dstyle = np.zeros(m1w.shape[1] - 2)
+    for j in range(k):
+        tap_sum = dpre1[:, _tap_frames(j, k, dpre1.shape[1])].sum(axis=1)
+        dm1w[:, 2:, j] = np.outer(tap_sum, cache["style"])
+        dstyle += m1w[:, 2:, j].T @ tap_sum
     ds_lin = tanh_backward(cache["style"], dstyle)
     dsw, dsb, _ = affine_backward(params.style_w, cache["s_in"], ds_lin)
     return {

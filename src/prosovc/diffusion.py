@@ -23,8 +23,10 @@ from .conditioning import (
     he_normal,
 )
 from .errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
-from .nn import conv1d, conv1d_backward, relu, relu_backward
+from .nn import conv1d, conv1d_backward, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
 from .prosody import ProsodyTrack
+
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,9 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
     dpre2 = relu_backward(cache["pre2"], da2)
     dw2, db2, da1 = conv1d_backward(params.w2, cache["a1"], dpre2)
     dpre1 = relu_backward(cache["pre1"], da1)
-    dw1, db1, dd_in = conv1d_backward(params.w1, cache["d_in"], dpre1)
-    n_mels = params.dims.n_mels
-    d_cond = dd_in[n_mels:].T
+    # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
+    dw1, db1 = conv1d_param_grads(params.w1, cache["d_in"], dpre1)
+    d_cond = conv1d_input_grad(params.w1[:, params.dims.n_mels:], dpre1).T
     cgrads = cond_backward(d_cond, ccache, params.cond)
 
     grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2,
@@ -194,6 +196,8 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
 
     Samples t uniformly from the positive schedule grid and eps from rng;
     returns (updated params, loss).  The input params are left untouched.
+    A non-finite loss, or an update that leaves any parameter beyond the
+    float32 range a checkpoint stores, raises NonFiniteLoss.
     """
     if batch.x0.shape != batch.prior.shape:
         raise ShapeMismatch(f"x0 {batch.x0.shape} != prior {batch.prior.shape}")
@@ -205,6 +209,10 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = _forward_backward(params, batch, x_t, t, eps)
         updated = {name: arr - lr * grads[name] for name, arr in named_parameters(params).items()}
+    # a finite loss can still drive a weight past what a checkpoint can store; stop at that step
+    for name, arr in updated.items():
+        if not np.abs(arr).max() <= _F32_MAX:
+            raise NonFiniteLoss(f"parameter {name} left the float32 range")
     return params_from_named(updated, params.dims, params.input_shift, params.input_scale), loss
 
 

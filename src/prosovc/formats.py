@@ -142,5 +142,7 @@ def read_pfck(path) -> dict[str, np.ndarray]:
             offset += 4 * count
         except (struct.error, ValueError, UnicodeDecodeError) as exc:
             raise UnreadableFile(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-        blocks[name] = arr.astype(np.float64)
+        # a signalling NaN sets the invalid flag when cast; the caller's finiteness check reports it
+        with np.errstate(invalid="ignore"):
+            blocks[name] = arr.astype(np.float64)
     return blocks

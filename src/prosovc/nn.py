@@ -28,18 +28,35 @@ def conv1d(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def conv1d_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
-    """Gradients (dw, db, dx) of conv1d given upstream dy."""
+def conv1d_param_grads(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
+    """Weight and bias gradients (dw, db) of conv1d given upstream dy."""
     k = w.shape[2]
-    pad = k // 2
     t = x.shape[1]
-    xp = _zero_padded(x, pad)
+    xp = _zero_padded(x, k // 2)
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
     for j in range(k):
         dw[:, :, j] = dy @ xp[:, j:j + t].T
+    return dw, dy.sum(axis=1)
+
+
+def conv1d_input_grad(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Input gradient dx of conv1d given upstream dy.
+
+    w may be a slice w[:, lo:hi] of the weights; dx then covers only input
+    channels lo:hi.
+    """
+    k = w.shape[2]
+    pad = k // 2
+    t = dy.shape[1]
+    dxp = np.zeros((w.shape[1], t + 2 * pad), dtype=dy.dtype)
+    for j in range(k):
         dxp[:, j:j + t] += w[:, :, j].T @ dy
-    return dw, dy.sum(axis=1), dxp[:, pad:pad + t]
+    return dxp[:, pad:pad + t]
+
+
+def conv1d_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
+    """Gradients (dw, db, dx) of conv1d given upstream dy."""
+    return (*conv1d_param_grads(w, x, dy), conv1d_input_grad(w, dy))
 
 
 def affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prosovc.conditioning import ModelDims
+from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims
+from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import ProsodyTrack
 from prosovc.signal_core import MelConfig
@@ -60,3 +61,35 @@ def conversion_pair():
     src, src_align = toy_utterance(seed=100, base_f0=150.0, duration=2.0)
     trg, _ = toy_utterance(seed=200, base_f0=220.0, duration=2.0, tilt=0.4)
     return src, src_align, trg
+
+
+# -- oracles: merge1 as one conv1d over the style broadcast to every frame ----------
+
+def oracle_build_condition(track, style, params, cache=None):
+    """build_condition with merge1 convolving [logF0, energy, style repeated per frame]."""
+    x = np.empty((2 + len(style), track.n_frames))
+    x[0] = track.log_f0
+    x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
+    x[2:] = style[:, None]
+    pre1 = conv1d(params.merge1_w, params.merge1_b, x)
+    h = relu(pre1)
+    if cache is not None:
+        cache.update(x=x, pre1=pre1, h=h)
+    return conv1d(params.merge2_w, params.merge2_b, h).T
+
+
+def oracle_cond_backward(d_cond, cache, params):
+    """cond_backward through merge1's full input gradient, summed over the style rows."""
+    dm2w, dm2b, dh = conv1d_backward(params.merge2_w, cache["h"], d_cond.T)
+    dpre1 = relu_backward(cache["pre1"], dh)
+    dm1w, dm1b, dx = conv1d_backward(params.merge1_w, cache["x"], dpre1)
+    ds_lin = tanh_backward(cache["style"], dx[2:].sum(axis=1))
+    dsw, dsb, _ = affine_backward(params.style_w, cache["s_in"], ds_lin)
+    return {"style_w": dsw, "style_b": dsb, "merge1_w": dm1w, "merge1_b": dm1b,
+            "merge2_w": dm2w, "merge2_b": dm2b}
+
+
+def assert_close_to_oracle(ours, oracle, rtol=1e-12):
+    """Equal up to rounding: within rtol, with an absolute floor of rtol * max|oracle| near zero."""
+    assert ours.shape == oracle.shape
+    np.testing.assert_allclose(ours, oracle, rtol=rtol, atol=rtol * float(np.abs(oracle).max()))

@@ -264,6 +264,26 @@ def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys
     assert not (tmp_path / "o.wav").exists()
 
 
+def test_convert_signalling_nan_param_block_is_one_line(ckpt, pair_files, tmp_path):
+    # a float32 signalling NaN sets the invalid flag when widened to float64; that must not print a warning
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    marker = np.float32(1234.5).tobytes()
+    blocks["param.dec.w2"][0, 0, 0] = 1234.5
+    bad = tmp_path / "snan.pfck"
+    write_pfck(bad, blocks)
+    blob = bad.read_bytes()
+    assert blob.count(marker) == 1
+    bad.write_bytes(blob.replace(marker, np.uint32(0x7F800001).astype("<u4").tobytes()))
+    out = tmp_path / "o.wav"
+    proc = subprocess.run(CLI + convert_args(bad, pair_files, out) + ["--gl-iters", "0"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "UnreadableFile: checkpoint block param.dec.w2 holds non-finite values\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def blown_up_ckpt(ckpt, tmp_path_factory):
     """The trained checkpoint with dec.w3 scaled by 1e12: the decoder state overflows."""
@@ -323,7 +343,8 @@ def test_train_toy_missing_alignment(demo_corpus, tmp_path):
 
 
 def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
-    # lr 1e4 drives the float64 weights past the float32 range while the loss stays finite
+    # lr 1e4 drives the float64 weights past the float32 range while the loss stays finite;
+    # the step that does so stops the run, before any checkpoint is written
     root, _ = demo_corpus
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -332,9 +353,10 @@ def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
     ckpt = tmp_path / "c.pfck"
     rc = main(["train-toy", "--corpus", str(corpus), "--epochs", "1", "--seed", "0",
                "--lr", "1e4", "--kmeans-k", "8", "--ckpt", str(ckpt)])
-    assert rc == 2
+    assert rc == 6
     err = capsys.readouterr().err
-    assert err.startswith(f"UnwritableFile: {ckpt}: block param.") and err.count("\n") == 1
+    assert re.fullmatch(r"NonFiniteLoss: parameter (dec|cond)\.\w+ left the float32 range "
+                        r"at epoch 1/1, step [12]/2\n", err), err
     assert not ckpt.exists()
 
 
@@ -348,8 +370,9 @@ def test_train_toy_non_finite_loss_is_one_line(demo_corpus, tmp_path, lr):
                           capture_output=True, text=True)
     assert proc.returncode == 6
     assert proc.stderr.count("\n") == 1, proc.stderr
-    assert re.fullmatch(r"NonFiniteLoss: loss became (inf|nan) at epoch [12]/2, step [1-4]/4\n",
-                        proc.stderr), proc.stderr
+    # the weights leave the float32 range a step before the loss could overflow
+    assert re.fullmatch(r"NonFiniteLoss: parameter (dec|cond)\.\w+ left the float32 range "
+                        r"at epoch [12]/2, step [1-4]/4\n", proc.stderr), proc.stderr
     assert not ckpt.exists()
 
 # -- sweep ------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_track
+from conftest import assert_close_to_oracle, make_track, oracle_build_condition, oracle_cond_backward
 from prosovc.conditioning import (
     ModelDims,
     build_condition,
     build_style,
+    cond_backward,
     cond_forward_cache,
     init_cond_params,
     step_embedding,
@@ -155,4 +158,35 @@ def test_cond_forward_cache_is_the_inference_forward(dims, params):
     spk = np.random.default_rng(6).standard_normal(dims.speaker_dim)
     cond, cache = cond_forward_cache(track, spk, 0.3, params)
     assert np.array_equal(cond, build_condition(track, build_style(spk, 0.3, params), params))
-    assert set(cache) == {"s_in", "style", "x", "pre1", "h"}
+    assert set(cache) == {"s_in", "style", "prosody", "pre1", "h"}
+
+
+# -- merge1's style rows as per-tap sums, against the broadcast-style oracle ---------------
+
+@settings(max_examples=40, deadline=None)
+@given(n_frames=st.sampled_from([1, 2, 3, 40]), n_mels=st.integers(1, 4), speaker_dim=st.integers(1, 4),
+       t_embed_dim=st.sampled_from([2, 4]), style_dim=st.integers(1, 4), cond_hidden=st.integers(1, 4),
+       t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_condition_and_gradients_equal_broadcast_style_oracle(n_frames, n_mels, speaker_dim, t_embed_dim,
+                                                              style_dim, cond_hidden, t, seed):
+    # n_frames 1 and 2 leave the edge taps of merge1 reading only padding
+    dims = ModelDims(n_mels=n_mels, speaker_dim=speaker_dim, t_embed_dim=t_embed_dim,
+                     style_dim=style_dim, cond_hidden=cond_hidden, dec_hidden=1)
+    rng = np.random.default_rng(seed)
+    params = init_cond_params(dims, rng)
+    for arr in (params.style_b, params.merge1_b, params.merge2_b):
+        arr[...] = rng.standard_normal(arr.shape)
+    track = make_track(rng, n_frames=n_frames)
+    speaker = rng.standard_normal(speaker_dim)
+    d_cond = rng.standard_normal((n_frames, n_mels))
+
+    cond, cache = cond_forward_cache(track, speaker, t, params)
+    oracle_cache = {}
+    oracle = oracle_build_condition(track, build_style(speaker, t, params, oracle_cache), params, oracle_cache)
+    assert_close_to_oracle(cond, oracle)
+
+    grads = cond_backward(d_cond, cache, params)
+    oracle_grads = oracle_cond_backward(d_cond, oracle_cache, params)
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        assert_close_to_oracle(grad, oracle_grads[name])

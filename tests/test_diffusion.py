@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_track
+from conftest import assert_close_to_oracle, make_track, oracle_build_condition, oracle_cond_backward
 from prosovc import diffusion
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
@@ -22,7 +24,7 @@ from prosovc.diffusion import (
     train_step,
 )
 from prosovc.errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
-from prosovc.nn import affine, affine_backward
+from prosovc.nn import affine, affine_backward, conv1d_backward, relu_backward
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +234,18 @@ def test_train_step_rejects_nonfinite(tiny_dims, sched):
         train_step(batch, params, 1e-3, np.random.default_rng(0), sched)
 
 
+def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims, sched):
+    rng = np.random.default_rng(12)
+    params = init_decoder_params(tiny_dims, rng)
+    batch = make_batch(rng, tiny_dims)
+    f32_max = float(np.finfo(np.float32).max)
+    params.b3[0] = f32_max  # the loss stays finite in float64
+    train_step(batch, params, 0.0, np.random.default_rng(0), sched)
+    params.b3[0] = np.nextafter(f32_max, np.inf)
+    with pytest.raises(NonFiniteLoss, match=r"^parameter dec\.b3 left the float32 range$"):
+        train_step(batch, params, 0.0, np.random.default_rng(0), sched)
+
+
 def test_single_sample_overfit_halves_loss(sched):
     dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
                      cond_hidden=24, dec_hidden=24)
@@ -324,6 +338,46 @@ def test_gradient_check_tiny_stack(tiny_dims, sched):
     assert n_params <= 2000
     batch = make_batch(rng, tiny_dims, n_frames=6)
     assert gradient_check(params, batch, sched, h=1e-4) < 1e-3
+
+
+def oracle_forward_backward(params, batch, x_t, t, eps):
+    """(condition, loss, gradients) with merge1 over the broadcast style and layer 1's full input gradient."""
+    ccache = {}
+    cond = oracle_build_condition(batch.prosody, build_style(batch.speaker, t, params.cond, ccache),
+                                  params.cond, ccache)
+    cache = {}
+    diff = predict_noise(x_t, cond, params, cache) - eps
+    dw3, db3, da2 = conv1d_backward(params.w3, cache["a2"], (2.0 / diff.size) * diff.T)
+    dpre2 = relu_backward(cache["pre2"], da2)
+    dw2, db2, da1 = conv1d_backward(params.w2, cache["a1"], dpre2)
+    dpre1 = relu_backward(cache["pre1"], da1)
+    dw1, db1, dd_in = conv1d_backward(params.w1, cache["d_in"], dpre1)
+    grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
+    cgrads = oracle_cond_backward(dd_in[params.dims.n_mels:].T, ccache, params.cond)
+    grads.update({f"cond.{k}": v for k, v in cgrads.items()})
+    return cond, float(np.mean(diff * diff)), grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_frames=st.sampled_from([1, 2, 3, 40]), n_mels=st.integers(1, 4), style_dim=st.integers(1, 4),
+       hidden=st.integers(1, 4), t=st.sampled_from([1 / 30, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_gradients_equal_full_input_gradient_oracle(sched, n_frames, n_mels, style_dim, hidden, t, seed):
+    dims = ModelDims(n_mels=n_mels, speaker_dim=3, t_embed_dim=2, style_dim=style_dim,
+                     cond_hidden=hidden, dec_hidden=hidden)
+    rng = np.random.default_rng(seed)
+    params = init_decoder_params(dims, rng, input_shift=0.1, input_scale=1.5)
+    batch = make_batch(rng, dims, n_frames=n_frames)
+    eps = rng.standard_normal(batch.x0.shape)
+    x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
+
+    oracle_cond, oracle_loss, oracle_grads = oracle_forward_backward(params, batch, x_t, t, eps)
+    cond, _ = diffusion.cond_forward_cache(batch.prosody, batch.speaker, t, params.cond)
+    assert_close_to_oracle(cond, oracle_cond)
+    loss, grads = diffusion._forward_backward(params, batch, x_t, t, eps)
+    assert loss == pytest.approx(oracle_loss, rel=1e-12)
+    assert grads.keys() == oracle_grads.keys() == param_shapes(dims).keys()
+    for name, grad in grads.items():
+        assert_close_to_oracle(grad, oracle_grads[name])
 
 
 def test_affine_gradient_closed_form():

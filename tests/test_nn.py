@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosovc.nn import conv1d, conv1d_backward
+from conftest import assert_close_to_oracle
+from prosovc.nn import conv1d, conv1d_backward, conv1d_input_grad
 
 
 def reference_conv1d(w, b, x):
@@ -42,3 +43,16 @@ def test_conv1d_and_backward_equal_np_pad_versions(k, t, c_in, c_out, seed):
     assert np.array_equal(conv1d(w, b, x), reference_conv1d(w, b, x))
     for ours, ref in zip(conv1d_backward(w, x, dy), reference_conv1d_backward(w, x, dy), strict=True):
         assert np.array_equal(ours, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 3, 5]), t=st.integers(1, 40), c_in=st.integers(1, 6),
+       c_out=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_conv1d_input_grad_on_a_channel_slice_is_that_slice_of_dx(k, t, c_in, c_out, data, seed):
+    lo = data.draw(st.integers(0, c_in - 1))
+    hi = data.draw(st.integers(lo + 1, c_in))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((c_out, c_in, k))
+    x = rng.standard_normal((c_in, t))
+    dy = rng.standard_normal((c_out, t))
+    assert_close_to_oracle(conv1d_input_grad(w[:, lo:hi], dy), reference_conv1d_backward(w, x, dy)[2][lo:hi])
