@@ -131,7 +131,10 @@ def _tap_frames(j: int, k: int, n_frames: int) -> slice:
 
 def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams,
                     cache: dict | None = None) -> np.ndarray:
-    """Condition tensor (T, n_mels) from prosody and a style vector; a given cache receives prosody, pre1 and h."""
+    """Condition tensor (T, n_mels) from prosody and a style vector.
+
+    A given cache receives the prosody rows, pre1 and h.
+    """
     if len(style) != params.merge1_w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
     prosody = _prosody_rows(track)

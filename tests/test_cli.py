@@ -265,7 +265,7 @@ def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys
 
 
 def test_convert_signalling_nan_param_block_is_one_line(ckpt, pair_files, tmp_path):
-    # a float32 signalling NaN sets the invalid flag when widened to float64; that must not print a warning
+    # a float32 signalling NaN sets the invalid flag when widened to float64; no warning may be printed
     from prosovc.formats import read_pfck, write_pfck
 
     blocks = read_pfck(ckpt)

@@ -169,7 +169,7 @@ def test_cond_forward_cache_is_the_inference_forward(dims, params):
        t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_condition_and_gradients_equal_broadcast_style_oracle(n_frames, n_mels, speaker_dim, t_embed_dim,
                                                               style_dim, cond_hidden, t, seed):
-    # n_frames 1 and 2 leave the edge taps of merge1 reading only padding
+    # at n_frames 1 and 2 an edge tap of merge1 reads signal in one frame or in none
     dims = ModelDims(n_mels=n_mels, speaker_dim=speaker_dim, t_embed_dim=t_embed_dim,
                      style_dim=style_dim, cond_hidden=cond_hidden, dec_hidden=1)
     rng = np.random.default_rng(seed)
