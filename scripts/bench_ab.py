@@ -14,7 +14,9 @@ drift does not favour one side. Only run.py's standard output is read: its
 ``env`` line, its ``fingerprint`` lines and the JSON object on its last line.
 
 The result goes to ``BENCH_<label>.json`` at the repository root: the
-environment of each side, the seeds and run order, each side's per-workload
+environment of each side, the ``MALLOC_*`` allocator settings both sides
+ran under (``MALLOC_MMAP_THRESHOLD_`` moves ``peak_rss_mb`` by heap layout
+alone), the seeds and run order, each side's per-workload
 fingerprints, each gated metric's median and quartiles per side, and per
 metric how many pairs each side won. Standard output gets one
 ``fingerprints <workload> unchanged|changed`` line per workload and one
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -141,6 +144,11 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
+def malloc_env(environ=os.environ) -> dict:
+    """The MALLOC_* variables of `environ`, sorted by name; both sides inherit them."""
+    return {name: environ[name] for name in sorted(environ) if name.startswith("MALLOC_")}
+
+
 def git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -185,6 +193,7 @@ def main(argv=None) -> int:
         "change": {"commit": change_commit, "uncommitted_changes": dirty},
         "order": "base first on odd seeds, change first on even seeds",
         "env": {side: next(r["parsed"]["env"] for r in runs if r["side"] == side) for side in SIDES},
+        "malloc_env": malloc_env(),
         **summary,
         "runs": [{"seed": r["seed"], "side": r["side"], "first": r["first"],
                   **{k: r["parsed"][k] for k in ("fingerprints", "correct", "attempted", "failed", "metrics")}}

@@ -4,6 +4,12 @@ F0 tracking is a from-scratch YIN: difference function, cumulative mean
 normalization, absolute threshold, and parabolic lag interpolation.  All
 tracks share the mel frame grid (T = len // hop + 1, frames centered at
 i * hop) so prosody aligns with the spectrogram one-to-one.
+
+`extract_f0` frames the utterance once, as a view, and computes the
+difference function, its normalization and the threshold search over blocks
+of YIN_BLOCK frames. Every row's FFT and cumulative sum is computed alone, so
+the blocks change no value: the result equals one whole-utterance batch bit
+for bit, while the FFT temporaries stay the size of one block.
 """
 
 from __future__ import annotations
@@ -17,6 +23,13 @@ from .errors import ConfigMismatch, DimMismatch, EmptySequence, InsufficientData
 from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_signal
 
 ENERGY_FLOOR = 1e-10
+
+# Frames per block of YIN's difference function. Each row's FFT and cumsum do
+# not depend on the rows beside it, so the block size changes no value; it
+# bounds the (block, fft_n) FFT temporaries, which for a whole 20 s utterance
+# held over 80 MB at once. Inputs of up to 256 frames (about 2.9 s at the
+# default hop) run as one block.
+YIN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -122,16 +135,47 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
 
     # Each frame analyses a zero-padded segment of 2*tau_max samples centered
     # at i*hop; the difference function integrates over W = tau_max lags.
-    w = tau_max
-    seg_len = 2 * tau_max
     n_frames = mel_cfg.frame_count(n)
-    frames = frame_signal(wave.samples, seg_len, mel_cfg.hop, "constant")
+    frames = frame_signal(wave.samples, 2 * tau_max, mel_cfg.hop, "constant")
+    fft_n = 1 << int(math.ceil(math.log2(3 * tau_max)))
 
-    sq = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(frames**2, axis=1)], axis=1)
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
+    for start in range(0, n_frames, YIN_BLOCK):
+        cmndf, rms = _cmndf(frames[start:start + YIN_BLOCK], tau_max, fft_n)
+        for i, (row, row_rms) in enumerate(zip(cmndf, rms), start):
+            if row_rms <= f0_cfg.rms_floor:
+                continue
+            below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold
+            if not below.any():
+                continue
+            tau = tau_min + int(np.argmax(below))
+            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+                tau += 1
+            lag = float(tau)
+            if tau_min < tau < tau_max:
+                dm, d0, dp = row[tau - 1], row[tau], row[tau + 1]
+                denom = dm - 2.0 * d0 + dp
+                if denom > 0:
+                    shift = 0.5 * (dm - dp) / denom
+                    if abs(shift) <= 1.0:
+                        lag += shift
+            lag = min(max(lag, lag_lo), lag_hi)
+            f0[i] = sr / lag
+            voiced[i] = True
+    return f0, voiced
+
+
+def _cmndf(frames: np.ndarray, tau_max: int, fft_n: int):
+    """YIN's cumulative mean normalized difference, lags 0..tau_max, and the RMS
+    of each (2*tau_max)-sample frame; one row per frame, each row computed alone."""
+    rows, seg_len = frames.shape
+    w = tau_max
+    sq = np.concatenate([np.zeros((rows, 1)), np.cumsum(frames**2, axis=1)], axis=1)
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
     rms = np.sqrt(sq[:, -1] / seg_len)
 
-    fft_n = 1 << int(math.ceil(math.log2(3 * tau_max)))
     head = np.zeros_like(frames)
     head[:, :w] = frames[:, :w]
     corr = np.fft.irfft(np.conj(np.fft.rfft(head, fft_n)) * np.fft.rfft(frames, fft_n), fft_n)
@@ -142,33 +186,7 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
     taus = np.arange(1, tau_max + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         cmndf = np.where(cums > 0, diff[:, 1:] * taus / cums, 1.0)
-    cmndf = np.concatenate([np.ones((n_frames, 1)), cmndf], axis=1)
-
-    f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
-    for i in range(n_frames):
-        if rms[i] <= f0_cfg.rms_floor:
-            continue
-        row = cmndf[i]
-        below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold
-        if not below.any():
-            continue
-        tau = tau_min + int(np.argmax(below))
-        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-            tau += 1
-        lag = float(tau)
-        if tau_min < tau < tau_max:
-            dm, d0, dp = row[tau - 1], row[tau], row[tau + 1]
-            denom = dm - 2.0 * d0 + dp
-            if denom > 0:
-                shift = 0.5 * (dm - dp) / denom
-                if abs(shift) <= 1.0:
-                    lag += shift
-        lag = min(max(lag, lag_lo), lag_hi)
-        f0[i] = sr / lag
-        voiced[i] = True
-    return f0, voiced
+    return np.concatenate([np.ones((rows, 1)), cmndf], axis=1), rms
 
 
 def extract_log_energy(wave: Waveform, mel_cfg: MelConfig) -> np.ndarray:

@@ -5,7 +5,9 @@ is exponentiated, mapped through the pseudo-inverse of the mel filterbank
 (clamped at zero), and phase is estimated by iterative STFT projections.
 
 `griffin_lim` runs as one buffered loop over `signal_core`'s private
-framing helpers, the same ones `istft` and `stft` wrap. Its buffers (the
+framing helpers, the same ones `istft` and `stft` wrap. It builds the start
+spectrum in place from the seeded phase draw (times 1j, exp, times the
+magnitude), so no phase array stays alive through the loop. Its buffers (the
 frames, the overlap-add blocks, the spectrum, its magnitude and the mask of
 its zero bins) and the ISTFT normaliser are made once per call. Each
 iteration inverse-FFTs the spectrum into the frame buffer and overlap-adds
@@ -51,7 +53,7 @@ def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
     if mel.values.shape[1] != mel.config.n_mels:
         raise ConfigMismatch("mel band count does not match its config")
     linear = np.exp(mel.values) @ _mel_pinv(mel.config).T
-    return np.maximum(linear, 0.0)
+    return np.maximum(linear, 0.0, out=linear)
 
 
 def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -85,8 +87,9 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int = 60, seed: int = 
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2.0 * np.pi, mag.shape)
-    spec = mag * np.exp(1j * phase)
+    spec = 1j * rng.uniform(0.0, 2.0 * np.pi, mag.shape)
+    np.exp(spec, out=spec)
+    spec *= mag
     n_frames = mag.shape[0]
     frames, blocks, divisor = _wola_buffers(cfg, n_frames)
     amp = np.empty(mag.shape)

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
-from prosovc.prosody import ProsodyTrack
-from prosovc.signal_core import MelConfig
+from prosovc.prosody import F0Config, ProsodyTrack
+from prosovc.signal_core import MelConfig, frame_signal
 from prosovc.synth import toy_utterance, write_alignment
 
 SR = 22050
@@ -93,3 +95,61 @@ def assert_close_to_oracle(ours, oracle, rtol=1e-12):
     """Equal up to rounding: within rtol, with an absolute floor of rtol * max|oracle| near zero."""
     assert ours.shape == oracle.shape
     np.testing.assert_allclose(ours, oracle, rtol=rtol, atol=rtol * float(np.abs(oracle).max()))
+
+
+# -- oracle: YIN over the whole utterance as one batch of frames -------------------
+
+def reference_extract_f0(wave, mel_cfg, f0_cfg=F0Config()):
+    """extract_f0 with the difference function of every frame computed at once."""
+    n = len(wave)
+    sr = wave.sample_rate
+    tau_min = max(2, int(math.ceil(sr / f0_cfg.f0_max)))
+    tau_max = int(math.floor(sr / f0_cfg.f0_min))
+
+    w = tau_max
+    seg_len = 2 * tau_max
+    n_frames = mel_cfg.frame_count(n)
+    frames = frame_signal(wave.samples, seg_len, mel_cfg.hop, "constant")
+
+    sq = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(frames**2, axis=1)], axis=1)
+    energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
+    rms = np.sqrt(sq[:, -1] / seg_len)
+
+    fft_n = 1 << int(math.ceil(math.log2(3 * tau_max)))
+    head = np.zeros_like(frames)
+    head[:, :w] = frames[:, :w]
+    corr = np.fft.irfft(np.conj(np.fft.rfft(head, fft_n)) * np.fft.rfft(frames, fft_n), fft_n)
+    corr = corr[:, :tau_max + 1]
+
+    diff = np.maximum(energy[:, :1] + energy - 2.0 * corr, 0.0)
+    cums = np.cumsum(diff[:, 1:], axis=1)
+    taus = np.arange(1, tau_max + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cmndf = np.where(cums > 0, diff[:, 1:] * taus / cums, 1.0)
+    cmndf = np.concatenate([np.ones((n_frames, 1)), cmndf], axis=1)
+
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
+    for i in range(n_frames):
+        if rms[i] <= f0_cfg.rms_floor:
+            continue
+        row = cmndf[i]
+        below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold
+        if not below.any():
+            continue
+        tau = tau_min + int(np.argmax(below))
+        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+            tau += 1
+        lag = float(tau)
+        if tau_min < tau < tau_max:
+            dm, d0, dp = row[tau - 1], row[tau], row[tau + 1]
+            denom = dm - 2.0 * d0 + dp
+            if denom > 0:
+                shift = 0.5 * (dm - dp) / denom
+                if abs(shift) <= 1.0:
+                    lag += shift
+        lag = min(max(lag, lag_lo), lag_hi)
+        f0[i] = sr / lag
+        voiced[i] = True
+    return f0, voiced

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import reference_extract_f0
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from prosovc.prosody import (
     Codebook,
     F0Config,
     ProsodyTrack,
+    YIN_BLOCK,
     UnitSequence,
     extract_f0,
     extract_log_energy,
@@ -17,7 +19,7 @@ from prosovc.prosody import (
     unitize,
 )
 from prosovc.signal_core import MelConfig, MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
-from prosovc.synth import sawtooth_wave, white_noise
+from prosovc.synth import sawtooth_wave, toy_utterance, white_noise
 
 SR = 22050
 
@@ -64,6 +66,64 @@ def test_f0_within_search_range(mel_cfg):
 def test_f0_sample_rate_mismatch(mel_cfg):
     with pytest.raises(ConfigMismatch):
         extract_f0(sawtooth_wave(200.0, 0.5, sample_rate=16000), mel_cfg)
+
+
+# -- F0 in frame blocks --------------------------------------------------------------
+
+# (MelConfig, F0Config) pairs; each sets YIN's lag range tau_max = floor(sr / f0_min)
+# and its FFT length fft_n, the power of two >= 3 * tau_max.
+YIN_CONFIGS = {
+    "default": (MelConfig(), F0Config()),  # tau_max 441, fft_n 2048
+    "22k_narrow": (MelConfig(), F0Config(f0_min=80.0, f0_max=500.0)),  # tau_max 275, fft_n 1024
+    "16k_wide": (MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400),
+                 F0Config(f0_min=20.0, f0_max=400.0)),  # tau_max 800, fft_n 4096
+}
+
+
+def mixed_wave(n_samples, sample_rate, seed):
+    """Seeded segments of 0.05 to 0.5 s, cycling through sawtooth, noise and silence
+    in a seeded order, at a seeded pitch and level per segment."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation(3)
+    out = np.zeros(n_samples)
+    start = k = 0
+    while start < n_samples:
+        stop = min(start + int(rng.integers(sample_rate // 20, sample_rate // 2)), n_samples)
+        t = np.arange(stop - start) / sample_rate
+        level = rng.uniform(0.05, 0.6)
+        if kinds[k % 3] == 0:
+            out[start:stop] = level * (2.0 * ((rng.uniform(70.0, 380.0) * t) % 1.0) - 1.0)
+        elif kinds[k % 3] == 1:
+            out[start:stop] = level * rng.standard_normal(stop - start)
+        start, k = stop, k + 1
+    return Waveform(out, sample_rate)
+
+
+@pytest.mark.parametrize("config", sorted(YIN_CONFIGS))
+@pytest.mark.parametrize("n_frames", [1, 2, YIN_BLOCK - 1, YIN_BLOCK, YIN_BLOCK + 1, 2 * YIN_BLOCK + 1])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=10_000))
+def test_extract_f0_in_blocks_equals_whole_utterance(n_frames, config, seed, offset):
+    mel_cfg, f0_cfg = YIN_CONFIGS[config]
+    n_samples = max(1, (n_frames - 1) * mel_cfg.hop + offset % mel_cfg.hop)
+    assert mel_cfg.frame_count(n_samples) == n_frames
+    wave = mixed_wave(n_samples, mel_cfg.sample_rate, seed)
+    f0, voiced = extract_f0(wave, mel_cfg, f0_cfg)
+    ref_f0, ref_voiced = reference_extract_f0(wave, mel_cfg, f0_cfg)
+    assert np.array_equal(f0, ref_f0)
+    assert np.array_equal(voiced, ref_voiced)
+    if n_frames >= 255:  # at least six segments: each kind of content occurs
+        assert voiced.any() and not voiced.all()
+
+
+def test_extract_f0_in_blocks_equals_whole_utterance_20s(mel_cfg):
+    wave, _ = toy_utterance(seed=7, base_f0=180.0, duration=20.0)
+    f0, voiced = extract_f0(wave, mel_cfg)
+    ref_f0, ref_voiced = reference_extract_f0(wave, mel_cfg)
+    assert len(f0) > 6 * YIN_BLOCK
+    assert voiced.any() and not voiced.all()
+    assert np.array_equal(f0, ref_f0)
+    assert np.array_equal(voiced, ref_voiced)
 
 
 # -- log energy ------------------------------------------------------------------
