@@ -24,11 +24,9 @@ from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_signal
 
 ENERGY_FLOOR = 1e-10
 
-# Frames per block of YIN's difference function. Each row's FFT and cumsum do
-# not depend on the rows beside it, so the block size changes no value; it
-# bounds the (block, fft_n) FFT temporaries, which for a whole 20 s utterance
-# held over 80 MB at once. Inputs of up to 256 frames (about 2.9 s at the
-# default hop) run as one block.
+# Frames per block of YIN's difference function. It bounds the (block, fft_n)
+# FFT temporaries, which for a whole 20 s utterance would take over 80 MB.
+# Inputs of up to 256 frames (about 2.9 s at the default hop) run as one block.
 YIN_BLOCK = 256
 
 

@@ -94,9 +94,6 @@ def test_summary_reports_a_changed_fingerprint_and_higher_is_better(bench_ab):
 def test_malloc_env_keeps_only_malloc_variables(bench_ab):
     environ = {"PATH": "/usr/bin", "MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_ARENA_MAX": "2",
                "OMP_NUM_THREADS": "1", "GLIBC_MALLOC": "x"}
-    assert bench_ab.malloc_env(environ) == {"MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "131072"}
-    assert list(bench_ab.malloc_env(environ)) == ["MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_"]
-
-
-def test_malloc_env_is_empty_when_none_is_set(bench_ab):
+    assert list(bench_ab.malloc_env(environ).items()) == [("MALLOC_ARENA_MAX", "2"),
+                                                          ("MALLOC_MMAP_THRESHOLD_", "131072")]
     assert bench_ab.malloc_env({"PATH": "/usr/bin"}) == {}
