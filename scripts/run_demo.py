@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""End-to-end demo: build a corpus, train the toy decoder, convert, sweep.
+"""End-to-end demo: build a corpus, train the toy decoder, convert, extract, sweep.
 
-Everything lands under --workdir; the final conversion applies a +0.25
-octave shift and speaking-rate control, and both sweep CSVs are written.
+Everything lands under --workdir; the conversion applies a +0.25 octave
+shift and speaking-rate control, the source's features go to FTB files
+under out/feat.*, and both sweep CSVs are written.
 """
 
 import argparse
@@ -44,6 +45,8 @@ def main() -> None:
          "--src-align", src_align, "--ckpt", ckpt, "--octave", 0.25, "--rate-control",
          "--out", out / "converted.wav", "--report", report])
     print(json.dumps(json.loads(report.read_text()), indent=2))
+    run([sys.executable, "-m", "prosovc", "extract", "--in", src, "--out", out / "feat",
+         "--alignment", src_align])
 
     pairs = work / "pairs.tsv"
     pairs.write_text(f"{src}\t{src_align}\t{trg}\n")

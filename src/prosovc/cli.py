@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluate
 from .conditioning import ModelDims
-from .errors import InsufficientData, ParseError, ProsoVCError, UnreadableFile
+from .errors import InsufficientData, ParseError, ProsoVCError, UnreadableFile, UnwritableFile
 from .formats import (
     FTB_PROSODY,
     read_ftb,
@@ -36,8 +36,12 @@ from .pipeline import (
 )
 from .encoders import average_mel_target, load_alignment, speaker_embedding
 from .prosody import F0Config, train_unit_codebook, unitize
-from .signal_core import MelConfig, load_wav, save_wav
+from .signal_core import MelConfig, load_wav, open_file, save_wav
 from .transform import ModulationSpec
+
+# convert flag (argparse dest) -> ModulationSpec field; a --mod-file key is the field name
+_MODULATION_FLAGS = {"octave": "octave_shift", "semitones": "semitone_shift",
+                     "energy_gain": "energy_gain", "rate": "rate_multiplier"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_extract(args) -> int:
     wave = load_wav(args.input)
-    if args.ckpt:
+    align = load_alignment(args.alignment) if args.alignment is not None else None
+    if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
         mel_cfg, f0_cfg, speaker_dim, codebook = (bundle.mel_cfg, bundle.f0_cfg,
                                                   bundle.dims.speaker_dim, bundle.codebook)
@@ -114,7 +119,10 @@ def cmd_extract(args) -> int:
         raise ParseError(f"F0 flags: {exc}") from exc
     mel, track = extract_features(wave, mel_cfg, f0_cfg)
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableFile(f"{prefix.parent}: {exc}") from exc
     write_ftb_matrix(f"{prefix}.mel.ftb", mel.values)
     write_ftb_prosody(f"{prefix}.prosody.ftb", track)
     write_ftb_vector(f"{prefix}.spk.ftb", speaker_embedding(mel, speaker_dim))
@@ -128,15 +136,13 @@ def cmd_extract(args) -> int:
         units = unitize(mel, codebook)
         write_ftb_matrix(f"{prefix}.units.ftb", np.array(units.pairs, dtype=np.float64))
 
-    if args.alignment:
-        align = load_alignment(args.alignment)
+    if align is not None:
         prior = average_mel_target(mel, align)
         write_ftb_matrix(f"{prefix}.prior.ftb", prior.values)
     return 0
 
 
 def cmd_convert(args) -> int:
-    _check_gl_iters(args)
     src = load_wav(args.src)
     trg = load_wav(args.trg)
     align = load_alignment(args.src_align)
@@ -149,8 +155,8 @@ def cmd_convert(args) -> int:
     report["source"] = args.src
     report["target"] = args.trg
     report["output"] = args.out
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    if args.report is not None:
+        with open_file(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(json.dumps({k: report[k] for k in ("mu_src_hz", "mu_trg_hz", "rc_raw", "rc_clamped",
@@ -168,45 +174,26 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_gl_iters(args)
-    levels = args.levels
-    if levels is None:
-        levels = evaluate.F0_SWEEP_LEVELS if args.mode == "f0" else evaluate.RATE_SWEEP_LEVELS
-    key = "octave_shift" if args.mode == "f0" else "rate_multiplier"
     try:
-        for level in levels:
-            ModulationSpec(**{key: level})
+        evaluate.sweep_plan(args.mode, args.levels)
     except ValueError as exc:
         raise ParseError(f"--levels: {exc}") from exc
     pair_rows = _load_pair_list(args.pairs)
     bundle = load_bundle(args.ckpt)
     pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
     rows = evaluate.modulation_sweep(pairs, bundle, report_path=args.out,
-                                     levels=tuple(levels), mode=args.mode,
+                                     levels=args.levels, mode=args.mode,
                                      seed=args.seed, gl_iters=args.gl_iters)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _check_gl_iters(args) -> None:
-    if args.gl_iters < 0:
-        raise ParseError(f"--gl-iters must be >= 0, got {args.gl_iters}")
-
-
 def _modulation_from_args(args) -> ModulationSpec:
-    values = {"octave_shift": 0.0, "semitone_shift": 0.0, "energy_gain": 0.0,
-              "rate_multiplier": None, "frame_f0_delta": None}
-    if args.mod_file:
-        values.update(load_modulation_file(args.mod_file))
-    if args.octave is not None:
-        values["octave_shift"] = args.octave
-    if args.semitones is not None:
-        values["semitone_shift"] = args.semitones
-    if args.energy_gain is not None:
-        values["energy_gain"] = args.energy_gain
-    if args.rate is not None:
-        values["rate_multiplier"] = args.rate
-    if args.f0_curve:
+    values = load_modulation_file(args.mod_file) if args.mod_file is not None else {}
+    for flag, field in _MODULATION_FLAGS.items():
+        if getattr(args, flag) is not None:
+            values[field] = getattr(args, flag)
+    if args.f0_curve is not None:
         values["frame_f0_delta"] = _load_curve(args.f0_curve)
     try:
         return ModulationSpec(**values)
@@ -218,10 +205,8 @@ def load_modulation_file(path) -> dict:
     """Parse a flat key=value modulation file."""
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_file(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -233,7 +218,7 @@ def load_modulation_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("octave_shift", "semitone_shift", "energy_gain", "rate_multiplier"):
+        if key in _MODULATION_FLAGS.values():
             try:
                 out[key] = float(value)
             except ValueError:
@@ -271,10 +256,8 @@ def _load_corpus(root: Path) -> list[CorpusItem]:
 
 def _load_pair_list(path) -> list[tuple[str, str, str]]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_file(path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
@@ -292,6 +275,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("seed", "gl_iters"):
+            if getattr(args, flag, 0) < 0:
+                raise ParseError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         return args.func(args)
     except ProsoVCError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

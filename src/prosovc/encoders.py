@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonMonotonic, OutOfRange, Overlap, ParseError, TooShort, UnreadableFile
+from .errors import NonMonotonic, OutOfRange, Overlap, ParseError, TooShort
 from .prosody import run_bounds
-from .signal_core import MelConfig, MelSpectrogram
+from .signal_core import MelConfig, MelSpectrogram, open_file
 
 _PROJECTION_SEED = 0x5EED
 
@@ -55,10 +55,8 @@ class Alignment:
 def load_alignment(path) -> Alignment:
     """Parse a TSV of rows "label<TAB>start<TAB>end" into an Alignment."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_file(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     segments = []

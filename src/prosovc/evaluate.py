@@ -17,7 +17,7 @@ from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatc
 # convert stays importable here: the traced benchmark replaces evaluate.convert.
 from .pipeline import ModelBundle, convert, decode, extract_features, render
 from .prosody import ProsodyTrack
-from .signal_core import MelSpectrogram
+from .signal_core import MelSpectrogram, open_file
 from .transform import ModulationSpec, voiced_mean
 
 F0_SWEEP_LEVELS = (-0.50, -0.25, 0.0, 0.25, 0.50)
@@ -50,6 +50,17 @@ def log_spectral_distance(a: MelSpectrogram, b: MelSpectrogram) -> float:
     return float(np.mean(np.linalg.norm(a.values - b.values, axis=1)))
 
 
+def sweep_plan(mode: str = "f0", levels=None) -> list[tuple[float, ModulationSpec]]:
+    """A sweep's (level, spec) pairs: "f0" sets octave_shift, "rate" rate_multiplier,
+    levels default per mode; ValueError on an unknown mode or a level the spec refuses."""
+    if mode not in ("f0", "rate"):
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    if levels is None:
+        levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
+    knob = "octave_shift" if mode == "f0" else "rate_multiplier"
+    return [(level, ModulationSpec(**{knob: level})) for level in levels]
+
+
 def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
                      levels=None, mode: str = "f0", seed: int = 0,
                      gl_iters: int = 30) -> list[dict]:
@@ -58,26 +69,24 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
     A synthesis is pipeline.decode then pipeline.render; a rate sweep
     decodes each pair once and renders that decode at every level.
 
-    pairs: list of (src Waveform, src Alignment, trg Waveform).
+    pairs: non-empty list of (src Waveform, src Alignment, trg Waveform).
     mode "f0" sweeps octave shifts on top of the global mean transfer;
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
     be measured on a given output (no voiced frames) are recorded as NaN.
+    Every argument is checked before any analysis.
     """
-    if mode not in ("f0", "rate"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
+    plan = sweep_plan(mode, levels)
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
-    if levels is None:
-        levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
-    knob = "octave_shift" if mode == "f0" else "rate_multiplier"
+    if not pairs:
+        raise ValueError("no pairs to sweep")
     features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
                  extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align)
                 for src, src_align, trg in pairs]
     # a rate level acts only after decoding, so rate mode decodes each pair once
     shared = [decode(*f, bundle, ModulationSpec(), seed=seed) for f in features] if mode == "rate" else None
     rows = []
-    for level in levels:
-        mod = ModulationSpec(**{knob: level})
+    for level, mod in plan:
         cols = []
         for k, pair_features in enumerate(features):
             decoded = shared[k] if shared else decode(*pair_features, bundle, mod, seed=seed)
@@ -123,7 +132,7 @@ def _f0_row(result, bundle: ModelBundle) -> dict:
 
 
 def write_sweep_csv(path, rows: list[dict], header: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_file(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

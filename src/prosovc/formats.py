@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import UnreadableFile, UnwritableFile
 from .prosody import ProsodyTrack
+from .signal_core import open_file
 
 FTB_MAGIC = b"FTB1"
 FTB_MATRIX = 0
@@ -50,22 +51,16 @@ def write_ftb_prosody(path, track: ProsodyTrack) -> None:
 
 
 def _write_ftb(path, kind: int, rows: int, cols: int, payload: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(FTB_MAGIC)
-            fh.write(struct.pack("<BII", kind, rows, cols))
-            fh.write(payload)
-    except OSError as exc:
-        raise UnwritableFile(f"{path}: {exc}") from exc
+    with open_file(path, "wb") as fh:
+        fh.write(FTB_MAGIC)
+        fh.write(struct.pack("<BII", kind, rows, cols))
+        fh.write(payload)
 
 
 def read_ftb(path):
     """Returns (kind, payload): a matrix, a vector, or a ProsodyTrack."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
+    with open_file(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 13 or blob[:4] != FTB_MAGIC:
         raise UnreadableFile(f"{path}: not an FTB file")
     kind, rows, cols = struct.unpack_from("<BII", blob, 4)
@@ -105,19 +100,13 @@ def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
         encoded = name.encode("utf-8")
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), f32.tobytes()]
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise UnwritableFile(f"{path}: {exc}") from exc
+    with open_file(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def read_pfck(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
+    with open_file(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 8 or blob[:4] != PFCK_MAGIC:
         raise UnreadableFile(f"{path}: not a PFCK checkpoint")
     (version,) = struct.unpack_from("<I", blob, 4)

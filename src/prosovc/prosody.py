@@ -29,6 +29,10 @@ ENERGY_FLOOR = 1e-10
 # Inputs of up to 256 frames (about 2.9 s at the default hop) run as one block.
 YIN_BLOCK = 256
 
+# Lowest accepted F0 search floor. YIN's frame is 2 * sample_rate / f0_min
+# samples, so a floor far below any voice grows the analysis without bound.
+F0_MIN_HZ = 20.0
+
 
 @dataclass(frozen=True)
 class F0Config:
@@ -38,8 +42,8 @@ class F0Config:
     rms_floor: float = 1e-4
 
     def __post_init__(self):
-        if not 0 < self.f0_min < self.f0_max:
-            raise ValueError("need 0 < f0_min < f0_max")
+        if not F0_MIN_HZ <= self.f0_min < self.f0_max:
+            raise ValueError(f"need {F0_MIN_HZ:g} <= f0_min < f0_max")
         if not self.yin_threshold > 0:
             raise ValueError("yin_threshold must be positive")
 
@@ -209,6 +213,8 @@ def train_unit_codebook(features: list[MelSpectrogram], k: int, seed: int) -> Co
     """Deterministic k-means (<=100 Lloyd iterations) over pooled mel frames."""
     if not features:
         raise InsufficientData("no feature matrices given")
+    if k < 2:
+        raise InsufficientData(f"a codebook needs at least 2 clusters, got {k}")
     data = np.vstack([f.values for f in features])
     if data.shape[0] < k:
         raise InsufficientData(f"{data.shape[0]} frames < {k} clusters")

@@ -1,4 +1,4 @@
-"""Audio primitives: WAV I/O, Butterworth high-pass filtering, STFT and mel analysis.
+"""Audio primitives: file opening, WAV I/O, Butterworth high-pass filtering, STFT and mel analysis.
 
 Everything here is a pure function over value types; the mel geometry is
 carried explicitly in :class:`MelConfig` so every downstream track (F0,
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import wave as _wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,12 +105,24 @@ class MelSpectrogram:
         return self.values.shape[0]
 
 
-# -- WAV I/O -------------------------------------------------------------------
+# -- file and WAV I/O ---------------------------------------------------------------
+
+@contextmanager
+def open_file(path, mode: str = "r", **kwargs):
+    """The built-in open as a context manager; an OSError while the file is open
+    becomes "<path>: <reason>" as UnreadableFile (read modes) or UnwritableFile."""
+    error = UnreadableFile if mode.startswith("r") else UnwritableFile
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{path}: {exc}") from exc
+
 
 def load_wav(path) -> Waveform:
     """Read a mono PCM16 RIFF/WAVE file, normalizing samples by 32768."""
     try:
-        with _wave.open(str(path), "rb") as reader:
+        with open_file(path, "rb") as fh, _wave.open(fh, "rb") as reader:
             if reader.getnchannels() != 1:
                 raise UnsupportedFormat(f"{path}: expected mono, got {reader.getnchannels()} channels")
             if reader.getsampwidth() != 2:
@@ -118,8 +131,6 @@ def load_wav(path) -> Waveform:
                 raise UnsupportedFormat(f"{path}: compressed WAV is not supported")
             sample_rate = reader.getframerate()
             raw = reader.readframes(reader.getnframes())
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
     except (_wave.Error, EOFError) as exc:
         raise UnreadableFile(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     except RuntimeError as exc:  # the wave module's seek past a chunk's declared size
@@ -135,18 +146,11 @@ def load_wav(path) -> Waveform:
 def save_wav(wave: Waveform, path) -> None:
     """Write a Waveform as mono PCM16, clipping samples outside [-1, 1]."""
     quantized = np.clip(np.rint(wave.samples * PCM_SCALE), -32768, 32767).astype("<i2")
-    try:
-        writer = _wave.open(str(path), "wb")
-    except OSError as exc:
-        raise UnwritableFile(f"{path}: {exc}") from exc
-    try:
-        with writer:
-            writer.setnchannels(1)
-            writer.setsampwidth(2)
-            writer.setframerate(wave.sample_rate)
-            writer.writeframes(quantized.tobytes())
-    except OSError as exc:
-        raise UnwritableFile(f"{path}: {exc}") from exc
+    with open_file(path, "wb") as fh, _wave.open(fh, "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(wave.sample_rate)
+        writer.writeframes(quantized.tobytes())
 
 
 # -- Butterworth high-pass -------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoders import Alignment, AlignSegment
-from .signal_core import RECURSION_CHUNK, Waveform
+from .signal_core import RECURSION_CHUNK, Waveform, open_file
 
 
 def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
@@ -91,6 +91,6 @@ def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
 
 
 def write_alignment(align: Alignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_file(path, "w", encoding="utf-8") as fh:
         for seg in align.segments:
             fh.write(f"{seg.label}\t{seg.start:.6f}\t{seg.end:.6f}\n")

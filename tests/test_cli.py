@@ -73,7 +73,8 @@ def test_extract_with_alignment(tmp_path):
     assert prior.shape == mel.shape
 
 
-@pytest.mark.parametrize("flags", [["--f0-min", "700", "--f0-max", "600"], ["--yin-threshold", "nan"]])
+@pytest.mark.parametrize("flags", [["--f0-min", "700", "--f0-max", "600"], ["--yin-threshold", "nan"],
+                                   ["--f0-min", "19.9"], ["--f0-min", "5e-324"]])
 def test_extract_bad_f0_flags_exit_2(tmp_path, capsys, flags):
     save_wav(sawtooth_wave(220.0, 0.5), tmp_path / "tone.wav")
     rc = main(["extract", "--in", str(tmp_path / "tone.wav"), "--out", str(tmp_path / "tone")] + flags)
@@ -445,3 +446,74 @@ def test_sweep_non_finite_decoder_exit_6(blown_up_ckpt, pair_files, tmp_path):
                           capture_output=True, text=True)
     assert_non_finite_sample_exit_6(proc)
     assert not out.exists()
+
+
+# -- escapes that end as one error line ----------------------------------------------
+
+def assert_one_error_line(capsys, rc, name, exit_code):
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (exit_code, 1), err
+    assert err.startswith(f"{name}: "), err
+    return err
+
+
+def test_convert_report_into_missing_directory_exit_2(ckpt, pair_files, tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--gl-iters", "0", "--report", str(report)])
+    err = assert_one_error_line(capsys, rc, "UnwritableFile", 2)
+    assert err.startswith(f"UnwritableFile: {report}: ")
+
+
+def test_sweep_out_into_missing_directory_exit_2(ckpt, pair_files, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(out),
+               "--levels", "0", "--gl-iters", "0"])
+    err = assert_one_error_line(capsys, rc, "UnwritableFile", 2)
+    assert err.startswith(f"UnwritableFile: {out}: ")
+
+
+def test_extract_out_under_a_regular_file_exit_2(tmp_path, capsys):
+    save_wav(sawtooth_wave(220.0, 0.3), tmp_path / "tone.wav")
+    (tmp_path / "afile").write_text("")
+    rc = main(["extract", "--in", str(tmp_path / "tone.wav"), "--out", str(tmp_path / "afile" / "feat")])
+    err = assert_one_error_line(capsys, rc, "UnwritableFile", 2)
+    assert err.startswith(f"UnwritableFile: {tmp_path / 'afile'}: ")
+
+
+@pytest.mark.parametrize("command", ["extract", "convert", "train-toy", "sweep"])
+def test_negative_seed_is_one_parse_error_line(command, ckpt, pair_files, demo_corpus, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    argv = {
+        "extract": ["extract", "--in", str(pair_files / "src.wav"), "--out", str(tmp_path / "feat")],
+        "convert": convert_args(ckpt, pair_files, tmp_path / "o.wav"),
+        "train-toy": ["train-toy", "--corpus", str(demo_corpus[0]), "--epochs", "1",
+                      "--ckpt", str(tmp_path / "c.pfck")],
+        "sweep": ["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")],
+    }[command]
+    rc = main(argv + ["--seed", "-1"])
+    err = assert_one_error_line(capsys, rc, "ParseError", 2)
+    assert err == "ParseError: --seed must be >= 0, got -1\n"
+    assert not any(tmp_path.glob("feat*")) and not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_train_toy_kmeans_k_below_2_is_insufficient_data(demo_corpus, tmp_path, capsys, k):
+    ckpt = tmp_path / "c.pfck"
+    rc = main(["train-toy", "--corpus", str(demo_corpus[0]), "--epochs", "1", "--seed", "0",
+               "--kmeans-k", k, "--ckpt", str(ckpt)])
+    err = assert_one_error_line(capsys, rc, "InsufficientData", 4)
+    assert f"got {k}" in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_extract_kmeans_k_below_2_skips_the_unit_sequence(tmp_path, capsys, k):
+    save_wav(sawtooth_wave(220.0, 0.5), tmp_path / "tone.wav")
+    rc = main(["extract", "--in", str(tmp_path / "tone.wav"), "--out", str(tmp_path / "tone"),
+               "--kmeans-k", k])
+    assert rc == 0
+    assert capsys.readouterr().err.startswith("note: skipping unit sequence")
+    assert (tmp_path / "tone.mel.ftb").exists() and not (tmp_path / "tone.units.ftb").exists()

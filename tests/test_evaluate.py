@@ -164,17 +164,34 @@ def test_sweep_rejects_unknown_mode(trained_bundle, conversion_pair):
         modulation_sweep([(src, src_align, trg)], trained_bundle, mode="tempo")
 
 
+def fail_on_work(monkeypatch):
+    def work_reached(*args, **kwargs):
+        raise AssertionError("the sweep started analysing or synthesizing before checking its plan")
+
+    for name in ("extract_features", "decode", "render"):
+        monkeypatch.setattr(evaluate, name, work_reached)
+
+
 @pytest.mark.parametrize("mode", ["f0", "rate"])
 def test_sweep_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch, mode):
-    def work_reached(*args, **kwargs):
-        raise AssertionError("the sweep started analysing or synthesizing before checking gl_iters")
-
-    monkeypatch.setattr(evaluate, "extract_features", work_reached)
-    monkeypatch.setattr(evaluate, "decode", work_reached)
-    monkeypatch.setattr(evaluate, "render", work_reached)
+    fail_on_work(monkeypatch)
     src, src_align, trg = conversion_pair
     with pytest.raises(ValueError, match="gl_iters"):
         modulation_sweep([(src, src_align, trg)], trained_bundle, mode=mode, gl_iters=-1)
+
+
+@pytest.mark.parametrize("mode, levels", [("f0", (0.0, math.nan)), ("rate", (1.0, -1.0)),
+                                          ("rate", (math.inf,))])
+def test_sweep_rejects_a_bad_level_before_any_work(trained_bundle, conversion_pair, monkeypatch, mode, levels):
+    fail_on_work(monkeypatch)
+    with pytest.raises(ValueError, match="octave_shift|rate_multiplier"):
+        modulation_sweep([conversion_pair], trained_bundle, levels=levels, mode=mode, gl_iters=0)
+
+
+def test_sweep_rejects_no_pairs_before_any_work(trained_bundle, monkeypatch):
+    fail_on_work(monkeypatch)
+    with pytest.raises(ValueError, match="no pairs"):
+        modulation_sweep([], trained_bundle, gl_iters=0)
 
 
 # -- one analysis per pair -------------------------------------------------------------
