@@ -8,7 +8,6 @@ from .diffusion import (
     forward_diffuse,
     gradient_check,
     init_decoder_params,
-    make_schedule,
     noise_loss,
     predict_noise,
     reverse_sample,

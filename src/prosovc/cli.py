@@ -26,6 +26,7 @@ from .formats import (
     write_ftb_vector,
 )
 from .pipeline import (
+    DEFAULT_GL_ITERS,
     DEFAULT_KMEANS_K,
     CorpusItem,
     convert,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-control", action="store_true",
                    help="re-sample the output mel by the conversion rate")
     p.add_argument("--mod-file", help="key=value file with modulation defaults")
-    p.add_argument("--gl-iters", type=int, default=60)
+    p.add_argument("--gl-iters", type=int, default=DEFAULT_GL_ITERS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_convert)
 
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--mode", choices=("f0", "rate"), default="f0")
     p.add_argument("--levels", type=float, nargs="+")
-    p.add_argument("--gl-iters", type=int, default=30)
+    p.add_argument("--gl-iters", type=int, default=evaluate.DEFAULT_SWEEP_GL_ITERS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
@@ -104,6 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extract(args) -> int:
+    prefix = Path(args.out)
+    if prefix.name in ("", ".."):
+        raise ParseError(f"--out {args.out!r} names a directory, not a file prefix")
     wave = load_wav(args.input)
     align = load_alignment(args.alignment) if args.alignment is not None else None
     if args.ckpt is not None:
@@ -118,7 +122,6 @@ def cmd_extract(args) -> int:
     except ValueError as exc:
         raise ParseError(f"F0 flags: {exc}") from exc
     mel, track = extract_features(wave, mel_cfg, f0_cfg)
-    prefix = Path(args.out)
     try:
         prefix.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -181,9 +184,10 @@ def cmd_sweep(args) -> int:
     pair_rows = _load_pair_list(args.pairs)
     bundle = load_bundle(args.ckpt)
     pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
-    rows = evaluate.modulation_sweep(pairs, bundle, report_path=args.out,
-                                     levels=args.levels, mode=args.mode,
+    rows = evaluate.modulation_sweep(pairs, bundle, levels=args.levels, mode=args.mode,
                                      seed=args.seed, gl_iters=args.gl_iters)
+    header = evaluate.F0_SWEEP_HEADER if args.mode == "f0" else evaluate.RATE_SWEEP_HEADER
+    evaluate.write_sweep_csv(args.out, rows, header)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -31,9 +31,17 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    n_steps: int
-    beta_min: float
-    beta_max: float
+    n_steps: int = 30
+    beta_min: float = 0.05
+    beta_max: float = 20.0
+
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise BadSchedule(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 0 < self.beta_min < self.beta_max:
+            raise BadSchedule(f"need 0 < beta_min < beta_max, got [{self.beta_min}, {self.beta_max}]")
+        if self.alpha(1.0) > 0.01:
+            raise BadSchedule(f"terminal alpha {self.alpha(1.0):.4f} > 0.01; noise too weak")
 
     def alpha(self, t: float) -> float:
         integral = t * self.beta_min + 0.5 * t * t * (self.beta_max - self.beta_min)
@@ -42,17 +50,6 @@ class NoiseSchedule:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_steps + 1)
-
-
-def make_schedule(n_steps: int = 30, beta_min: float = 0.05, beta_max: float = 20.0) -> NoiseSchedule:
-    if n_steps < 1:
-        raise BadSchedule(f"n_steps must be >= 1, got {n_steps}")
-    if not 0 < beta_min < beta_max:
-        raise BadSchedule(f"need 0 < beta_min < beta_max, got [{beta_min}, {beta_max}]")
-    sched = NoiseSchedule(n_steps, float(beta_min), float(beta_max))
-    if sched.alpha(1.0) > 0.01:
-        raise BadSchedule(f"terminal alpha {sched.alpha(1.0):.4f} > 0.01; noise too weak")
-    return sched
 
 
 @dataclass

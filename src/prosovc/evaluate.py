@@ -2,8 +2,9 @@
 
 The sweep analyses each source/target pair once, synthesizes it across a
 grid of octave shifts (or speaking-rate ratios), re-extracts prosody from
-the generated audio, and writes one CSV row per level. A rate level acts
-only after decoding, so a rate sweep decodes each pair once.
+the generated audio, and returns one row per level, which write_sweep_csv
+writes as CSV. A rate level acts only after decoding, so a rate sweep
+decodes each pair once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .transform import ModulationSpec, voiced_mean
 
 F0_SWEEP_LEVELS = (-0.50, -0.25, 0.0, 0.25, 0.50)
 RATE_SWEEP_LEVELS = (0.66, 0.75, 1.0, 1.20, 1.33)
+DEFAULT_SWEEP_GL_ITERS = 30
 
 F0_SWEEP_HEADER = ["level", "requested_mean_hz", "achieved_mean_hz", "f0_rmse_hz", "out_frames"]
 RATE_SWEEP_HEADER = ["level", "requested_rate", "achieved_ratio", "sr_error", "out_frames"]
@@ -61,9 +63,8 @@ def sweep_plan(mode: str = "f0", levels=None) -> list[tuple[float, ModulationSpe
     return [(level, ModulationSpec(**{knob: level})) for level in levels]
 
 
-def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
-                     levels=None, mode: str = "f0", seed: int = 0,
-                     gl_iters: int = 30) -> list[dict]:
+def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", seed: int = 0,
+                     gl_iters: int = DEFAULT_SWEEP_GL_ITERS) -> list[dict]:
     """Analyse each pair once, then synthesize once per level; one averaged row per level.
 
     A synthesis is pipeline.decode then pipeline.render; a rate sweep
@@ -107,9 +108,6 @@ def modulation_sweep(pairs, bundle: ModelBundle, report_path=None,
         for key in cols[0]:
             row[key] = float(np.mean([c[key] for c in cols]))
         rows.append(row)
-    if report_path is not None:
-        header = F0_SWEEP_HEADER if mode == "f0" else RATE_SWEEP_HEADER
-        write_sweep_csv(report_path, rows, header)
     return rows
 
 

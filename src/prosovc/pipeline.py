@@ -13,7 +13,7 @@ mode one decode for every level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .diffusion import (
     NoiseSchedule,
     TrainBatch,
     init_decoder_params,
-    make_schedule,
     named_parameters,
     param_shapes,
     params_from_named,
@@ -62,6 +61,7 @@ from .vocoder import griffin_lim, mel_to_linear
 
 HPF_CUTOFF_HZ = 50.0
 DEFAULT_KMEANS_K = 100
+DEFAULT_GL_ITERS = 60
 
 # Decoded log-mels are projected onto the range representable by PCM16
 # analysis before vocoding (a full-scale frame tops out near log 8e6 ~ 16).
@@ -75,22 +75,31 @@ class ModelBundle:
     params: DecoderParams
     sched: NoiseSchedule
     mel_cfg: MelConfig
-    f0_cfg: F0Config = field(default_factory=F0Config)
-    codebook: Codebook | None = None
+    f0_cfg: F0Config
+    codebook: Codebook
 
     @property
     def dims(self) -> ModelDims:
         return self.params.dims
 
 
+# Checkpoint block -> (ModelBundle attribute, config class), in file order. A block
+# holds the class's fields in declaration order, as float64.
+_META = {
+    "meta.dims": ("dims", ModelDims),
+    "meta.schedule": ("sched", NoiseSchedule),
+    "meta.melcfg": ("mel_cfg", MelConfig),
+    "meta.f0cfg": ("f0_cfg", F0Config),
+}
+
+
 def save_bundle(path, bundle: ModelBundle) -> None:
     blocks = {f"param.{k}": v for k, v in named_parameters(bundle.params).items()}
-    for name, cfg in (("meta.dims", bundle.dims), ("meta.schedule", bundle.sched),
-                      ("meta.melcfg", bundle.mel_cfg), ("meta.f0cfg", bundle.f0_cfg)):
-        blocks[name] = np.array([getattr(cfg, f.name) for f in fields(cfg)], dtype=np.float64)
+    for name, (attr, cls) in _META.items():
+        cfg = getattr(bundle, attr)
+        blocks[name] = np.array([getattr(cfg, f.name) for f in fields(cls)], dtype=np.float64)
     blocks["meta.input_norm"] = np.array([bundle.params.input_shift, bundle.params.input_scale])
-    if bundle.codebook is not None:
-        blocks["codebook.centroids"] = bundle.codebook.centroids
+    blocks["codebook.centroids"] = bundle.codebook.centroids
     write_pfck(path, blocks)
 
 
@@ -106,37 +115,34 @@ def _block(blocks: dict, name: str, shape: tuple) -> np.ndarray:
     return values
 
 
-def _unpack(blocks: dict, name: str, cls, build=None):
+def _unpack(blocks: dict, name: str, cls):
     """Rebuild config dataclass cls from its meta block, fields in declaration order."""
     cls_fields = fields(cls)
     values = _block(blocks, name, (len(cls_fields),))
     try:
-        kwargs = {f.name: _CASTS[f.type](v) for f, v in zip(cls_fields, values)}
-        return (build or cls)(**kwargs)
+        return cls(**{f.name: _CASTS[f.type](v) for f, v in zip(cls_fields, values)})
     except (ValueError, OverflowError, BadSchedule) as exc:
         raise UnreadableFile(f"checkpoint block {name} is invalid: {exc}") from exc
 
 
 def load_bundle(path) -> ModelBundle:
     blocks = read_pfck(path)
-    dims = _unpack(blocks, "meta.dims", ModelDims)
-    sched = _unpack(blocks, "meta.schedule", NoiseSchedule, make_schedule)
-    mel_cfg = _unpack(blocks, "meta.melcfg", MelConfig)
-    f0_cfg = _unpack(blocks, "meta.f0cfg", F0Config)
+    meta = {attr: _unpack(blocks, name, cls) for name, (attr, cls) in _META.items()}
+    dims = meta.pop("dims")
     shift, scale = _block(blocks, "meta.input_norm", (2,))
     if not scale > 0:
         raise UnreadableFile(f"checkpoint block meta.input_norm has input scale {scale}, not > 0")
     named = {name: _block(blocks, f"param.{name}", shape) for name, shape in param_shapes(dims).items()}
     params = params_from_named(named, dims, float(shift), float(scale))
-    codebook = None
-    if "codebook.centroids" in blocks:
-        try:
-            codebook = Codebook(blocks["codebook.centroids"])
-            if codebook.dim != mel_cfg.n_mels:
-                raise ValueError(f"{codebook.dim} columns for {mel_cfg.n_mels} mel bands")
-        except ValueError as exc:
-            raise UnreadableFile(f"checkpoint block codebook.centroids is invalid: {exc}") from exc
-    return ModelBundle(params, sched, mel_cfg, f0_cfg, codebook)
+    if "codebook.centroids" not in blocks:
+        raise UnreadableFile("checkpoint block codebook.centroids is missing")
+    try:
+        codebook = Codebook(blocks["codebook.centroids"])
+        if codebook.dim != meta["mel_cfg"].n_mels:
+            raise ValueError(f"{codebook.dim} columns for {meta['mel_cfg'].n_mels} mel bands")
+    except ValueError as exc:
+        raise UnreadableFile(f"checkpoint block codebook.centroids is invalid: {exc}") from exc
+    return ModelBundle(params, codebook=codebook, **meta)
 
 
 @dataclass
@@ -157,7 +163,7 @@ def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
 
 def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBundle,
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
-            seed: int = 0, gl_iters: int = 60) -> ConvertResult:
+            seed: int = 0, gl_iters: int = DEFAULT_GL_ITERS) -> ConvertResult:
     """Full inference path: analysis of both waves, decode, then render."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
@@ -186,11 +192,7 @@ def decode(src_features, trg_features, src_align: Alignment, bundle: ModelBundle
     mu_trg = voiced_mean(track_trg)
     transferred = f0_mean_transfer(track_src, mu_trg)
 
-    rc = ConversionRate(1.0)
-    if bundle.codebook is not None:
-        units_src = unitize(mel_src, bundle.codebook)
-        units_trg = unitize(mel_trg, bundle.codebook)
-        rc = conversion_rate(units_src, units_trg)
+    rc = conversion_rate(unitize(mel_src, bundle.codebook), unitize(mel_trg, bundle.codebook))
 
     requested = modulate(transferred, mod)
     spk = speaker_embedding(mel_trg, bundle.dims.speaker_dim)
@@ -261,7 +263,7 @@ class CorpusItem:
 
 def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e-3,
               dims: ModelDims = ModelDims(), mel_cfg: MelConfig = MelConfig(),
-              f0_cfg: F0Config = F0Config(), sched: NoiseSchedule | None = None,
+              f0_cfg: F0Config = F0Config(), sched: NoiseSchedule = NoiseSchedule(),
               kmeans_k: int = DEFAULT_KMEANS_K, log=None):
     """Deterministic toy training over a small same-speaker-paired corpus.
 
@@ -273,7 +275,6 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e
         raise InsufficientData("corpus is empty")
     if epochs < 1:
         raise InsufficientData("need at least one epoch")
-    sched = sched or make_schedule()
 
     mels, tracks, priors = [], [], []
     for item in items:

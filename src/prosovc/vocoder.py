@@ -76,7 +76,7 @@ def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray, zero: np.nda
     return rebuilt
 
 
-def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int = 60, seed: int = 0) -> Waveform:
+def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) -> Waveform:
     """Iterative phase reconstruction from linear magnitudes.
 
     Starts from random phase drawn from `seed`, alternates ISTFT/STFT

@@ -15,12 +15,12 @@ from conftest import make_track
 from prosovc.cli import main
 from prosovc.conditioning import ModelDims, build_condition, build_style, init_cond_params
 from prosovc.diffusion import (
+    NoiseSchedule,
     TrainBatch,
     eval_loss,
     forward_diffuse,
     gradient_check,
     init_decoder_params,
-    make_schedule,
     named_parameters,
     train_step,
 )
@@ -119,7 +119,7 @@ def test_criterion_04_filter_response():
 
 def test_criterion_05_schedule_identities():
     started = time.perf_counter()
-    sched = make_schedule(30, 0.05, 20.0)
+    sched = NoiseSchedule(30, 0.05, 20.0)
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((8, 5))
     prior = rng.standard_normal((8, 5))
@@ -143,7 +143,7 @@ def test_criterion_05_schedule_identities():
 
 def test_criterion_06_gradient_check(tiny_dims):
     started = time.perf_counter()
-    sched = make_schedule(30, 0.05, 20.0)
+    sched = NoiseSchedule(30, 0.05, 20.0)
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
     n_params = sum(a.size for a in named_parameters(params).values())
@@ -163,7 +163,7 @@ def test_criterion_06_gradient_check(tiny_dims):
 
 def test_criterion_07_toy_training(demo_corpus, tmp_path):
     started = time.perf_counter()
-    sched = make_schedule(30, 0.05, 20.0)
+    sched = NoiseSchedule(30, 0.05, 20.0)
     dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
                      cond_hidden=24, dec_hidden=24)
     rng = np.random.default_rng(11)

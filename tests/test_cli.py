@@ -74,13 +74,16 @@ def test_extract_with_alignment(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--f0-min", "700", "--f0-max", "600"], ["--yin-threshold", "nan"],
-                                   ["--f0-min", "19.9"], ["--f0-min", "5e-324"]])
-def test_extract_bad_f0_flags_exit_2(tmp_path, capsys, flags):
+                                   ["--f0-min", "19.9"], ["--f0-min", "5e-324"],
+                                   ["--out", ""], ["--out", "."], ["--out", "a/.."]])
+def test_extract_bad_f0_flags_exit_2(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)  # a prefix relative to the working directory writes under tmp_path
     save_wav(sawtooth_wave(220.0, 0.5), tmp_path / "tone.wav")
     rc = main(["extract", "--in", str(tmp_path / "tone.wav"), "--out", str(tmp_path / "tone")] + flags)
     assert rc == 2
     assert capsys.readouterr().err.startswith("ParseError: ")
     assert not (tmp_path / "tone.mel.ftb").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["tone.wav"]
 
 
 def test_extract_missing_file_exit_2(tmp_path):
@@ -250,6 +253,21 @@ def test_convert_malformed_checkpoint_exit_2(ckpt, pair_files, tmp_path, capsys)
     rc = main(convert_args(bad, pair_files, tmp_path / "o.wav"))
     assert rc == 2
     assert capsys.readouterr().err.startswith("UnreadableFile: checkpoint block meta.dims")
+
+
+def test_convert_rate_control_without_codebook_block_exit_2(ckpt, pair_files, tmp_path, capsys):
+    # the unit codebook drives rate control; a checkpoint without it must not convert at rate 1.0
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    blocks["codebook.renamed"] = blocks.pop("codebook.centroids")
+    bad = tmp_path / "bad.pfck"
+    write_pfck(bad, blocks)
+    out = tmp_path / "o.wav"
+    rc = main(convert_args(bad, pair_files, out) + ["--rate-control", "--gl-iters", "0"])
+    err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
+    assert err.startswith("UnreadableFile: checkpoint block codebook.centroids ")
+    assert not out.exists()
 
 
 def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys):

@@ -10,12 +10,12 @@ from conftest import assert_close_to_oracle, make_track, oracle_build_condition,
 from prosovc import diffusion
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
+    NoiseSchedule,
     TrainBatch,
     eval_loss,
     forward_diffuse,
     gradient_check,
     init_decoder_params,
-    make_schedule,
     named_parameters,
     noise_loss,
     param_shapes,
@@ -29,7 +29,7 @@ from prosovc.nn import affine, affine_backward, conv1d_backward, relu_backward
 
 @pytest.fixture(scope="module")
 def sched():
-    return make_schedule(30, 0.05, 20.0)
+    return NoiseSchedule(30, 0.05, 20.0)
 
 
 def make_batch(rng, dims, n_frames=12):
@@ -64,13 +64,13 @@ def test_alpha_strictly_decreasing(sched):
 
 def test_bad_schedules():
     with pytest.raises(BadSchedule):
-        make_schedule(0, 0.05, 20.0)
+        NoiseSchedule(0, 0.05, 20.0)
     with pytest.raises(BadSchedule):
-        make_schedule(30, 20.0, 0.05)
+        NoiseSchedule(30, 20.0, 0.05)
     with pytest.raises(BadSchedule):
-        make_schedule(30, 0.0, 20.0)
+        NoiseSchedule(30, 0.0, 20.0)
     with pytest.raises(BadSchedule):
-        make_schedule(30, 0.01, 0.1)  # terminal alpha would stay near 1
+        NoiseSchedule(30, 0.01, 0.1)  # terminal alpha would stay near 1
 
 
 # -- forward diffusion -----------------------------------------------------------
@@ -265,7 +265,7 @@ def test_single_sample_overfit_halves_loss(sched):
 # -- reverse sampling ---------------------------------------------------------------------
 
 def test_reverse_single_step_zero_denoiser_returns_prior():
-    sched1 = make_schedule(1, 0.05, 20.0)
+    sched1 = NoiseSchedule(1, 0.05, 20.0)
     prior = np.random.default_rng(0).standard_normal((7, 3))
     out = reverse_sample(prior, lambda x, t: np.zeros_like(x), sched1, rng=None)
     assert np.allclose(out, prior, atol=1e-9)

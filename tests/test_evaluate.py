@@ -15,6 +15,7 @@ from prosovc.evaluate import (
     log_spectral_distance,
     modulation_sweep,
     sr_ratio_error,
+    write_sweep_csv,
 )
 from prosovc.prosody import ProsodyTrack
 from prosovc.signal_core import MelConfig, MelSpectrogram
@@ -92,8 +93,8 @@ def test_mean_track_helper():
 def sweep_rows(trained_bundle, conversion_pair, tmp_path_factory):
     src, src_align, trg = conversion_pair
     path = tmp_path_factory.mktemp("sweep") / "f0.csv"
-    rows = modulation_sweep([(src, src_align, trg)], trained_bundle,
-                            report_path=path, mode="f0", seed=0, gl_iters=4)
+    rows = modulation_sweep([(src, src_align, trg)], trained_bundle, mode="f0", seed=0, gl_iters=4)
+    write_sweep_csv(path, rows, F0_SWEEP_HEADER)
     return rows, path
 
 
@@ -133,8 +134,8 @@ def test_f0_sweep_csv_format(sweep_rows):
 def test_rate_sweep_grid(trained_bundle, conversion_pair, tmp_path):
     src, src_align, trg = conversion_pair
     path = tmp_path / "rate.csv"
-    rows = modulation_sweep([(src, src_align, trg)], trained_bundle,
-                            report_path=path, mode="rate", seed=0, gl_iters=4)
+    rows = modulation_sweep([(src, src_align, trg)], trained_bundle, mode="rate", seed=0, gl_iters=4)
+    write_sweep_csv(path, rows, RATE_SWEEP_HEADER)
     assert [row["level"] for row in rows] == list(RATE_SWEEP_LEVELS)
     src_frames = rows[2]["out_frames"]  # level 1.0 leaves length unchanged
     for row in rows:

@@ -3,8 +3,8 @@ import pytest
 
 from prosovc.conditioning import ModelDims
 from prosovc.diffusion import (
+    NoiseSchedule,
     init_decoder_params,
-    make_schedule,
     named_parameters,
     param_shapes,
     params_from_named,
@@ -27,7 +27,7 @@ CODEBOOK = Codebook(np.arange(80.0).reshape(2, 40) / 8.0)
 @pytest.fixture
 def ckpt_path(tmp_path):
     params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    bundle = ModelBundle(params, make_schedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK)
+    bundle = ModelBundle(params, NoiseSchedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK)
     path = tmp_path / "b.pfck"
     save_bundle(path, bundle)
     return path
@@ -35,7 +35,7 @@ def ckpt_path(tmp_path):
 
 def test_bundle_config_roundtrip(ckpt_path):
     loaded = load_bundle(ckpt_path)
-    expected = (DIMS, MEL_CFG, F0_CFG, make_schedule(12, 0.125, 24.0))
+    expected = (DIMS, MEL_CFG, F0_CFG, NoiseSchedule(12, 0.125, 24.0))
     for got, want in zip((loaded.dims, loaded.mel_cfg, loaded.f0_cfg, loaded.sched), expected):
         assert got == want
         # int fields come back as int, not numpy scalars
@@ -50,7 +50,7 @@ def test_bundle_params_roundtrip_bitwise(tmp_path):
              for name, shape in param_shapes(DIMS).items()}
     params = params_from_named(named, DIMS, input_shift=-4.5, input_scale=2.25)
     path = tmp_path / "b.pfck"
-    save_bundle(path, ModelBundle(params, make_schedule(12, 0.125, 24.0), MEL_CFG, F0_CFG))
+    save_bundle(path, ModelBundle(params, NoiseSchedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK))
     loaded = load_bundle(path).params
     reloaded = named_parameters(loaded)
     assert list(reloaded) == list(named)
@@ -110,9 +110,10 @@ def _set_first(value):
     ("codebook.centroids", _set_first(np.nan)),
     ("codebook.centroids", _narrow),
     ("meta.input_norm", _zero_scale),
+    ("codebook.centroids", _drop),
 ], ids=["missing", "missing-norm", "wrong-length", "rejected-value", "rejected-schedule",
         "nan-int", "inf-int", "missing-param", "misshaped-param", "nan-param",
-        "1d-centroids", "nan-centroids", "narrow-centroids", "zero-scale"])
+        "1d-centroids", "nan-centroids", "narrow-centroids", "zero-scale", "missing-centroids"])
 def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
     blocks = read_pfck(ckpt_path)
     mutate(blocks, block)
