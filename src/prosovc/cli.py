@@ -28,6 +28,7 @@ from .formats import (
 from .pipeline import (
     DEFAULT_GL_ITERS,
     DEFAULT_KMEANS_K,
+    DEFAULT_LR,
     CorpusItem,
     convert,
     extract_features,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--ckpt", required=True, help="output checkpoint path")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--kmeans-k", type=int, default=DEFAULT_KMEANS_K)
     p.set_defaults(func=cmd_train_toy)
 

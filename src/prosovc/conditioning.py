@@ -97,8 +97,7 @@ def step_embedding(t: float, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step t in [0, 1]."""
     if dim < 2 or dim % 2:
         raise BadDim(f"embedding dim must be even and >= 2, got {dim}")
-    half = dim // 2
-    omega = np.geomspace(1.0, STEP_FREQ_MAX, half) if half > 1 else np.ones(1)
+    omega = np.geomspace(1.0, STEP_FREQ_MAX, dim // 2)
     return np.concatenate([np.sin(t * omega), np.cos(t * omega)])
 
 

@@ -68,7 +68,9 @@ def read_ftb(path):
     expected = 13 + 4 * n * (3 if kind == FTB_PROSODY else 1)
     if len(blob) != expected:
         raise UnreadableFile(f"{path}: payload is {len(blob) - 13} bytes, expected {expected - 13}")
-    data = np.frombuffer(blob, dtype="<f4", offset=13).astype(np.float64)
+    # a signalling NaN sets the invalid flag when cast, as in read_pfck
+    with np.errstate(invalid="ignore"):
+        data = np.frombuffer(blob, dtype="<f4", offset=13).astype(np.float64)
     if kind == FTB_MATRIX:
         return kind, data.reshape(rows, cols)
     if kind == FTB_VECTOR:

@@ -61,6 +61,7 @@ from .vocoder import griffin_lim, mel_to_linear
 
 HPF_CUTOFF_HZ = 50.0
 DEFAULT_KMEANS_K = 100
+DEFAULT_LR = 1e-3
 DEFAULT_GL_ITERS = 60
 
 # Decoded log-mels are projected onto the range representable by PCM16
@@ -129,6 +130,9 @@ def load_bundle(path) -> ModelBundle:
     blocks = read_pfck(path)
     meta = {attr: _unpack(blocks, name, cls) for name, (attr, cls) in _META.items()}
     dims = meta.pop("dims")
+    if dims.n_mels != meta["mel_cfg"].n_mels:
+        raise UnreadableFile(f"checkpoint block meta.dims has n_mels {dims.n_mels}, "
+                             f"meta.melcfg has {meta['mel_cfg'].n_mels}")
     shift, scale = _block(blocks, "meta.input_norm", (2,))
     if not scale > 0:
         raise UnreadableFile(f"checkpoint block meta.input_norm has input scale {scale}, not > 0")
@@ -261,7 +265,7 @@ class CorpusItem:
     align: Alignment
 
 
-def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = 1e-3,
+def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DEFAULT_LR,
               dims: ModelDims = ModelDims(), mel_cfg: MelConfig = MelConfig(),
               f0_cfg: F0Config = F0Config(), sched: NoiseSchedule = NoiseSchedule(),
               kmeans_k: int = DEFAULT_KMEANS_K, log=None):

@@ -236,12 +236,9 @@ def periodic_hann(length: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _padded_window(window: int, fft_size: int) -> np.ndarray:
-    w = periodic_hann(window)
-    if window == fft_size:
-        return w
     out = np.zeros(fft_size)
     left = (fft_size - window) // 2
-    out[left:left + window] = w
+    out[left:left + window] = periodic_hann(window)
     return out
 
 

@@ -46,14 +46,6 @@ class ModulationSpec:
                 raise ValueError("rate_multiplier must be finite and > 0")
             object.__setattr__(self, "rate_multiplier", rate)
 
-    def is_identity(self) -> bool:
-        return (
-            self.octave_shift == 0.0
-            and self.semitone_shift == 0.0
-            and self.frame_f0_delta is None
-            and self.energy_gain == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class ConversionRate:
@@ -106,12 +98,9 @@ def modulate(track: ProsodyTrack, spec: ModulationSpec) -> ProsodyTrack:
         raise CurveLengthMismatch(
             f"curve length {len(spec.frame_f0_delta)} != track length {track.n_frames}"
         )
-    if spec.is_identity():
-        return track
     shift = spec.octave_shift * LN2 + spec.semitone_shift * LN2 / 12.0
-    log_f0 = track.log_f0.copy()
     if spec.frame_f0_delta is not None:
-        log_f0[track.voiced] += shift + spec.frame_f0_delta[track.voiced]
-    else:
-        log_f0[track.voiced] += shift
+        shift = shift + spec.frame_f0_delta[track.voiced]
+    log_f0 = track.log_f0.copy()
+    log_f0[track.voiced] += shift
     return ProsodyTrack(log_f0, track.voiced, track.log_energy + spec.energy_gain)

@@ -28,7 +28,7 @@ from .errors import ConfigMismatch
 # stft and istft stay importable here: the traced benchmark replaces vocoder.stft
 # and vocoder.istft, although griffin_lim calls the helpers they wrap, so those two
 # trace rows read 0. Both imports go when stage spans replace the wrapped sites
-# (ROADMAP item 5).
+# (ROADMAP item 3).
 from .signal_core import (
     MelConfig,
     MelSpectrogram,

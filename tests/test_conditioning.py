@@ -64,6 +64,9 @@ def test_step_embedding_frequency_range():
     # lowest frequency is 1, highest 1e4: sin(1e-4 * 1e4) = sin(1)
     assert emb[0] == pytest.approx(np.sin(1e-4))
     assert emb[3] == pytest.approx(np.sin(1.0))
+    # one frequency: omega = 1
+    t = 0.3
+    assert step_embedding(t, 2).tobytes() == np.array([np.sin(t), np.cos(t)]).tobytes()
 
 
 # -- style ------------------------------------------------------------------------

@@ -137,3 +137,13 @@ def test_ftb_prosody_with_broken_sentinel(valid_dir, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(UnreadableFile, match="invalid prosody track"):
         read_ftb(path)
+
+
+def test_ftb_matrix_with_signalling_nan(valid_dir, tmp_path):
+    # casting a float32 signalling NaN to float64 sets the invalid flag, a RuntimeWarning
+    blob = bytearray((valid_dir / "ftb_matrix").read_bytes())
+    blob[13:17] = bytes([1, 0, 0x80, 0x7F])
+    path = tmp_path / "snan.ftb"
+    path.write_bytes(bytes(blob))
+    _, data = read_ftb(path)
+    assert np.isnan(data[0, 0]) and data[0, 1:].tolist() == [1.0, 2.0]

@@ -122,6 +122,16 @@ def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
         load_bundle(ckpt_path)
 
 
+def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
+    # the codebook matches meta.melcfg; only meta.dims holds the other band count
+    params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
+    path = tmp_path / "b.pfck"
+    save_bundle(path, ModelBundle(params, NoiseSchedule(), MelConfig(), F0_CFG,
+                                  Codebook(np.zeros((2, MelConfig().n_mels)))))
+    with pytest.raises(UnreadableFile, match="checkpoint block meta.dims has n_mels 40, meta.melcfg has 80"):
+        load_bundle(path)
+
+
 def test_convert_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch):
     def analysis_reached(*args, **kwargs):
         raise AssertionError("convert analysed its inputs before checking gl_iters")
