@@ -262,17 +262,19 @@ def _load_corpus(root: Path) -> list[CorpusItem]:
 def _load_pair_list(path) -> list[tuple[str, str, str]]:
     try:
         with open_file(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
-    if not lines:
-        raise UnreadableFile(f"{path}: pair list is empty")
     rows = []
     for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise UnreadableFile(f"{path}:{lineno}: expected src<TAB>align<TAB>trg")
         rows.append((fields[0], fields[1], fields[2]))
+    if not rows:
+        raise UnreadableFile(f"{path}: pair list is empty")
     return rows
 
 

@@ -196,8 +196,6 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
     A non-finite loss, or an update that leaves any parameter beyond the
     float32 range a checkpoint stores, raises NonFiniteLoss.
     """
-    if batch.x0.shape != batch.prior.shape:
-        raise ShapeMismatch(f"x0 {batch.x0.shape} != prior {batch.prior.shape}")
     i = int(rng.integers(1, sched.n_steps + 1))
     t = i / sched.n_steps
     eps = rng.standard_normal(batch.x0.shape)
@@ -275,11 +273,7 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
     eps = rng.standard_normal(batch.x0.shape)
     x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
     _, grads = _forward_backward(params, batch, x_t, t, eps)
-
-    def loss_at(p: DecoderParams) -> float:
-        cond, _ = cond_forward_cache(batch.prosody, batch.speaker, t, p.cond)
-        return noise_loss(predict_noise(x_t, cond, p), eps)
-
+    pair = [(t, eps)]
     worst = 0.0
     named = {name: arr.copy() for name, arr in named_parameters(params).items()}
     probe = params_from_named(named, params.dims, params.input_shift, params.input_scale)
@@ -289,9 +283,9 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            up = loss_at(probe)
+            up = eval_loss(probe, batch, sched, pair)
             flat[idx] = orig - h
-            down = loss_at(probe)
+            down = eval_loss(probe, batch, sched, pair)
             flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             denom = max(abs(g[idx]) + abs(fd), 1e-8)

@@ -47,10 +47,6 @@ class Alignment:
                 raise Overlap(f"segments {prev.label} and {cur.label} overlap")
         object.__setattr__(self, "segments", segments)
 
-    def shifted(self, offset: float) -> "Alignment":
-        return Alignment(tuple(AlignSegment(s.label, s.start + offset, s.end + offset)
-                               for s in self.segments))
-
 
 def load_alignment(path) -> Alignment:
     """Parse a TSV of rows "label<TAB>start<TAB>end" into an Alignment."""
@@ -107,7 +103,7 @@ def _speaker_projection(speaker_dim: int, n_stats: int) -> np.ndarray:
     return rng.standard_normal((speaker_dim, n_stats))
 
 
-def speaker_embedding(mel: MelSpectrogram, speaker_dim: int = 64) -> np.ndarray:
+def speaker_embedding(mel: MelSpectrogram, speaker_dim: int) -> np.ndarray:
     """Unit-norm embedding from per-band time statistics; fully deterministic."""
     if mel.n_frames < 2:
         raise TooShort("speaker embedding needs at least 2 frames")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatch, DimMismatch, EmptySequence, InsufficientData, TooShort
+from .errors import ConfigMismatch, DimMismatch, InsufficientData, TooShort
 from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_signal
 
 ENERGY_FLOOR = 1e-10
@@ -89,10 +89,6 @@ class UnitSequence:
                 raise ValueError("adjacent pairs must have distinct unit ids")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def total_frames(self) -> int:
-        return sum(d for _, d in self.pairs)
-
     def durations(self) -> np.ndarray:
         return np.array([d for _, d in self.pairs], dtype=np.float64)
 
@@ -110,10 +106,6 @@ class Codebook:
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
         object.__setattr__(self, "centroids", centroids)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
     @property
     def dim(self) -> int:
@@ -254,10 +246,3 @@ def unitize(feats: MelSpectrogram, codebook: Codebook) -> UnitSequence:
     labels = np.argmin(_sq_distances(feats.values, codebook.centroids), axis=1)
     bounds = run_bounds(labels)
     return UnitSequence(tuple((labels[s], e - s) for s, e in zip(bounds[:-1], bounds[1:])))
-
-
-def speaking_rate(units: UnitSequence) -> float:
-    """Inverse of the mean unit duration, in 1/frames."""
-    if not units.pairs:
-        raise EmptySequence("unit sequence is empty")
-    return 1.0 / float(np.mean(units.durations()))

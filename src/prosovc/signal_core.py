@@ -47,10 +47,6 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MelConfig:
@@ -155,18 +151,15 @@ def save_wav(wave: Waveform, path) -> None:
 
 # -- Butterworth high-pass -------------------------------------------------------
 
-def _butterworth_hp_sections(cutoff_hz: float, sample_rate: int, order: int):
-    # Bilinear transform with frequency prewarping; one biquad per pole pair.
+def _butterworth_hp_biquad(cutoff_hz: float, sample_rate: int):
+    # Bilinear transform with frequency prewarping of the one Butterworth pole pair.
     k = math.tan(math.pi * cutoff_hz / sample_rate)
     k2 = k * k
-    sections = []
-    for i in range(order // 2):
-        q = 1.0 / (2.0 * math.cos(math.pi * (2 * i + 1) / (2 * order)))
-        norm = 1.0 / (1.0 + k / q + k2)
-        b = (norm, -2.0 * norm, norm)
-        a = (2.0 * (k2 - 1.0) * norm, (1.0 - k / q + k2) * norm)
-        sections.append((b, a))
-    return sections
+    q = 1.0 / (2.0 * math.cos(math.pi / 4))
+    norm = 1.0 / (1.0 + k / q + k2)
+    b = (norm, -2.0 * norm, norm)
+    a = (2.0 * (k2 - 1.0) * norm, (1.0 - k / q + k2) * norm)
+    return b, a
 
 
 # Samples per chunk of a Python-float recursion. Speed is flat from 1024 to
@@ -204,28 +197,24 @@ def _biquad(samples: np.ndarray, b, a) -> np.ndarray:
     return out
 
 
-def highpass_filter(wave: Waveform, cutoff_hz: float, order: int = 2) -> Waveform:
-    """Butterworth high-pass (-3 dB at cutoff_hz), preserving length."""
+def highpass_filter(wave: Waveform, cutoff_hz: float) -> Waveform:
+    """Second-order Butterworth high-pass (-3 dB at cutoff_hz), preserving length."""
     if not 0 < cutoff_hz < wave.sample_rate / 2:
         raise InvalidCutoff(f"cutoff {cutoff_hz} Hz outside (0, {wave.sample_rate / 2})")
-    if order not in (2, 4):
-        raise InvalidCutoff(f"order must be 2 or 4, got {order}")
     if len(wave) == 0:
         raise TooShort("cannot filter an empty waveform")
-    out = wave.samples
-    for b, a in _butterworth_hp_sections(cutoff_hz, wave.sample_rate, order):
-        out = _biquad(out, b, a)
-    return Waveform(out, wave.sample_rate)
+    b, a = _butterworth_hp_biquad(cutoff_hz, wave.sample_rate)
+    return Waveform(_biquad(wave.samples, b, a), wave.sample_rate)
 
 
-def butterworth_hp_gain(cutoff_hz: float, sample_rate: int, order: int, freq_hz: float) -> float:
-    """Analytic magnitude response of the digital filter at freq_hz.
+def butterworth_hp_gain(cutoff_hz: float, sample_rate: int, freq_hz: float) -> float:
+    """Analytic magnitude response of `highpass_filter` at freq_hz.
 
-    The bilinear design maps the analog prototype exactly, so the gain is
-    r^order / sqrt(1 + r^(2*order)) with r the prewarped frequency ratio.
+    The bilinear design maps the second-order analog prototype exactly, so
+    the gain is r^2 / sqrt(1 + r^4) with r the prewarped frequency ratio.
     """
     r = math.tan(math.pi * freq_hz / sample_rate) / math.tan(math.pi * cutoff_hz / sample_rate)
-    return r ** order / math.sqrt(1.0 + r ** (2 * order))
+    return r ** 2 / math.sqrt(1.0 + r ** 4)
 
 
 # -- STFT / mel ------------------------------------------------------------------
@@ -350,8 +339,6 @@ def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:
     """Log power mel-spectrogram with T = len//hop + 1 centered frames."""
     if wave.sample_rate != cfg.sample_rate:
         raise ConfigMismatch(f"waveform rate {wave.sample_rate} != config rate {cfg.sample_rate}")
-    if len(wave) <= cfg.fft_size // 2:
-        raise TooShort(f"need more than {cfg.fft_size // 2} samples, got {len(wave)}")
     power = np.abs(stft(wave.samples, cfg)) ** 2
     mel_energy = power @ mel_filterbank(cfg).T
     return MelSpectrogram(np.log(np.maximum(mel_energy, cfg.log_floor)), cfg)

@@ -464,6 +464,18 @@ def test_sweep_empty_pairs_exit_2(ckpt, tmp_path):
     assert rc == 2
 
 
+def test_sweep_bad_pair_row_names_its_line_exit_2(ckpt, tmp_path, capsys):
+    # blank lines count: the two-field row is line 3 of the file
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("\n\nsrc.wav\tsrc.tsv\n")
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"UnreadableFile: {pairs}:3: expected src<TAB>align<TAB>trg\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_pairs_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
     pairs = tmp_path / "pairs.tsv"
     write_pairs_file(pairs, pair_files)

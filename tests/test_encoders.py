@@ -118,7 +118,8 @@ def test_average_time_shift_covariance():
     mel = mel_1d(np.concatenate([[base[0]], base]))
     align = Alignment((AlignSegment("A", 0.0, 4.0), AlignSegment("B", 4.0, 9.0)))
     out = average_mel_target(mel_1d(base), align)
-    shifted = average_mel_target(mel, align.shifted(1.0))
+    later = Alignment(tuple(AlignSegment(s.label, s.start + 1.0, s.end + 1.0) for s in align.segments))
+    shifted = average_mel_target(mel, later)
     assert np.allclose(shifted.values[1:].ravel(), out.values.ravel())
 
 
@@ -146,28 +147,28 @@ def synth_speaker_mel(envelope, seed, n_frames=50, n_mels=16):
 
 def test_speaker_embedding_deterministic():
     mel = synth_speaker_mel(np.linspace(-2, 1, 16), seed=0)
-    a = speaker_embedding(mel)
-    b = speaker_embedding(mel)
+    a = speaker_embedding(mel, 64)
+    b = speaker_embedding(mel, 64)
     assert np.array_equal(a, b)
 
 
 def test_speaker_embedding_unit_norm():
     mel = synth_speaker_mel(np.linspace(0, 2, 16), seed=1)
-    assert np.linalg.norm(speaker_embedding(mel)) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(speaker_embedding(mel, 64)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_speaker_embedding_permutation_invariant():
     mel = synth_speaker_mel(np.linspace(-1, 1, 16), seed=2)
     perm = np.random.default_rng(3).permutation(mel.n_frames)
     shuffled = MelSpectrogram(mel.values[perm], mel.config)
-    assert np.allclose(speaker_embedding(mel), speaker_embedding(shuffled))
+    assert np.allclose(speaker_embedding(mel, 64), speaker_embedding(shuffled, 64))
 
 
 def test_speaker_embedding_separates_speakers():
     env_a = np.linspace(-3.0, 2.0, 16)
     env_b = np.linspace(2.0, -3.0, 16)
-    emb_a = [speaker_embedding(synth_speaker_mel(env_a, seed=s)) for s in range(20)]
-    emb_b = [speaker_embedding(synth_speaker_mel(env_b, seed=100 + s)) for s in range(20)]
+    emb_a = [speaker_embedding(synth_speaker_mel(env_a, seed=s), 64) for s in range(20)]
+    emb_b = [speaker_embedding(synth_speaker_mel(env_b, seed=100 + s), 64) for s in range(20)]
 
     def mean_cos(xs, ys):
         return float(np.mean([x @ y for x in xs for y in ys if x is not y]))
@@ -180,4 +181,4 @@ def test_speaker_embedding_separates_speakers():
 def test_speaker_embedding_too_short():
     cfg = MelConfig(sample_rate=8, fft_size=8, hop=8, window=8, n_mels=4, fmin=0.0, fmax=4.0)
     with pytest.raises(TooShort):
-        speaker_embedding(MelSpectrogram(np.zeros((1, 4)), cfg))
+        speaker_embedding(MelSpectrogram(np.zeros((1, 4)), cfg), 64)

@@ -4,7 +4,7 @@ from conftest import reference_extract_f0
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosovc.errors import ConfigMismatch, DimMismatch, EmptySequence, InsufficientData
+from prosovc.errors import ConfigMismatch, DimMismatch, InsufficientData
 from prosovc.prosody import (
     Codebook,
     F0Config,
@@ -14,12 +14,12 @@ from prosovc.prosody import (
     extract_f0,
     extract_log_energy,
     extract_prosody,
-    speaking_rate,
     train_unit_codebook,
     unitize,
 )
 from prosovc.signal_core import MelConfig, MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
 from prosovc.synth import sawtooth_wave, toy_utterance, white_noise
+from prosovc.transform import conversion_rate
 
 SR = 22050
 
@@ -243,33 +243,21 @@ def test_unit_durations_partition_frames(n_frames, seed):
     cb = Codebook(np.arange(6, dtype=float).reshape(3, 2) * 3)
     feats = MelSpectrogram(rng.uniform(0, 8, (n_frames, 2)), small_cfg(2))
     units = unitize(feats, cb)
-    assert units.total_frames == n_frames
+    assert units.durations().sum() == n_frames
     # encoding is maximal: no adjacent duplicates
     ids = [u for u, _ in units.pairs]
     assert all(x != y for x, y in zip(ids, ids[1:]))
 
 
-def test_speaking_rate_hand_case():
-    assert speaking_rate(UnitSequence(((7, 2), (9, 4)))) == pytest.approx(1 / 3)
-
-
-def test_speaking_rate_single_pair():
-    assert speaking_rate(UnitSequence(((3, 5),))) == pytest.approx(0.2)
-
-
-def test_speaking_rate_empty():
-    with pytest.raises(EmptySequence):
-        speaking_rate(UnitSequence(()))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=12), st.randoms())
-def test_speaking_rate_permutation_invariant(durations, pyrandom):
+def test_conversion_rate_permutation_invariant(durations, pyrandom):
     ids = list(range(len(durations)))
     pairs = tuple(zip(ids, durations))
     shuffled = list(pairs)
     pyrandom.shuffle(shuffled)
     # re-key ids so adjacent runs stay distinct after shuffling
     shuffled = tuple((i, d) for i, (_, d) in enumerate(shuffled))
-    assert speaking_rate(UnitSequence(pairs)) == pytest.approx(
-        speaking_rate(UnitSequence(shuffled)))
+    ref = UnitSequence(((0, 1),))
+    assert conversion_rate(UnitSequence(pairs), ref).raw == pytest.approx(
+        conversion_rate(UnitSequence(shuffled), ref).raw)
