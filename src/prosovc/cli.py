@@ -38,7 +38,7 @@ from .pipeline import (
 )
 from .encoders import average_mel_target, load_alignment, speaker_embedding
 from .prosody import F0Config, train_unit_codebook, unitize
-from .signal_core import MelConfig, load_wav, open_file, save_wav
+from .signal_core import MelConfig, load_wav, open_file, read_text_lines, save_wav
 from .transform import ModulationSpec
 
 # convert flag (argparse dest) -> ModulationSpec field; a --mod-file key is the field name
@@ -209,14 +209,9 @@ def _modulation_from_args(args) -> ModulationSpec:
 def load_modulation_file(path) -> dict:
     """Parse a flat key=value modulation file."""
     out = {}
-    try:
-        with open_file(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_text_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise UnreadableFile(f"{path}:{lineno}: expected key=value")
@@ -260,15 +255,8 @@ def _load_corpus(root: Path) -> list[CorpusItem]:
 
 
 def _load_pair_list(path) -> list[tuple[str, str, str]]:
-    try:
-        with open_file(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise UnreadableFile(f"{path}: not UTF-8 text ({exc})") from exc
     rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_text_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise UnreadableFile(f"{path}:{lineno}: expected src<TAB>align<TAB>trg")

@@ -89,10 +89,6 @@ def he_normal(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, n
             for name, shape in shapes.items()}
 
 
-def init_cond_params(dims: ModelDims, rng: np.random.Generator) -> CondParams:
-    return CondParams(**he_normal(cond_shapes(dims), rng))
-
-
 def step_embedding(t: float, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step t in [0, 1]."""
     if dim < 2 or dim % 2:

@@ -68,8 +68,8 @@ class DecoderParams:
     b3: np.ndarray
     cond: CondParams
     dims: ModelDims
-    input_shift: float = 0.0
-    input_scale: float = 1.0
+    input_shift: float
+    input_scale: float
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple]:

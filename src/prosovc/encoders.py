@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonMonotonic, OutOfRange, Overlap, ParseError, TooShort
 from .prosody import run_bounds
-from .signal_core import MelConfig, MelSpectrogram, open_file
+from .signal_core import MelConfig, MelSpectrogram, read_text_lines
 
 _PROJECTION_SEED = 0x5EED
 
@@ -50,15 +50,8 @@ class Alignment:
 
 def load_alignment(path) -> Alignment:
     """Parse a TSV of rows "label<TAB>start<TAB>end" into an Alignment."""
-    try:
-        with open_file(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     segments = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_text_lines(path, ParseError):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")

@@ -66,6 +66,10 @@ class NonPositiveF0(ProsoVCError):
     exit_code = 5
 
 
+class F0OutOfRange(ProsoVCError):
+    exit_code = 5
+
+
 class CurveLengthMismatch(ProsoVCError):
     exit_code = 5
 

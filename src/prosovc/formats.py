@@ -30,23 +30,29 @@ PFCK_MAGIC = b"PFCK"
 PFCK_VERSION = 1
 
 
-def _f32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+def _f32_bytes(path, what: str, arr: np.ndarray) -> bytes:
+    """Little-endian float32 bytes of `arr`, refusing a finite value that float32 turns into inf."""
+    arr = np.asarray(arr, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        f32 = np.ascontiguousarray(arr, dtype="<f4")
+    if np.any(np.isinf(f32) & np.isfinite(arr)):
+        raise UnwritableFile(f"{path}: {what} holds values beyond the float32 range")
+    return f32.tobytes()
 
 
 def write_ftb_matrix(path, values: np.ndarray) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    _write_ftb(path, FTB_MATRIX, values.shape[0], values.shape[1], _f32_bytes(values))
+    _write_ftb(path, FTB_MATRIX, values.shape[0], values.shape[1], _f32_bytes(path, "matrix", values))
 
 
 def write_ftb_vector(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    _write_ftb(path, FTB_VECTOR, 1, len(values), _f32_bytes(values))
+    _write_ftb(path, FTB_VECTOR, 1, len(values), _f32_bytes(path, "vector", values))
 
 
 def write_ftb_prosody(path, track: ProsodyTrack) -> None:
-    payload = (_f32_bytes(track.log_f0) + _f32_bytes(track.voiced.astype(np.float64))
-               + _f32_bytes(track.log_energy))
+    payload = b"".join(_f32_bytes(path, name, getattr(track, name))
+                       for name in ("log_f0", "voiced", "log_energy"))
     _write_ftb(path, FTB_PROSODY, 1, track.n_frames, payload)
 
 
@@ -94,14 +100,10 @@ def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
     """
     parts = [PFCK_MAGIC, struct.pack("<I", PFCK_VERSION)]
     for name, arr in blocks.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            f32 = arr.astype("<f4")
-        if np.any(np.isinf(f32) & np.isfinite(arr)):
-            raise UnwritableFile(f"{path}: block {name} holds values beyond the float32 range")
+        arr = np.asarray(arr)
         encoded = name.encode("utf-8")
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
-                  struct.pack(f"<{arr.ndim}I", *arr.shape), f32.tobytes()]
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), _f32_bytes(path, f"block {name}", arr)]
     with open_file(path, "wb") as fh:
         fh.write(b"".join(parts))
 

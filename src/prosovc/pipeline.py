@@ -267,7 +267,6 @@ class CorpusItem:
 
 def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DEFAULT_LR,
               dims: ModelDims = ModelDims(), mel_cfg: MelConfig = MelConfig(),
-              f0_cfg: F0Config = F0Config(), sched: NoiseSchedule = NoiseSchedule(),
               kmeans_k: int = DEFAULT_KMEANS_K, log=None):
     """Deterministic toy training over a small same-speaker-paired corpus.
 
@@ -280,6 +279,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     if epochs < 1:
         raise InsufficientData("need at least one epoch")
 
+    f0_cfg, sched = F0Config(), NoiseSchedule()
     mels, tracks, priors = [], [], []
     for item in items:
         mel, track = extract_features(item.wave, mel_cfg, f0_cfg)

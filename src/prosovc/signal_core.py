@@ -115,6 +115,17 @@ def open_file(path, mode: str = "r", **kwargs):
         raise error(f"{path}: {exc}") from exc
 
 
+def read_text_lines(path, error=UnreadableFile) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 text file, numbered
+    before blank lines are skipped; text that is not UTF-8 raises `error`."""
+    try:
+        with open_file(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
 def load_wav(path) -> Waveform:
     """Read a mono PCM16 RIFF/WAVE file, normalizing samples by 32768."""
     try:

@@ -1,4 +1,4 @@
-"""Synthetic test and demo signals: tones, sawtooths, and toy utterances.
+"""Synthetic test and demo signals: toy utterances and their alignments.
 
 A toy utterance is a sequence of sawtooth "phones" with per-speaker base
 pitch and spectral coloring, separated by short silences, plus the
@@ -12,25 +12,6 @@ import numpy as np
 
 from .encoders import Alignment, AlignSegment
 from .signal_core import RECURSION_CHUNK, Waveform, open_file
-
-
-def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
-    return Waveform(amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate)
-
-
-def sawtooth_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
-    return Waveform(amplitude * (2.0 * ((freq * t) % 1.0) - 1.0), sample_rate)
-
-
-def white_noise(duration: float, sample_rate: int = 22050, seed: int = 0, amplitude: float = 0.3) -> Waveform:
-    rng = np.random.default_rng(seed)
-    return Waveform(amplitude * rng.standard_normal(int(round(duration * sample_rate))), sample_rate)
-
-
-def silence(duration: float, sample_rate: int = 22050) -> Waveform:
-    return Waveform(np.zeros(int(round(duration * sample_rate))), sample_rate)
 
 
 def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,

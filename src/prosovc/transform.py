@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveLengthMismatch, EmptySequence, NonPositiveF0, NoVoicedFrames
+from .errors import CurveLengthMismatch, EmptySequence, F0OutOfRange, NonPositiveF0, NoVoicedFrames
 from .prosody import ProsodyTrack, UnitSequence
 
 RATE_MIN = 0.66
@@ -99,8 +99,12 @@ def modulate(track: ProsodyTrack, spec: ModulationSpec) -> ProsodyTrack:
             f"curve length {len(spec.frame_f0_delta)} != track length {track.n_frames}"
         )
     shift = spec.octave_shift * LN2 + spec.semitone_shift * LN2 / 12.0
-    if spec.frame_f0_delta is not None:
-        shift = shift + spec.frame_f0_delta[track.voiced]
     log_f0 = track.log_f0.copy()
-    log_f0[track.voiced] += shift
+    with np.errstate(over="ignore"):
+        if spec.frame_f0_delta is not None:
+            shift = shift + spec.frame_f0_delta[track.voiced]
+        log_f0[track.voiced] += shift
+        hz = np.exp(log_f0[track.voiced])
+    if not np.all(np.isfinite(hz) & (hz > 0)):
+        raise F0OutOfRange(f"voiced F0 must stay finite and > 0 Hz, got {hz.min():.4g} to {hz.max():.4g} Hz")
     return ProsodyTrack(log_f0, track.voiced, track.log_energy + spec.energy_gain)

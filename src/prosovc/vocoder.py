@@ -54,17 +54,13 @@ def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
     return np.maximum(linear, 0.0, out=linear)
 
 
-def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:
+def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray, zero: np.ndarray) -> np.ndarray:
     """Give `mag` the phase of `rebuilt`, in place on `rebuilt`, and return it.
 
     Computes rebuilt * (mag / |rebuilt|), which is mag * exp(1j * angle(rebuilt))
     without atan2, cos and sin. Exact-zero bins take phase 0, as angle(0) == 0.
+    `amp` and `zero` are buffers for |rebuilt| and its zero mask.
     """
-    return _project(rebuilt, mag, np.empty(rebuilt.shape), np.empty(rebuilt.shape, dtype=bool))
-
-
-def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """`project_magnitude` with its magnitude and zero-mask buffers given."""
     np.abs(rebuilt, out=amp)
     np.equal(amp, 0.0, out=zero)
     np.copyto(rebuilt, 1.0, where=zero)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims
+from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, CondParams, ModelDims, cond_shapes, he_normal
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
-from prosovc.signal_core import MelConfig, frame_signal
+from prosovc.signal_core import MelConfig, Waveform, frame_signal
 from prosovc.synth import toy_utterance, write_alignment
+from prosovc.vocoder import _project
 
 SR = 22050
 
@@ -23,6 +24,36 @@ def tiny_dims():
     # small enough for exhaustive gradient checking (<2k parameters)
     return ModelDims(n_mels=4, speaker_dim=6, t_embed_dim=6, style_dim=6,
                      cond_hidden=6, dec_hidden=6)
+
+
+# -- test signals and parameters -------------------------------------------------
+
+def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
+    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    return Waveform(amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate)
+
+
+def sawtooth_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
+    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    return Waveform(amplitude * (2.0 * ((freq * t) % 1.0) - 1.0), sample_rate)
+
+
+def white_noise(duration: float, sample_rate: int = 22050, seed: int = 0, amplitude: float = 0.3) -> Waveform:
+    rng = np.random.default_rng(seed)
+    return Waveform(amplitude * rng.standard_normal(int(round(duration * sample_rate))), sample_rate)
+
+
+def silence(duration: float, sample_rate: int = 22050) -> Waveform:
+    return Waveform(np.zeros(int(round(duration * sample_rate))), sample_rate)
+
+
+def init_cond_params(dims: ModelDims, rng: np.random.Generator) -> CondParams:
+    return CondParams(**he_normal(cond_shapes(dims), rng))
+
+
+def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """vocoder._project with fresh buffers."""
+    return _project(rebuilt, mag, np.empty(rebuilt.shape), np.empty(rebuilt.shape, dtype=bool))
 
 
 def make_track(rng, n_frames=32, base_log_f0=5.3, voiced_prob=0.7):

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_track
+from conftest import init_cond_params, make_track, sawtooth_wave, silence
 from prosovc.cli import main
-from prosovc.conditioning import ModelDims, build_condition, build_style, init_cond_params
+from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
     NoiseSchedule,
     TrainBatch,
@@ -36,7 +36,7 @@ from prosovc.signal_core import (
     load_wav,
     save_wav,
 )
-from prosovc.synth import sawtooth_wave, silence, toy_utterance, write_alignment
+from prosovc.synth import toy_utterance, write_alignment
 from prosovc.transform import ConversionRate, f0_mean_transfer, voiced_mean
 from prosovc.evaluate import modulation_sweep
 

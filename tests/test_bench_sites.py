@@ -48,3 +48,28 @@ def test_every_package_import_is_used():
         unused += [f"{path.stem}.{name}" for name in imported_names(tree)
                    if name not in used and (path.stem, name) not in traced]
     assert unused == []
+
+
+# public package names whose only callers are tests, each kept for its reason
+TEST_ONLY_NAMES = {
+    "diffusion.gradient_check",  # acceptance criterion 6: the finite-difference gradient check
+    "signal_core.butterworth_hp_gain",  # acceptance criterion 4's analytic reference for the high-pass
+}
+
+
+def test_every_public_package_name_is_referenced():
+    # a name counts when the package, scripts or perfbench read it, or when SITES replaces it
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))}
+    referenced = {attr for _, attr, _ in load_sites()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [f"{path.stem}.{node.name}" for path, tree in trees.items() if path.parent == PACKAGE
+                    for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in referenced]
+    assert sorted(set(unreferenced) - TEST_ONLY_NAMES) == []

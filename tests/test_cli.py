@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import sawtooth_wave, silence
 from prosovc.cli import main
 from prosovc.formats import FTB_PROSODY, read_ftb
 from prosovc.signal_core import load_wav, save_wav
-from prosovc.synth import sawtooth_wave, silence, toy_utterance, write_alignment
+from prosovc.synth import toy_utterance, write_alignment
 
 CLI = [sys.executable, "-m", "prosovc"]
 
@@ -192,6 +193,15 @@ def test_convert_curve_length_mismatch_exit_5(ckpt, pair_files, tmp_path):
                "--f0-curve", str(tmp_path / "short.ftb"), "--gl-iters", "2",
                "--out", str(tmp_path / "o.wav")])
     assert rc == 5
+
+
+@pytest.mark.parametrize("octaves", ["1100", "-1100"])
+def test_convert_f0_beyond_float_range_exit_5(ckpt, pair_files, tmp_path, capsys, octaves):
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    rc = main(convert_args(ckpt, pair_files, out)
+              + ["--octave", octaves, "--gl-iters", "0", "--report", str(report)])
+    assert_one_error_line(capsys, rc, "F0OutOfRange", 5)
+    assert not out.exists() and not report.exists()
 
 
 def test_convert_report_reproducible(ckpt, pair_files, tmp_path):

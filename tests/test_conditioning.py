@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close_to_oracle, make_track, oracle_build_condition, oracle_cond_backward
+from conftest import (
+    assert_close_to_oracle,
+    init_cond_params,
+    make_track,
+    oracle_build_condition,
+    oracle_cond_backward,
+)
 from prosovc.conditioning import (
     ModelDims,
     build_condition,
     build_style,
     cond_backward,
     cond_forward_cache,
-    init_cond_params,
     step_embedding,
 )
 from prosovc.errors import BadDim, DimMismatch

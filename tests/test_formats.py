@@ -16,6 +16,7 @@ from prosovc.formats import (
     write_ftb_vector,
     write_pfck,
 )
+from prosovc.prosody import ProsodyTrack
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -117,6 +118,18 @@ def test_pfck_refuses_float32_overflow(tmp_path):
     path = tmp_path / "c.pfck"
     with pytest.raises(UnwritableFile, match="block big holds values beyond the float32 range"):
         write_pfck(path, {"ok": np.zeros(2), "big": np.array([1.0, 1e39])})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write, value", [
+    (write_ftb_matrix, [[1e300, 1.0]]),
+    (write_ftb_vector, [1.0, 1e300]),
+    (write_ftb_prosody, ProsodyTrack([0.0, 5.0], [False, True], [1e300, -4.0])),
+], ids=["matrix", "vector", "prosody"])
+def test_ftb_refuses_float32_overflow(tmp_path, write, value):
+    path = tmp_path / "x.ftb"
+    with pytest.raises(UnwritableFile, match="holds values beyond the float32 range"):
+        write(path, value)
     assert not path.exists()
 
 

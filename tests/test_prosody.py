@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import reference_extract_f0
+from conftest import reference_extract_f0, sawtooth_wave, white_noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from prosovc.prosody import (
     unitize,
 )
 from prosovc.signal_core import MelConfig, MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
-from prosovc.synth import sawtooth_wave, toy_utterance, white_noise
+from prosovc.synth import toy_utterance
 from prosovc.transform import conversion_rate
 
 SR = 22050

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import wave as wavemod
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosovc.errors import ConfigMismatch, InvalidCutoff, TooShort, UnreadableFile, UnsupportedFormat
+from prosovc.cli import _load_pair_list, load_modulation_file
+from prosovc.encoders import load_alignment
+from prosovc.errors import ConfigMismatch, InvalidCutoff, ParseError, TooShort, UnreadableFile, UnsupportedFormat
 from prosovc.signal_core import (
     RECURSION_CHUNK,
     MelConfig,
@@ -107,6 +110,23 @@ def test_roundtrip_quantization_bound(tmp_path):
     save_wav(wave, path)
     back = load_wav(path)
     assert np.max(np.abs(back.samples - wave.samples)) <= 1 / 32768
+
+
+# -- text inputs: every reader goes through read_text_lines -------------------------
+
+@pytest.mark.parametrize("read, bad_row, error", [
+    (load_alignment, "P0\t0.0", ParseError),
+    (load_modulation_file, "octave_shift 0.5", UnreadableFile),
+    (_load_pair_list, "src.wav\tsrc.tsv", UnreadableFile),
+], ids=["alignment", "modulation", "pairs"])
+def test_text_reader_numbers_lines_and_refuses_non_utf8(tmp_path, read, bad_row, error):
+    path = tmp_path / "in.txt"
+    path.write_text(f"\n\n{bad_row}\n", encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:3: "):
+        read(path)
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        read(path)
 
 
 # -- high-pass filter -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_track
-from prosovc.errors import CurveLengthMismatch, EmptySequence, NonPositiveF0, NoVoicedFrames
+from prosovc.errors import CurveLengthMismatch, EmptySequence, F0OutOfRange, NonPositiveF0, NoVoicedFrames
 from prosovc.prosody import ProsodyTrack, UnitSequence
 from prosovc.transform import (
     ConversionRate,
@@ -184,6 +184,14 @@ def test_modulate_curve_length_mismatch():
     track = track_from_hz([100.0, 110.0], [True, True])
     with pytest.raises(CurveLengthMismatch):
         modulate(track, ModulationSpec(frame_f0_delta=np.zeros(3)))
+
+
+@pytest.mark.parametrize("octaves", [1100.0, -1100.0])
+def test_modulate_refuses_f0_beyond_float_range(octaves):
+    # 2**1100 Hz overflows to inf and 2**-1100 Hz underflows to 0
+    track = track_from_hz([100.0, 0.0, 110.0], [True, False, True])
+    with pytest.raises(F0OutOfRange):
+        modulate(track, ModulationSpec(octave_shift=octaves))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import project_magnitude, sine_wave
 from prosovc.signal_core import MelConfig, MelSpectrogram, istft, mel_spectrogram, stft
-from prosovc.synth import sine_wave
-from prosovc.vocoder import griffin_lim, mel_to_linear, project_magnitude
+from prosovc.vocoder import griffin_lim, mel_to_linear
 
 SR = 22050
 
