@@ -19,7 +19,7 @@ from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatc
 from .pipeline import ModelBundle, convert, decode, extract_features, render
 from .prosody import ProsodyTrack
 from .signal_core import MelSpectrogram, open_file
-from .transform import ModulationSpec, voiced_mean
+from .transform import ModulationSpec, f0_mean_transfer, modulate, voiced_mean
 
 F0_SWEEP_LEVELS = (-0.50, -0.25, 0.0, 0.25, 0.50)
 RATE_SWEEP_LEVELS = (0.66, 0.75, 1.0, 1.20, 1.33)
@@ -74,7 +74,8 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
     mode "f0" sweeps octave shifts on top of the global mean transfer;
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
     be measured on a given output (no voiced frames) are recorded as NaN.
-    Every argument is checked before any analysis.
+    Every argument is checked before any analysis, and every level's
+    modulation of every pair before any synthesis.
     """
     plan = sweep_plan(mode, levels)
     if gl_iters < 0:
@@ -84,6 +85,12 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
     features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
                  extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align)
                 for src, src_align, trg in pairs]
+    # a level whose shift leaves float range depends on the source F0, so every
+    # (pair, level) is modulated, as decode will, before the first decode
+    for (_, track_src), (_, track_trg), _ in features:
+        transferred = f0_mean_transfer(track_src, voiced_mean(track_trg))
+        for _, mod in plan:
+            modulate(transferred, mod)
     # a rate level acts only after decoding, so rate mode decodes each pair once
     shared = [decode(*f, bundle, ModulationSpec(), seed=seed) for f in features] if mode == "rate" else None
     rows = []

@@ -4,18 +4,21 @@ Replaces a neural vocoder with a fully self-contained pipeline: the log-mel
 is exponentiated, mapped through the pseudo-inverse of the mel filterbank
 (clamped at zero), and phase is estimated by iterative STFT projections.
 
-`griffin_lim` runs as one buffered loop over `signal_core`'s private
-framing helpers, the same ones `istft` and `stft` wrap. It builds the start
-spectrum in place from the seeded phase draw (times 1j, exp, times the
-magnitude), so no phase array stays alive through the loop. Its buffers (the
-frames, the overlap-add blocks, the spectrum, its magnitude and the mask of
-its zero bins) and the ISTFT normaliser are made once per call. Each
-iteration inverse-FFTs the spectrum into the frame buffer and overlap-adds
-it into the blocks. It then zeroes the blocks' two half-frame margins, so
-that they hold the zero-padded signal `stft(..., pad_mode="constant")`
-would frame, windows a framing view of the blocks back into the frame
-buffer, FFTs that into the spectrum buffer and projects the magnitude in
-place. The output equals alternating `istft` and `stft` calls bit for bit.
+`griffin_lim` runs each iteration as one wavefront pass over frame blocks
+of GL_BLOCK frames, `signal_core._wola_pass`, the same pass `istft` makes.
+The pass inverse-FFTs a block's spectrum rows, windows them and
+overlap-adds them into the (T + k - 1, hop) signal blocks, k =
+ceil(fft_size / hop). A signal block that has all its frames is divided by
+the compact normaliser and has its share of the two half-frame margins
+zeroed, so it holds the zero-padded signal `stft(..., pad_mode="constant")`
+would frame. Each frame whose k signal blocks are final is then windowed
+and FFT'd back into its spectrum rows, and `_project` gives those rows the
+target magnitude in place, while the pass moves on. Only the spectrum and the
+signal blocks are whole-utterance arrays; the frames and the buffers of
+`_project` hold one block, so a pass stays in cache. The start spectrum is
+built block by block from one seeded phase stream, which draws the same
+numbers as one whole (T, n_bins) draw. The output equals alternating
+`istft` and `stft` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .signal_core import (
     MelConfig,
     MelSpectrogram,
     Waveform,
+    GL_BLOCK,
     _frame_view,
-    _wola,
     _wola_buffers,
+    _wola_pass,
     _windowed_rfft,
     istft,
     mel_filterbank,
@@ -81,22 +85,22 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     rng = np.random.default_rng(seed)
-    spec = 1j * rng.uniform(0.0, 2.0 * np.pi, mag.shape)
-    np.exp(spec, out=spec)
-    spec *= mag
     n_frames = mag.shape[0]
+    spec = np.empty(mag.shape, dtype=complex)
+    for lo in range(0, n_frames, GL_BLOCK):
+        rows = spec[lo:lo + GL_BLOCK]
+        np.multiply(1j, rng.uniform(0.0, 2.0 * np.pi, rows.shape), out=rows)
+        np.exp(rows, out=rows)
+        rows *= mag[lo:lo + GL_BLOCK]
     frames, blocks, divisor = _wola_buffers(cfg, n_frames)
-    amp = np.empty(mag.shape)
-    zero = np.empty(mag.shape, dtype=bool)
-    half = cfg.fft_size // 2
-    end = (n_frames - 1) * cfg.hop + cfg.fft_size
-    padded = blocks.reshape(-1)[:end]
-    view = _frame_view(padded, cfg.fft_size, cfg.hop, n_frames)
+    amp = np.empty((len(frames), cfg.n_bins))
+    zero = np.empty(amp.shape, dtype=bool)
+    view = _frame_view(blocks.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
+
+    def analyse(lo: int, hi: int) -> None:
+        rows = _windowed_rfft(view[lo:hi], cfg, frames[:hi - lo], spec[lo:hi])
+        _project(rows, mag[lo:hi], amp[:hi - lo], zero[:hi - lo])
+
     for _ in range(n_iters):
-        _wola(spec, cfg, frames, blocks, divisor)
-        # now the signal istft would return, zero-padded as stft's "constant" mode pads it
-        padded[:half] = 0.0
-        padded[end - half:] = 0.0
-        _windowed_rfft(view, cfg, frames, spec)
-        _project(spec, mag, amp, zero)
-    return Waveform(_wola(spec, cfg, frames, blocks, divisor)[half:end - half], cfg.sample_rate)
+        _wola_pass(spec, cfg, frames, blocks, divisor, analyse)
+    return Waveform(_wola_pass(spec, cfg, frames, blocks, divisor), cfg.sample_rate)

@@ -496,6 +496,18 @@ def test_sweep_pairs_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
     assert err.startswith(f"UnreadableFile: {pairs}: not UTF-8 text") and err.count("\n") == 1
 
 
+def test_sweep_level_out_of_f0_range_exit_5(ckpt, pair_files, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(out),
+               "--levels", "0", "1100", "--gl-iters", "0"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("F0OutOfRange: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_sweep_non_finite_decoder_exit_6(blown_up_ckpt, pair_files, tmp_path):
     pairs = tmp_path / "pairs.tsv"
     write_pairs_file(pairs, pair_files)

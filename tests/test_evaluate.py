@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prosovc import evaluate, pipeline
-from prosovc.errors import LengthMismatch, NoCommonVoiced, ShapeMismatch
+from prosovc.errors import F0OutOfRange, LengthMismatch, NoCommonVoiced, ShapeMismatch
 from prosovc.evaluate import (
     F0_SWEEP_HEADER,
     F0_SWEEP_LEVELS,
@@ -193,6 +193,20 @@ def test_sweep_rejects_no_pairs_before_any_work(trained_bundle, monkeypatch):
     fail_on_work(monkeypatch)
     with pytest.raises(ValueError, match="no pairs"):
         modulation_sweep([], trained_bundle, gl_iters=0)
+
+
+def test_sweep_modulates_every_level_before_any_decode(trained_bundle, conversion_pair, monkeypatch):
+    # 1100 octaves above any voice leaves float range; level 0 must not be decoded first
+    decodes = []
+
+    def counted(*args, **kwargs):
+        decodes.append(1)
+        return pipeline.decode(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "decode", counted)
+    with pytest.raises(F0OutOfRange):
+        modulation_sweep([conversion_pair], trained_bundle, levels=[0, 1100], gl_iters=0)
+    assert decodes == []
 
 
 # -- one analysis per pair -------------------------------------------------------------

@@ -12,6 +12,7 @@ from prosovc.cli import _load_pair_list, load_modulation_file
 from prosovc.encoders import load_alignment
 from prosovc.errors import ConfigMismatch, InvalidCutoff, ParseError, TooShort, UnreadableFile, UnsupportedFormat
 from prosovc.signal_core import (
+    GL_BLOCK,
     RECURSION_CHUNK,
     MelConfig,
     MelSpectrogram,
@@ -333,7 +334,8 @@ def reference_istft(spec, cfg):
     return out[half:total - half]
 
 
-@pytest.mark.parametrize("n_frames", [1, 2, 3, 57])
+# the last two cross one and two edges of the GL_BLOCK frame blocks
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 57, GL_BLOCK + 1, 2 * GL_BLOCK + 5])
 @pytest.mark.parametrize("name", sorted(ISTFT_CFGS))
 def test_istft_equals_per_frame_loop(name, n_frames):
     cfg = ISTFT_CFGS[name]

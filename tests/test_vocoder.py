@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import project_magnitude, sine_wave
-from prosovc.signal_core import MelConfig, MelSpectrogram, istft, mel_spectrogram, stft
+from prosovc.signal_core import (
+    GL_BLOCK,
+    MelConfig,
+    MelSpectrogram,
+    _normalise,
+    _padded_window,
+    _wola_buffers,
+    istft,
+    mel_spectrogram,
+    stft,
+)
 from prosovc.vocoder import griffin_lim, mel_to_linear
 
 SR = 22050
@@ -114,7 +124,7 @@ def test_griffin_lim_matches_angle_phase_update(mel_cfg):
     assert np.max(np.abs(wave.samples - ref)) <= 1e-12
 
 
-# -- the buffered loop against alternating istft/stft calls ---------------------------
+# -- the frame-block loop against alternating istft/stft calls ------------------------
 
 GL_CFGS = {
     "1024_1024_256": MelConfig(),
@@ -134,13 +144,16 @@ def unbuffered_griffin_lim(mag, cfg, n_iters, seed):
     return istft(spec, cfg)
 
 
-def gl_input(kind, cfg):
-    if kind == "zero":
-        return np.zeros((9, cfg.n_bins))
-    n_frames = 1 if kind == "one_frame" else 23
+def banded_mag(n_frames, cfg):
     mag = np.abs(np.random.default_rng(cfg.hop).standard_normal((n_frames, cfg.n_bins)))
     mag[:, 40:60] = 0.0  # a zero band: rebuilt bins near or at zero
     return mag
+
+
+def gl_input(kind, cfg):
+    if kind == "zero":
+        return np.zeros((9, cfg.n_bins))
+    return banded_mag(1 if kind == "one_frame" else 23, cfg)
 
 
 @pytest.mark.parametrize("kind", ["random", "one_frame", "zero"])
@@ -151,3 +164,36 @@ def test_griffin_lim_equals_unbuffered_loop(name, n_iters, kind):
     mag = gl_input(kind, cfg)
     wave = griffin_lim(mag, cfg, n_iters=n_iters, seed=11)
     assert np.array_equal(wave.samples, unbuffered_griffin_lim(mag, cfg, n_iters, 11))
+
+
+@pytest.mark.parametrize("n_frames", [GL_BLOCK, GL_BLOCK + 1, 2 * GL_BLOCK + 5])
+@pytest.mark.parametrize("n_iters", [0, 1, 3])
+@pytest.mark.parametrize("name", sorted(GL_CFGS))
+def test_griffin_lim_equals_unbuffered_loop_across_blocks(name, n_iters, n_frames):
+    cfg = GL_CFGS[name]
+    mag = banded_mag(n_frames, cfg)
+    wave = griffin_lim(mag, cfg, n_iters=n_iters, seed=11)
+    assert np.array_equal(wave.samples, unbuffered_griffin_lim(mag, cfg, n_iters, 11))
+
+
+def per_frame_divisor(cfg, n_frames):
+    """The ISTFT normaliser as one overlap-add per frame, over the whole signal."""
+    w2 = _padded_window(cfg.window, cfg.fft_size) ** 2
+    norm = np.zeros((n_frames - 1) * cfg.hop + cfg.fft_size)
+    for i in range(n_frames):
+        norm[i * cfg.hop:i * cfg.hop + cfg.fft_size] += w2
+    return np.where(norm > 1e-11, norm, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(GL_CFGS))
+def test_compact_normaliser_equals_per_frame_overlap_add(name):
+    cfg = GL_CFGS[name]
+    k = -(-cfg.fft_size // cfg.hop)
+    for n_frames in sorted({1, 2, k - 1, k, 2 * k, 50, 1723}):
+        _, blocks, divisor = _wola_buffers(cfg, n_frames)
+        signal = np.random.default_rng(n_frames).random(blocks.shape)
+        blocks[:] = signal
+        for lo in range(0, len(blocks), 5):  # ranges that straddle the head, interior and tail
+            _normalise(blocks, lo, min(lo + 5, len(blocks)), divisor, n_frames)
+        naive = per_frame_divisor(cfg, n_frames)
+        assert np.array_equal(blocks.reshape(-1)[:len(naive)], signal.reshape(-1)[:len(naive)] / naive), n_frames
