@@ -14,6 +14,7 @@ drift does not favour one side. Only run.py's standard output is read: its
 ``env`` line, its ``fingerprint`` lines and the JSON object on its last line.
 
 The result goes to ``BENCH_<label>.json`` at the repository root: the
+git tree hash of the measured working tree (see ``tree_hash``), the
 environment of each side, the ``MALLOC_*`` allocator settings both sides
 ran under (``MALLOC_MMAP_THRESHOLD_`` moves ``peak_rss_mb`` by heap layout
 alone), the seeds and run order, each side's per-workload
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -149,8 +151,24 @@ def malloc_env(environ=os.environ) -> dict:
     return {name: environ[name] for name in sorted(environ) if name.startswith("MALLOC_")}
 
 
-def git(*args, cwd=ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args, cwd=ROOT, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def tree_hash(cwd=ROOT) -> str:
+    """The git tree hash of the working tree: tracked files as they are on disk
+    and untracked files that .gitignore does not list.
+
+    It is written through a copy of the index, so the real index is left as it
+    was. A commit of exactly these files has it as `git rev-parse <commit>^{tree}`.
+    """
+    index = Path(cwd) / git("rev-parse", "--git-path", "index", cwd=cwd)
+    with tempfile.TemporaryDirectory(prefix="bench-ab-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        if index.exists():
+            shutil.copyfile(index, env["GIT_INDEX_FILE"])
+        git("add", "--all", cwd=cwd, env=env)
+        return git("write-tree", cwd=cwd, env=env)
 
 
 def run_side(tree: Path, args, seed: int) -> dict:
@@ -172,6 +190,7 @@ def main(argv=None) -> int:
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_commit = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    change_tree = tree_hash()
     base_dir = Path(tempfile.mkdtemp(prefix="bench-ab-base-"))
     git("worktree", "add", "--detach", str(base_dir), base_commit)
     runs = []
@@ -190,7 +209,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds} --trace 0",
         "base": {"ref": args.base, "commit": base_commit},
-        "change": {"commit": change_commit, "uncommitted_changes": dirty},
+        "change": {"commit": change_commit, "uncommitted_changes": dirty, "tree": change_tree},
         "order": "base first on odd seeds, change first on even seeds",
         "env": {side: next(r["parsed"]["env"] for r in runs if r["side"] == side) for side in SIDES},
         "malloc_env": malloc_env(),

@@ -92,8 +92,9 @@ def average_mel_target(mel: MelSpectrogram, align: Alignment) -> MelSpectrogram:
 
 @lru_cache(maxsize=4)
 def _speaker_projection(speaker_dim: int, n_stats: int) -> np.ndarray:
-    rng = np.random.default_rng(_PROJECTION_SEED)
-    return rng.standard_normal((speaker_dim, n_stats))
+    projection = np.random.default_rng(_PROJECTION_SEED).standard_normal((speaker_dim, n_stats))
+    projection.flags.writeable = False  # every caller shares the cached array
+    return projection
 
 
 def speaker_embedding(mel: MelSpectrogram, speaker_dim: int) -> np.ndarray:

@@ -5,11 +5,11 @@ normalization, absolute threshold, and parabolic lag interpolation.  All
 tracks share the mel frame grid (T = len // hop + 1, frames centered at
 i * hop) so prosody aligns with the spectrogram one-to-one.
 
-`extract_f0` frames the utterance once, as a view, and computes the
-difference function, its normalization and the threshold search over blocks
-of YIN_BLOCK frames. Every row's FFT and cumulative sum is computed alone, so
-the blocks change no value: the result equals one whole-utterance batch bit
-for bit, while the FFT temporaries stay the size of one block.
+`extract_f0` and `extract_log_energy` frame the utterance once, as a view,
+and run YIN and the sums of squares over `signal_core.frame_blocks`. Every
+row's FFT, cumulative sum and sum is computed alone, so the results equal
+one whole-utterance batch bit for bit, while the temporaries stay the size
+of one block.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, DimMismatch, InsufficientData, TooShort
-from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_signal
+from .signal_core import MelConfig, MelSpectrogram, Waveform, frame_blocks, frame_signal
 
 ENERGY_FLOOR = 1e-10
-
-# Frames per block of YIN's difference function. It bounds the (block, fft_n)
-# FFT temporaries, which for a whole 20 s utterance would take over 80 MB.
-# Inputs of up to 256 frames (about 2.9 s at the default hop) run as one block.
-YIN_BLOCK = 256
 
 # Lowest accepted F0 search floor. YIN's frame is 2 * sample_rate / f0_min
 # samples, so a floor far below any voice grows the analysis without bound.
@@ -136,9 +131,9 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
-    for start in range(0, n_frames, YIN_BLOCK):
-        cmndf, rms = _cmndf(frames[start:start + YIN_BLOCK], tau_max, fft_n)
-        for i, (row, row_rms) in enumerate(zip(cmndf, rms), start):
+    for lo, hi in frame_blocks(n_frames):
+        cmndf, rms = _cmndf(frames[lo:hi], tau_max, fft_n)
+        for i, (row, row_rms) in enumerate(zip(cmndf, rms), lo):
             if row_rms <= f0_cfg.rms_floor:
                 continue
             below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold
@@ -188,7 +183,8 @@ def extract_log_energy(wave: Waveform, mel_cfg: MelConfig) -> np.ndarray:
     if len(wave) == 0:
         raise TooShort("cannot compute energy of an empty waveform")
     frames = frame_signal(wave.samples, mel_cfg.window, mel_cfg.hop, "reflect")
-    return np.log(np.maximum(np.sum(frames**2, axis=1), ENERGY_FLOOR))
+    energy = [np.sum(frames[lo:hi] ** 2, axis=1) for lo, hi in frame_blocks(len(frames))]
+    return np.log(np.maximum(np.concatenate(energy), ENERGY_FLOOR))
 
 
 def extract_prosody(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()) -> ProsodyTrack:

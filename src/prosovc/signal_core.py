@@ -239,6 +239,7 @@ def _padded_window(window: int, fft_size: int) -> np.ndarray:
     out = np.zeros(fft_size)
     left = (fft_size - window) // 2
     out[left:left + window] = periodic_hann(window)
+    out.flags.writeable = False  # every caller shares the cached array
     return out
 
 
@@ -259,6 +260,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
         up = (bin_freqs - lo) / (center - lo)
         down = (hi - bin_freqs) / (hi - center)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.flags.writeable = False  # every caller shares the cached array
     return fb
 
 
@@ -308,16 +310,22 @@ def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray) -> np.ndarray
     return blocks
 
 
-# Frames per block of the weighted overlap-add pass. A block's frames and
-# their spectra (512 KiB each at fft_size 1024) stay in a 2 MiB L2 cache,
-# where whole-utterance frame arrays do not.
-GL_BLOCK = 64
+# Frames per block of every blocked loop: overlap-add, mel power, log energy
+# and YIN. A block of frames and its spectrum (512 KiB each at fft_size 1024)
+# stay in a 2 MiB L2 cache, where whole-utterance frame arrays do not.
+FRAME_BLOCK = 64
+
+
+def frame_blocks(n_frames: int) -> list[tuple[int, int]]:
+    """(lo, hi) of ceil(n_frames / FRAME_BLOCK) near-equal runs covering frames 0..n_frames-1."""
+    count = -(-n_frames // FRAME_BLOCK)
+    return [(i * n_frames // count, (i + 1) * n_frames // count) for i in range(count)]
 
 
 def _wola_buffers(cfg: MelConfig, n_frames: int):
     """(frames, blocks, divisor) for `_wola_pass` over n_frames frames.
 
-    `frames` holds min(n_frames, GL_BLOCK) frames and `blocks` the
+    `frames` holds min(n_frames, FRAME_BLOCK) frames and `blocks` the
     (n_frames + k - 1, hop) signal blocks, k = ceil(fft_size / hop). The
     divisor is the overlap-added squared window, with 1 wherever that sum is
     not above 1e-11. Every block from k - 1 to n_frames - 1 sums the same k
@@ -330,63 +338,45 @@ def _wola_buffers(cfg: MelConfig, n_frames: int):
     w = _padded_window(cfg.window, cfg.fft_size)
     norm = _overlap_add(np.broadcast_to(w * w, (n, cfg.fft_size)), cfg.hop, np.zeros((n + k - 1, cfg.hop)))
     norm = np.concatenate([norm[:k], norm[n:]])
-    frames = np.empty((min(n_frames, GL_BLOCK), cfg.fft_size))
+    frames = np.empty((min(n_frames, FRAME_BLOCK), cfg.fft_size))
     blocks = np.empty((n_frames + k - 1, cfg.hop))
     return frames, blocks, np.where(norm > 1e-11, norm, 1.0)
 
 
-def _normalise(blocks: np.ndarray, lo: int, hi: int, divisor: np.ndarray, n_frames: int) -> None:
-    """Divide signal blocks lo..hi-1 of n_frames frames by their rows of the compact divisor."""
+def _normalise(blocks: np.ndarray, divisor: np.ndarray, n_frames: int) -> None:
+    """Divide the signal blocks of n_frames frames by their rows of the compact divisor."""
     k = (len(divisor) + 1) // 2
     head = min(k - 1, n_frames)
-    a, b = lo, min(hi, head)
-    if a < b:
-        blocks[a:b] /= divisor[a:b]
-    a, b = max(lo, head), min(hi, n_frames)
-    if a < b:
-        blocks[a:b] /= divisor[k - 1]
-    a, b = max(lo, n_frames), hi
-    if a < b:
-        blocks[a:b] /= divisor[a - n_frames + k:b - n_frames + k]
+    blocks[:head] /= divisor[:head]
+    blocks[head:n_frames] /= divisor[k - 1]
+    blocks[n_frames:] /= divisor[k:]
 
 
-def _wola_pass(spec: np.ndarray, cfg: MelConfig, frames: np.ndarray, blocks: np.ndarray,
-               divisor: np.ndarray, analyse=None) -> np.ndarray:
-    """Weighted overlap-add of the inverse FFT of `spec`, a block of frames at a time.
+def _wola_pass(rows, n_frames: int, cfg: MelConfig, frames: np.ndarray, blocks: np.ndarray,
+               divisor: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add of n_frames spectrum rows, one frame block at a time.
 
-    Each block of frames is inverse-FFT'd, windowed and added into `blocks`.
-    A signal block that has all its frames is divided by the normaliser, and
-    whatever it holds of the two half-frame margins is zeroed, so the blocks
-    hold the zero-padded signal `stft(..., pad_mode="constant")` would frame.
-    `analyse(lo, hi)`, if given, is then called on each run of at most
-    GL_BLOCK frames lo..hi-1 whose signal blocks are all final; it may
-    rewrite `frames` and spec[lo:hi]. Returns the (T - 1) * hop samples
-    between the margins, a view of `blocks`.
+    `rows(lo, hi)` gives the rows of frames lo..hi-1 for each run of
+    `frame_blocks(n_frames)` in turn; they are inverse-FFT'd into `frames`,
+    windowed and added into `blocks`. The blocks are then divided by the
+    normaliser and their two half-frame margins zeroed, so they hold the
+    zero-padded signal `stft(..., pad_mode="constant")` would frame.
+    Returns the (T - 1) * hop samples between the margins, a view of `blocks`.
     """
-    n_frames = spec.shape[0]
     hop, k = cfg.hop, blocks.shape[0] - n_frames + 1
     half = cfg.fft_size // 2
     end = (n_frames - 1) * hop + cfg.fft_size
     flat = blocks.reshape(-1)
     window = _padded_window(cfg.window, cfg.fft_size)
-    analysed = 0
-    for lo in range(0, n_frames, GL_BLOCK):
-        hi = min(lo + GL_BLOCK, n_frames)
-        block = np.fft.irfft(spec[lo:hi], n=cfg.fft_size, axis=1, out=frames[:hi - lo])
+    for lo, hi in frame_blocks(n_frames):
+        block = np.fft.irfft(rows(lo, hi), n=cfg.fft_size, axis=1, out=frames[:hi - lo])
         block *= window
         # zero the signal blocks no earlier frame of this pass reached
         blocks[lo + k - 1 if lo else 0:hi + k - 1] = 0.0
         _overlap_add(block, hop, blocks[lo:hi + k - 1])
-        # blocks lo..final-1 now hold all their frames
-        final = hi if hi < n_frames else len(blocks)
-        _normalise(blocks, lo, final, divisor, n_frames)
-        flat[lo * hop:min(final * hop, half)] = 0.0
-        flat[max(lo * hop, end - half):final * hop] = 0.0
-        if analyse is not None:
-            ready = hi - k + 1 if hi < n_frames else n_frames
-            for start in range(analysed, ready, GL_BLOCK):
-                analyse(start, min(start + GL_BLOCK, ready))
-            analysed = max(analysed, ready)
+    _normalise(blocks, divisor, n_frames)
+    flat[:half] = 0.0
+    flat[end - half:] = 0.0
     return flat[half:end - half]
 
 
@@ -395,13 +385,21 @@ def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
 
     Output length is (T - 1) * hop.
     """
-    return _wola_pass(spec, cfg, *_wola_buffers(cfg, spec.shape[0]))
+    n_frames = spec.shape[0]
+    return _wola_pass(lambda lo, hi: spec[lo:hi], n_frames, cfg, *_wola_buffers(cfg, n_frames))
 
 
 def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:
-    """Log power mel-spectrogram with T = len//hop + 1 centered frames."""
+    """Log power mel-spectrogram with T = len//hop + 1 centered frames.
+
+    |stft|^2 is taken a frame block at a time and mapped through the
+    filterbank in one product, which split by rows is not bit-identical.
+    """
     if wave.sample_rate != cfg.sample_rate:
         raise ConfigMismatch(f"waveform rate {wave.sample_rate} != config rate {cfg.sample_rate}")
-    power = np.abs(stft(wave.samples, cfg)) ** 2
+    frames = frame_signal(wave.samples, cfg.fft_size, cfg.hop, "reflect")
+    power = np.empty((len(frames), cfg.n_bins))
+    for lo, hi in frame_blocks(len(frames)):
+        power[lo:hi] = np.abs(_windowed_rfft(frames[lo:hi], cfg)) ** 2
     mel_energy = power @ mel_filterbank(cfg).T
     return MelSpectrogram(np.log(np.maximum(mel_energy, cfg.log_floor)), cfg)

@@ -4,21 +4,16 @@ Replaces a neural vocoder with a fully self-contained pipeline: the log-mel
 is exponentiated, mapped through the pseudo-inverse of the mel filterbank
 (clamped at zero), and phase is estimated by iterative STFT projections.
 
-`griffin_lim` runs each iteration as one wavefront pass over frame blocks
-of GL_BLOCK frames, `signal_core._wola_pass`, the same pass `istft` makes.
-The pass inverse-FFTs a block's spectrum rows, windows them and
-overlap-adds them into the (T + k - 1, hop) signal blocks, k =
-ceil(fft_size / hop). A signal block that has all its frames is divided by
-the compact normaliser and has its share of the two half-frame margins
-zeroed, so it holds the zero-padded signal `stft(..., pad_mode="constant")`
-would frame. Each frame whose k signal blocks are final is then windowed
-and FFT'd back into its spectrum rows, and `_project` gives those rows the
-target magnitude in place, while the pass moves on. Only the spectrum and the
-signal blocks are whole-utterance arrays; the frames and the buffers of
-`_project` hold one block, so a pass stays in cache. The start spectrum is
-built block by block from one seeded phase stream, which draws the same
-numbers as one whole (T, n_bins) draw. The output equals alternating
-`istft` and `stft` calls bit for bit.
+`griffin_lim` iterates from signal to signal (Griffin & Lim, 1984): an
+iteration needs only the previous signal. Two (T + k - 1, hop) signal-block
+buffers, k = ceil(fft_size / hop), take turns as source and target of
+`signal_core._wola_pass`, the overlap-add pass of `istft`. For each frame
+block it windows and FFTs the source frames, gives them the target
+magnitude (`_project`) and overlap-adds their windowed inverse FFT into the
+target. The start signal is the same pass over random-phase rows, drawn
+block by block from one seeded stream. Only the two buffers grow with T; no
+(T, n_bins) spectrum exists. The output equals alternating `istft` and
+`stft` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from .signal_core import (
     MelConfig,
     MelSpectrogram,
     Waveform,
-    GL_BLOCK,
     _frame_view,
     _wola_buffers,
     _wola_pass,
@@ -49,7 +43,9 @@ from .signal_core import (
 
 @lru_cache(maxsize=8)
 def _mel_pinv(cfg: MelConfig) -> np.ndarray:
-    return np.linalg.pinv(mel_filterbank(cfg))
+    pinv = np.linalg.pinv(mel_filterbank(cfg))
+    pinv.flags.writeable = False  # every caller shares the cached array
+    return pinv
 
 
 def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
@@ -84,23 +80,28 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
         raise ConfigMismatch(f"magnitude shape {mag.shape} does not match {cfg.n_bins} bins")
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
-    rng = np.random.default_rng(seed)
     n_frames = mag.shape[0]
-    spec = np.empty(mag.shape, dtype=complex)
-    for lo in range(0, n_frames, GL_BLOCK):
-        rows = spec[lo:lo + GL_BLOCK]
+    frames, blocks, divisor = _wola_buffers(cfg, n_frames)
+    spec = np.empty((len(frames), cfg.n_bins), dtype=complex)
+    amp = np.empty(spec.shape)
+    zero = np.empty(spec.shape, dtype=bool)
+    rng = np.random.default_rng(seed)
+
+    def random_phase(lo: int, hi: int) -> np.ndarray:
+        rows = spec[:hi - lo]
         np.multiply(1j, rng.uniform(0.0, 2.0 * np.pi, rows.shape), out=rows)
         np.exp(rows, out=rows)
-        rows *= mag[lo:lo + GL_BLOCK]
-    frames, blocks, divisor = _wola_buffers(cfg, n_frames)
-    amp = np.empty((len(frames), cfg.n_bins))
-    zero = np.empty(amp.shape, dtype=bool)
-    view = _frame_view(blocks.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
+        rows *= mag[lo:hi]
+        return rows
 
-    def analyse(lo: int, hi: int) -> None:
-        rows = _windowed_rfft(view[lo:hi], cfg, frames[:hi - lo], spec[lo:hi])
-        _project(rows, mag[lo:hi], amp[:hi - lo], zero[:hi - lo])
+    def projected(lo: int, hi: int) -> np.ndarray:
+        rows = _windowed_rfft(source[lo:hi], cfg, frames[:hi - lo], spec[:hi - lo])
+        return _project(rows, mag[lo:hi], amp[:hi - lo], zero[:hi - lo])
 
+    signal = _wola_pass(random_phase, n_frames, cfg, frames, blocks, divisor)
+    previous = np.empty_like(blocks)
     for _ in range(n_iters):
-        _wola_pass(spec, cfg, frames, blocks, divisor, analyse)
-    return Waveform(_wola_pass(spec, cfg, frames, blocks, divisor), cfg.sample_rate)
+        blocks, previous = previous, blocks
+        source = _frame_view(previous.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
+        signal = _wola_pass(projected, n_frames, cfg, frames, blocks, divisor)
+    return Waveform(signal, cfg.sample_rate)

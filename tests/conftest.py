@@ -7,11 +7,22 @@ from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, CondParams, ModelDi
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
-from prosovc.signal_core import MelConfig, Waveform, frame_signal
+from prosovc.signal_core import FRAME_BLOCK, MelConfig, Waveform, frame_signal
 from prosovc.synth import toy_utterance, write_alignment
 from prosovc.vocoder import _project
 
 SR = 22050
+
+# frame counts that fill one block, or cross one or two block edges
+BLOCK_EDGE_FRAMES = [1, 2, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 5]
+# a hop above fft_size / 2, so that reflect-padded framing takes inputs of 1 and 2 frames
+WIDE_HOP = MelConfig(hop=640)
+
+
+def wide_hop_noise(n_frames: int) -> Waveform:
+    """Noise of n_frames WIDE_HOP frames."""
+    rng = np.random.default_rng(n_frames)
+    return Waveform(0.3 * rng.standard_normal((n_frames - 1) * WIDE_HOP.hop + 600), WIDE_HOP.sample_rate)
 
 
 @pytest.fixture(scope="session")

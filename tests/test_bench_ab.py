@@ -97,3 +97,31 @@ def test_malloc_env_keeps_only_malloc_variables(bench_ab):
     assert list(bench_ab.malloc_env(environ).items()) == [("MALLOC_ARENA_MAX", "2"),
                                                           ("MALLOC_MMAP_THRESHOLD_", "131072")]
     assert bench_ab.malloc_env({"PATH": "/usr/bin"}) == {}
+
+
+def test_tree_hash_covers_edits_and_untracked_files_but_not_ignored_ones(bench_ab, tmp_path):
+    def git(*args):
+        return bench_ab.git("-c", "user.name=t", "-c", "user.email=t@example.com", *args, cwd=tmp_path)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "--all")
+    git("commit", "-q", "-m", "start")
+    assert bench_ab.tree_hash(tmp_path) == git("rev-parse", "HEAD^{tree}")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run.log").write_text("ignored\n")
+    assert bench_ab.tree_hash(tmp_path) == git("rev-parse", "HEAD^{tree}")
+
+    (tmp_path / "a.py").write_text("x = 2\n")
+    edited = bench_ab.tree_hash(tmp_path)
+    assert edited != git("rev-parse", "HEAD^{tree}")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_text("y = 1\n")
+    untracked = bench_ab.tree_hash(tmp_path)
+    assert untracked not in (edited, git("rev-parse", "HEAD^{tree}"))
+    # the real index is untouched: b.py is still untracked
+    assert git("status", "--porcelain") == "?? b.py"
+    git("add", "--all")
+    git("commit", "-q", "-m", "add b")
+    assert git("rev-parse", "HEAD^{tree}") == untracked

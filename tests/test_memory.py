@@ -9,8 +9,9 @@ import tracemalloc
 
 import numpy as np
 
-from prosovc.prosody import extract_f0
-from prosovc.signal_core import MelSpectrogram
+from prosovc.pipeline import convert
+from prosovc.prosody import extract_f0, extract_prosody
+from prosovc.signal_core import MelSpectrogram, mel_spectrogram
 from prosovc.synth import toy_utterance
 from prosovc.vocoder import griffin_lim, mel_to_linear
 
@@ -33,15 +34,36 @@ def traced_peak(fn, *args):
 def test_extract_f0_peak_on_20s(mel_cfg):
     wave, _ = toy_utterance(seed=3, duration=20.0)
     assert mel_cfg.frame_count(len(wave)) == N_FRAMES
-    # whole-utterance (1723, 2048) FFT arrays would take 86 MiB
-    assert traced_peak(extract_f0, wave, mel_cfg) < 30 * MIB
+    # measured 6.8 MiB, most of it the padded signal; 256-frame FFT batches took
+    # 16.6 MiB, and whole-utterance (1723, 2048) FFT arrays would take 86 MiB
+    assert traced_peak(extract_f0, wave, mel_cfg) < 7.1 * MIB
+
+
+def test_extract_prosody_peak_on_20s(mel_cfg):
+    wave, _ = toy_utterance(seed=3, duration=20.0)
+    # measured 6.8 MiB; the whole-utterance frames**2 of log energy took 16.9 MiB
+    assert traced_peak(extract_prosody, wave, mel_cfg) < 7.1 * MIB
+
+
+def test_mel_spectrogram_peak_on_20s(mel_cfg):
+    wave, _ = toy_utterance(seed=3, duration=20.0)
+    # measured 13.7 MiB: the (1723, 513) power (6.7 MiB), the padded signal (3.4 MiB)
+    # and one block of frames; whole-utterance windowed frames and stft took 30.3 MiB
+    assert traced_peak(mel_spectrogram, wave, mel_cfg) < 14.3 * MIB
 
 
 def test_griffin_lim_peak_on_20s(mel_cfg):
     mag = np.random.default_rng(0).random((N_FRAMES, mel_cfg.n_bins))
-    # measured 18.1 MiB: the spectrum (13.5 MiB), the signal blocks (3.4 MiB) and
-    # one block of frames; whole-utterance frame, amplitude and mask arrays took 41.7 MiB
-    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 19 * MIB
+    # measured 8.6 MiB: two signal-block buffers (3.4 MiB each) and one block of
+    # frames and spectrum rows; a whole (1723, 513) spectrum took 18.1 MiB
+    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 9 * MIB
+
+
+def test_convert_peak_on_20s(trained_bundle):
+    src, src_align = toy_utterance(seed=5, base_f0=150.0, duration=20.0)
+    trg, _ = toy_utterance(seed=6, base_f0=220.0, duration=20.0)
+    # measured 18.8 MiB, set inside mel_spectrogram; 31.4 MiB with whole-utterance analysis
+    assert traced_peak(lambda: convert(src, trg, src_align, trained_bundle, gl_iters=1)) < 19.7 * MIB
 
 
 def test_mel_to_linear_peak_on_20s(mel_cfg):

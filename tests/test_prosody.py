@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from conftest import reference_extract_f0, sawtooth_wave, white_noise
+from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, reference_extract_f0, sawtooth_wave, white_noise, wide_hop_noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosovc.errors import ConfigMismatch, DimMismatch, InsufficientData
 from prosovc.prosody import (
+    ENERGY_FLOOR,
     Codebook,
     F0Config,
     ProsodyTrack,
-    YIN_BLOCK,
     UnitSequence,
     extract_f0,
     extract_log_energy,
@@ -17,7 +17,15 @@ from prosovc.prosody import (
     train_unit_codebook,
     unitize,
 )
-from prosovc.signal_core import MelConfig, MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
+from prosovc.signal_core import (
+    MelConfig,
+    MelSpectrogram,
+    Waveform,
+    frame_blocks,
+    frame_signal,
+    highpass_filter,
+    mel_spectrogram,
+)
 from prosovc.synth import toy_utterance
 from prosovc.transform import conversion_rate
 
@@ -100,7 +108,8 @@ def mixed_wave(n_samples, sample_rate, seed):
 
 
 @pytest.mark.parametrize("config", sorted(YIN_CONFIGS))
-@pytest.mark.parametrize("n_frames", [1, 2, YIN_BLOCK - 1, YIN_BLOCK, YIN_BLOCK + 1, 2 * YIN_BLOCK + 1])
+# 255, 256, 257 and 513 frames split into 4 unequal, 4 equal, 5 unequal and 9 equal blocks
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES + [255, 256, 257, 513])
 @settings(max_examples=3, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=10_000))
 def test_extract_f0_in_blocks_equals_whole_utterance(n_frames, config, seed, offset):
@@ -120,7 +129,7 @@ def test_extract_f0_in_blocks_equals_whole_utterance_20s(mel_cfg):
     wave, _ = toy_utterance(seed=7, base_f0=180.0, duration=20.0)
     f0, voiced = extract_f0(wave, mel_cfg)
     ref_f0, ref_voiced = reference_extract_f0(wave, mel_cfg)
-    assert len(f0) > 6 * YIN_BLOCK
+    assert len(frame_blocks(len(f0))) > 6
     assert voiced.any() and not voiced.all()
     assert np.array_equal(f0, ref_f0)
     assert np.array_equal(voiced, ref_voiced)
@@ -137,6 +146,15 @@ def test_energy_of_unit_frame():
     cfg = MelConfig(sample_rate=8, fft_size=4, hop=4, window=4, n_mels=1, fmin=0.0, fmax=4.0)
     e = extract_log_energy(Waveform(np.ones(4), 8), cfg)
     assert e == pytest.approx(np.log(4.0))
+
+
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES)
+def test_log_energy_in_blocks_equals_whole_utterance(n_frames):
+    wave = wide_hop_noise(n_frames)
+    frames = frame_signal(wave.samples, WIDE_HOP.window, WIDE_HOP.hop, "reflect")
+    whole = np.log(np.maximum(np.sum(frames**2, axis=1), ENERGY_FLOOR))
+    assert len(whole) == n_frames
+    assert np.array_equal(extract_log_energy(wave, WIDE_HOP), whole)
 
 
 def test_energy_homogeneity(mel_cfg):

@@ -5,14 +5,15 @@ import wave as wavemod
 
 import numpy as np
 import pytest
+from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, wide_hop_noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosovc.cli import _load_pair_list, load_modulation_file
-from prosovc.encoders import load_alignment
+from prosovc.encoders import _speaker_projection, load_alignment
 from prosovc.errors import ConfigMismatch, InvalidCutoff, ParseError, TooShort, UnreadableFile, UnsupportedFormat
 from prosovc.signal_core import (
-    GL_BLOCK,
+    FRAME_BLOCK,
     RECURSION_CHUNK,
     MelConfig,
     MelSpectrogram,
@@ -21,13 +22,16 @@ from prosovc.signal_core import (
     _mel_edges,
     _padded_window,
     butterworth_hp_gain,
+    frame_blocks,
     highpass_filter,
     istft,
     load_wav,
+    mel_filterbank,
     mel_spectrogram,
     save_wav,
     stft,
 )
+from prosovc.vocoder import _mel_pinv
 
 SR = 22050
 
@@ -288,6 +292,38 @@ def test_mel_determinism(mel_cfg):
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES)
+def test_mel_in_blocks_equals_whole_stft(n_frames):
+    wave = wide_hop_noise(n_frames)
+    whole = np.abs(stft(wave.samples, WIDE_HOP)) ** 2 @ mel_filterbank(WIDE_HOP).T
+    mel = mel_spectrogram(wave, WIDE_HOP)
+    assert mel.n_frames == n_frames
+    assert np.array_equal(mel.values, np.log(np.maximum(whole, WIDE_HOP.log_floor)))
+
+
+def test_frame_blocks_are_near_equal_and_cover_every_frame():
+    for n_frames in range(5 * FRAME_BLOCK + 2):
+        blocks = frame_blocks(n_frames)
+        assert len(blocks) == -(-n_frames // FRAME_BLOCK)
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n_frames))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert all(0 < size <= FRAME_BLOCK for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert [hi - lo for lo, hi in frame_blocks(130)] == [43, 43, 44]
+
+
+@pytest.mark.parametrize("cached", ["window", "filterbank", "mel_pinv", "speaker_projection"])
+def test_cached_arrays_are_read_only(cached, mel_cfg):
+    get = {"window": lambda: _padded_window(mel_cfg.window, mel_cfg.fft_size),
+           "filterbank": lambda: mel_filterbank(mel_cfg),
+           "mel_pinv": lambda: _mel_pinv(mel_cfg),
+           "speaker_projection": lambda: _speaker_projection(4, 2 * mel_cfg.n_mels)}[cached]
+    before = get().copy()
+    with pytest.raises(ValueError, match="read-only"):
+        get()[...] *= 2.0
+    assert np.array_equal(get(), before)
+
+
 def test_mel_config_validation():
     with pytest.raises(ValueError):
         MelConfig(hop=2048)
@@ -334,8 +370,8 @@ def reference_istft(spec, cfg):
     return out[half:total - half]
 
 
-# the last two cross one and two edges of the GL_BLOCK frame blocks
-@pytest.mark.parametrize("n_frames", [1, 2, 3, 57, GL_BLOCK + 1, 2 * GL_BLOCK + 5])
+# the last two cross one and two edges of the FRAME_BLOCK frame blocks
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 57, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 5])
 @pytest.mark.parametrize("name", sorted(ISTFT_CFGS))
 def test_istft_equals_per_frame_loop(name, n_frames):
     cfg = ISTFT_CFGS[name]
