@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,26 +123,27 @@ def cmd_extract(args) -> int:
         f0_cfg = dataclasses.replace(f0_cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise ParseError(f"F0 flags: {exc}") from exc
+    # every output is computed before the first file is written, so a failure writes none
     mel, track = extract_features(wave, mel_cfg, f0_cfg)
+    spk = speaker_embedding(mel, speaker_dim)
+    prior = average_mel_target(mel, align) if align is not None else None
+    if codebook is None:
+        try:
+            codebook = train_unit_codebook([mel], min(args.kmeans_k, mel.n_frames), args.seed)
+        except InsufficientData as exc:
+            print(f"note: skipping unit sequence ({exc})", file=sys.stderr)
+    units = unitize(mel, codebook) if codebook is not None else None
+
     try:
         prefix.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UnwritableFile(f"{prefix.parent}: {exc}") from exc
     write_ftb_matrix(f"{prefix}.mel.ftb", mel.values)
     write_ftb_prosody(f"{prefix}.prosody.ftb", track)
-    write_ftb_vector(f"{prefix}.spk.ftb", speaker_embedding(mel, speaker_dim))
-
-    if codebook is None:
-        try:
-            codebook = train_unit_codebook([mel], min(args.kmeans_k, mel.n_frames), args.seed)
-        except InsufficientData as exc:
-            print(f"note: skipping unit sequence ({exc})", file=sys.stderr)
-    if codebook is not None:
-        units = unitize(mel, codebook)
+    write_ftb_vector(f"{prefix}.spk.ftb", spk)
+    if units is not None:
         write_ftb_matrix(f"{prefix}.units.ftb", np.array(units.pairs, dtype=np.float64))
-
-    if align is not None:
-        prior = average_mel_target(mel, align)
+    if prior is not None:
         write_ftb_matrix(f"{prefix}.prior.ftb", prior.values)
     return 0
 
@@ -169,6 +171,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise ParseError(f"--lr must be finite and > 0, got {args.lr}")
     items = _load_corpus(Path(args.corpus))
     bundle, losses = train_toy(items, epochs=args.epochs, seed=args.seed, lr=args.lr,
                                kmeans_k=args.kmeans_k, log=lambda msg: print(msg))

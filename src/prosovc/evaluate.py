@@ -1,8 +1,9 @@
 """Objective metrics and the prosody-modulation sweep harness.
 
-The sweep analyses each source/target pair once, synthesizes it across a
-grid of octave shifts (or speaking-rate ratios), re-extracts prosody from
-the generated audio, and returns one row per level, which write_sweep_csv
+The sweep analyses each source/target pair once and plans it once with
+every level (pipeline.plan_synthesis), synthesizes it across a grid of
+octave shifts (or speaking-rate ratios), re-extracts prosody from the
+generated audio, and returns one row per level, which write_sweep_csv
 writes as CSV. A rate level acts only after decoding, so a rate sweep
 decodes each pair once.
 """
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatch
 # convert stays importable here: the traced benchmark replaces evaluate.convert.
-from .pipeline import ModelBundle, convert, decode, extract_features, render
+from .pipeline import ModelBundle, convert, decode, extract_features, plan_synthesis, render
 from .prosody import ProsodyTrack
 from .signal_core import MelSpectrogram, open_file
-from .transform import ModulationSpec, f0_mean_transfer, modulate, voiced_mean
+from .transform import ConversionRate, ModulationSpec, voiced_mean
 
 F0_SWEEP_LEVELS = (-0.50, -0.25, 0.0, 0.25, 0.50)
 RATE_SWEEP_LEVELS = (0.66, 0.75, 1.0, 1.20, 1.33)
@@ -65,51 +66,47 @@ def sweep_plan(mode: str = "f0", levels=None) -> list[tuple[float, ModulationSpe
 
 def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", seed: int = 0,
                      gl_iters: int = DEFAULT_SWEEP_GL_ITERS) -> list[dict]:
-    """Analyse each pair once, then synthesize once per level; one averaged row per level.
+    """Analyse and plan each pair once, then synthesize once per level; one averaged row per level.
 
-    A synthesis is pipeline.decode then pipeline.render; a rate sweep
-    decodes each pair once and renders that decode at every level.
+    A synthesis is pipeline.decode then pipeline.render; a rate level acts
+    only in render, so a rate sweep decodes each pair once and renders that
+    decode at every level.
 
     pairs: non-empty list of (src Waveform, src Alignment, trg Waveform).
     mode "f0" sweeps octave shifts on top of the global mean transfer;
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
     be measured on a given output (no voiced frames) are recorded as NaN.
-    Every argument is checked before any analysis, and every level's
-    modulation of every pair before any synthesis.
+    Every argument is checked before any analysis, and every pair is
+    planned with every level's modulation before any synthesis.
     """
-    plan = sweep_plan(mode, levels)
+    grid = sweep_plan(mode, levels)
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     if not pairs:
         raise ValueError("no pairs to sweep")
-    features = [(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
-                 extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align)
-                for src, src_align, trg in pairs]
-    # a level whose shift leaves float range depends on the source F0, so every
-    # (pair, level) is modulated, as decode will, before the first decode
-    for (_, track_src), (_, track_trg), _ in features:
-        transferred = f0_mean_transfer(track_src, voiced_mean(track_trg))
-        for _, mod in plan:
-            modulate(transferred, mod)
-    # a rate level acts only after decoding, so rate mode decodes each pair once
-    shared = [decode(*f, bundle, ModulationSpec(), seed=seed) for f in features] if mode == "rate" else None
+    mods = [mod for _, mod in grid]
+    plans = [plan_synthesis(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
+                            extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align, bundle, mods)
+             for src, src_align, trg in pairs]
+    # every rate level requests the same track, so rate mode decodes each pair once
+    shared = [decode(plan, plan.requested[0], bundle, seed=seed) for plan in plans] if mode == "rate" else None
     rows = []
-    for level, mod in plan:
+    for i, (level, mod) in enumerate(grid):
         cols = []
-        for k, pair_features in enumerate(features):
-            decoded = shared[k] if shared else decode(*pair_features, bundle, mod, seed=seed)
-            result = render(decoded, bundle, mod.rate_multiplier, rate_control=mode == "rate",
-                            seed=seed, gl_iters=gl_iters)
+        for k, plan in enumerate(plans):
+            requested = plan.requested[i]
+            mel = shared[k] if shared else decode(plan, requested, bundle, seed=seed)
+            rate = None if mod.rate_multiplier is None else ConversionRate(mod.rate_multiplier)
+            wave, mel_out = render(mel, rate, bundle, seed=seed, gl_iters=gl_iters)
             if mode == "f0":
-                cols.append(_f0_row(result, bundle))
+                cols.append(_f0_row(wave, requested, mel_out.n_frames, bundle))
             else:
-                requested = result.report["applied_rate"]
-                achieved = result.report["source_frames"] / result.report["out_frames"]
+                achieved = plan.report["source_frames"] / mel_out.n_frames
                 cols.append({
-                    "requested_rate": requested,
+                    "requested_rate": rate.clamped,
                     "achieved_ratio": achieved,
-                    "sr_error": sr_ratio_error(requested, achieved),
-                    "out_frames": result.report["out_frames"],
+                    "sr_error": sr_ratio_error(rate.clamped, achieved),
+                    "out_frames": mel_out.n_frames,
                 })
         row = {"level": level}
         for key in cols[0]:
@@ -118,12 +115,11 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
     return rows
 
 
-def _f0_row(result, bundle: ModelBundle) -> dict:
-    requested = result.conditioning_track
+def _f0_row(wave, requested: ProsodyTrack, out_frames: int, bundle: ModelBundle) -> dict:
     achieved_mean = math.nan
     rmse = math.nan
     try:
-        _, extracted = extract_features(result.wave, bundle.mel_cfg, bundle.f0_cfg)
+        _, extracted = extract_features(wave, bundle.mel_cfg, bundle.f0_cfg)
         achieved_mean = voiced_mean(extracted)
         rmse = f0_rmse(requested, extracted)
     except (NoVoicedFrames, NoCommonVoiced, LengthMismatch):
@@ -132,7 +128,7 @@ def _f0_row(result, bundle: ModelBundle) -> dict:
         "requested_mean_hz": voiced_mean(requested),
         "achieved_mean_hz": achieved_mean,
         "f0_rmse_hz": rmse,
-        "out_frames": result.report["out_frames"],
+        "out_frames": out_frames,
     }
 
 

@@ -1,13 +1,14 @@
 """End-to-end orchestration: feature extraction, conversion, and toy training.
 
 The inference path mirrors the intended flow. extract_features analyses
-source and target (mel, prosody). Synthesis is two halves: decode
-transfers the source F0 mean onto the target's, computes the unit-duration
-conversion rate, applies user modulation, conditions the diffusion decoder
-and samples 30 steps from the average-mel prior; render optionally
-re-samples in time and vocodes. convert is analysis, decode and render in
-sequence; the sweep reuses one analysis for many syntheses, and in rate
-mode one decode for every level.
+source and target (mel, prosody). plan_synthesis forms all a pair fixes:
+it transfers the source F0 mean onto the target's, computes the
+unit-duration conversion rate, applies each requested modulation, and
+takes the speaker vector and the average-mel prior. decode conditions the
+diffusion decoder on one requested track and samples 30 steps from the
+prior; render optionally re-samples in time and vocodes. convert is
+analysis, plan, decode and render in sequence; the sweep plans each pair
+once for all its levels, and in rate mode decodes each pair once.
 """
 
 from __future__ import annotations
@@ -157,6 +158,18 @@ class ConvertResult:
     report: dict
 
 
+@dataclass
+class SynthesisPlan:
+    """What a source/target pair fixes: one requested track per ModulationSpec,
+    the unit conversion rate, speaker vector, prior and the report fields they set."""
+
+    requested: list[ProsodyTrack]
+    rate: ConversionRate
+    speaker: np.ndarray
+    prior: MelSpectrogram
+    report: dict
+
+
 def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
     """(mel, prosody track) with the prosody taken from the high-passed signal."""
     mel = mel_spectrogram(wave, mel_cfg)
@@ -168,91 +181,77 @@ def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
 def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBundle,
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
             seed: int = 0, gl_iters: int = DEFAULT_GL_ITERS) -> ConvertResult:
-    """Full inference path: analysis of both waves, decode, then render."""
+    """Full inference path: analysis of both waves, plan, decode, then render.
+    A given mod.rate_multiplier wins over rate_control's unit conversion rate."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
-    src_features = extract_features(src, bundle.mel_cfg, bundle.f0_cfg)
-    trg_features = extract_features(trg, bundle.mel_cfg, bundle.f0_cfg)
-    decoded = decode(src_features, trg_features, src_align, bundle, mod, seed=seed)
-    result = render(decoded, bundle, mod.rate_multiplier, rate_control=rate_control, seed=seed,
-                    gl_iters=gl_iters)
-    result.report["elapsed_ms"] = (time.perf_counter() - started) * 1e3
-    return result
-
-
-def decode(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
-           mod: ModulationSpec, *, seed: int):
-    """The first half of synthesis: from two extract_features results to the
-    decoded, clipped mel.
-
-    Returns (mel, requested prosody track, unit conversion rate, report so
-    far). mod.rate_multiplier plays no part here; it acts in render.
-    """
-    mel_src, track_src = src_features
-    mel_trg, track_trg = trg_features
-
-    mu_src = voiced_mean(track_src)
-    mu_trg = voiced_mean(track_trg)
-    transferred = f0_mean_transfer(track_src, mu_trg)
-
-    rc = conversion_rate(unitize(mel_src, bundle.codebook), unitize(mel_trg, bundle.codebook))
-
-    requested = modulate(transferred, mod)
-    spk = speaker_embedding(mel_trg, bundle.dims.speaker_dim)
-    prior = average_mel_target(mel_src, src_align)
-
-    params = bundle.params
-
-    def denoise(x_t, t):
-        style = build_style(spk, t, params.cond)
-        cond = build_condition(requested, style, params.cond)
-        return predict_noise(x_t, cond, params)
-
-    rng = np.random.default_rng(seed)
-    sampled = reverse_sample(prior.values, denoise, bundle.sched, rng)
-    mel_out = MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
-                             bundle.mel_cfg)
+    plan = plan_synthesis(extract_features(src, bundle.mel_cfg, bundle.f0_cfg),
+                          extract_features(trg, bundle.mel_cfg, bundle.f0_cfg),
+                          src_align, bundle, [mod])
+    requested = plan.requested[0]
+    decoded = decode(plan, requested, bundle, seed=seed)
+    rate = plan.rate if rate_control else None
+    if mod.rate_multiplier is not None:
+        rate = ConversionRate(mod.rate_multiplier)
+    wave_out, mel_out = render(decoded, rate, bundle, seed=seed, gl_iters=gl_iters)
     report = {
-        "source_frames": mel_src.n_frames,
-        "mu_src_hz": mu_src,
-        "mu_trg_hz": mu_trg,
-        "rc_raw": rc.raw,
-        "rc_clamped": rc.clamped,
+        **plan.report,
         "octave_shift": mod.octave_shift,
         "semitone_shift": mod.semitone_shift,
         "energy_gain": mod.energy_gain,
         "frame_curve": mod.frame_f0_delta is not None,
-    }
-    return mel_out, requested, rc, report
-
-
-def render(decoded, bundle: ModelBundle, rate_multiplier: float | None, *, rate_control: bool,
-           seed: int, gl_iters: int) -> ConvertResult:
-    """The second half of synthesis: rate control and vocoding of a decode result.
-
-    A given rate_multiplier wins over rate_control's unit conversion rate.
-    """
-    mel_out, requested, rc, report = decoded
-    applied_rate = None
-    if rate_multiplier is not None:
-        applied_rate = ConversionRate(rate_multiplier)
-    elif rate_control:
-        applied_rate = rc
-    if applied_rate is not None:
-        mel_out = resample_mel(mel_out, applied_rate)
-
-    wave_out = griffin_lim(mel_to_linear(mel_out), bundle.mel_cfg, gl_iters, seed)
-
-    report = {
-        **report,
-        "rate_control": applied_rate is not None,
-        "applied_rate": applied_rate.clamped if applied_rate is not None else 1.0,
+        "rate_control": rate is not None,
+        "applied_rate": rate.clamped if rate is not None else 1.0,
         "requested_mean_hz": voiced_mean(requested),
         "out_frames": mel_out.n_frames,
         "out_samples": len(wave_out),
+        "elapsed_ms": (time.perf_counter() - started) * 1e3,
     }
     return ConvertResult(wave_out, mel_out, requested, report)
+
+
+def plan_synthesis(src_features, trg_features, src_align: Alignment, bundle: ModelBundle,
+                   mods: list[ModulationSpec]) -> SynthesisPlan:
+    """The plan of one pair: the source F0 mean moves onto the target's, then each
+    spec modulates that track; mod.rate_multiplier plays no part here."""
+    mel_src, track_src = src_features
+    mel_trg, track_trg = trg_features
+    mu_src = voiced_mean(track_src)
+    mu_trg = voiced_mean(track_trg)
+    transferred = f0_mean_transfer(track_src, mu_trg)
+    rc = conversion_rate(unitize(mel_src, bundle.codebook), unitize(mel_trg, bundle.codebook))
+    requested = [modulate(transferred, mod) for mod in mods]
+    spk = speaker_embedding(mel_trg, bundle.dims.speaker_dim)
+    prior = average_mel_target(mel_src, src_align)
+    report = {"source_frames": mel_src.n_frames, "mu_src_hz": mu_src, "mu_trg_hz": mu_trg,
+              "rc_raw": rc.raw, "rc_clamped": rc.clamped}
+    return SynthesisPlan(requested, rc, spk, prior, report)
+
+
+def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle, *,
+           seed: int) -> MelSpectrogram:
+    """Sample the diffusion decoder from the plan's prior, conditioned on
+    requested and the plan's speaker, and clip the mel to the vocodable range."""
+    params = bundle.params
+
+    def denoise(x_t, t):
+        style = build_style(plan.speaker, t, params.cond)
+        cond = build_condition(requested, style, params.cond)
+        return predict_noise(x_t, cond, params)
+
+    rng = np.random.default_rng(seed)
+    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched, rng)
+    return MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
+                          bundle.mel_cfg)
+
+
+def render(mel: MelSpectrogram, rate: ConversionRate | None, bundle: ModelBundle, *,
+           seed: int, gl_iters: int) -> tuple[Waveform, MelSpectrogram]:
+    """(wave, vocoded mel): mel re-sampled in time by rate unless it is None, then vocoded."""
+    if rate is not None:
+        mel = resample_mel(mel, rate)
+    return griffin_lim(mel_to_linear(mel), bundle.mel_cfg, gl_iters, seed), mel
 
 
 # -- toy training ---------------------------------------------------------------------

@@ -87,6 +87,17 @@ def test_extract_bad_f0_flags_exit_2(tmp_path, capsys, monkeypatch, flags):
     assert [p.name for p in tmp_path.iterdir()] == ["tone.wav"]
 
 
+def test_extract_segment_beyond_the_audio_writes_nothing(tmp_path, capsys):
+    # the prior fails last among the outputs; no feature file may be left behind
+    wave, _ = toy_utterance(seed=0, duration=1.0)
+    save_wav(wave, tmp_path / "u.wav")
+    (tmp_path / "bad.tsv").write_text("a\t0.0\t0.5\nb\t0.5\t5.0\n")
+    rc = main(["extract", "--in", str(tmp_path / "u.wav"), "--out", str(tmp_path / "out" / "feat"),
+               "--alignment", str(tmp_path / "bad.tsv")])
+    assert_one_error_line(capsys, rc, "OutOfRange", 7)
+    assert not list(tmp_path.rglob("feat.*"))
+
+
 def test_extract_missing_file_exit_2(tmp_path):
     proc = subprocess.run(CLI + ["extract", "--in", str(tmp_path / "nope.wav"),
                                  "--out", str(tmp_path / "x")],
@@ -421,6 +432,18 @@ def test_train_toy_non_finite_loss_is_one_line(demo_corpus, tmp_path, lr):
     # the weights leave the float32 range a step before the loss could overflow
     assert re.fullmatch(r"NonFiniteLoss: parameter (dec|cond)\.\w+ left the float32 range "
                         r"at epoch [12]/2, step [1-4]/4\n", proc.stderr), proc.stderr
+    assert not ckpt.exists()
+
+@pytest.mark.parametrize("corpus", ["demo", "missing"])
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+def test_train_toy_bad_lr_exit_2(demo_corpus, tmp_path, capsys, lr, corpus):
+    # checked before the corpus is read, so a missing corpus gives the same line
+    root = demo_corpus[0] if corpus == "demo" else tmp_path / "missing"
+    ckpt = tmp_path / "c.pfck"
+    rc = main(["train-toy", "--corpus", str(root), "--epochs", "1", "--seed", "0",
+               "--lr", lr, "--ckpt", str(ckpt)])
+    err = assert_one_error_line(capsys, rc, "ParseError", 2)
+    assert err == f"ParseError: --lr must be finite and > 0, got {float(lr)}\n"
     assert not ckpt.exists()
 
 # -- sweep ------------------------------------------------------------------------

@@ -232,9 +232,9 @@ def test_sweep_rows_equal_per_level_convert_rows(trained_bundle, two_pairs, monk
     waves = []
 
     def recorded(*args, **kwargs):
-        result = pipeline.render(*args, **kwargs)
-        waves.append(result.wave.samples)
-        return result
+        wave, mel = pipeline.render(*args, **kwargs)
+        waves.append(wave.samples)
+        return wave, mel
 
     monkeypatch.setattr(evaluate, "render", recorded)
     knob, levels = SWEEP_MODES[mode]
@@ -247,7 +247,8 @@ def test_sweep_rows_equal_per_level_convert_rows(trained_bundle, two_pairs, monk
                                       rate_control=mode == "rate", seed=2, gl_iters=2)
             np.testing.assert_array_equal(next(swept), result.wave.samples)
             if mode == "f0":
-                cols.append(evaluate._f0_row(result, trained_bundle))
+                cols.append(evaluate._f0_row(result.wave, result.conditioning_track,
+                                             result.report["out_frames"], trained_bundle))
             else:
                 requested = result.report["applied_rate"]
                 achieved = result.report["source_frames"] / result.report["out_frames"]
@@ -262,20 +263,31 @@ def test_sweep_rows_equal_per_level_convert_rows(trained_bundle, two_pairs, monk
 
 @pytest.mark.parametrize("mode", ["f0", "rate"])
 def test_sweep_analyses_each_pair_once(trained_bundle, two_pairs, monkeypatch, mode):
-    calls = []
-    real = pipeline.extract_prosody
+    calls = {}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counter(name):
+        real = getattr(pipeline, name)
 
-    monkeypatch.setattr(pipeline, "extract_prosody", counted)
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return counted
+
+    names = ("extract_prosody", "unitize", "speaker_embedding", "average_mel_target", "modulate")
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counter(name))
     _, levels = SWEEP_MODES[mode]
     modulation_sweep(two_pairs, trained_bundle, levels=levels, mode=mode, gl_iters=0)
     n_pairs, n_levels = len(two_pairs), len(levels)
     # f0 rows re-extract prosody from each output to measure the achieved F0
-    expected = 2 * n_pairs + (n_pairs * n_levels if mode == "f0" else 0)
-    assert len(calls) == expected
+    expected = {
+        "extract_prosody": 2 * n_pairs + (n_pairs * n_levels if mode == "f0" else 0),
+        "unitize": 2 * n_pairs,
+        "speaker_embedding": n_pairs,
+        "average_mel_target": n_pairs,
+        "modulate": n_pairs * n_levels,
+    }
+    assert {name: calls.get(name, 0) for name in names} == expected
 
 
 @pytest.mark.parametrize("mode", ["f0", "rate"])
