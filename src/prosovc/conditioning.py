@@ -14,6 +14,9 @@ this and forms no merge1 input gradient: a tap's style weight gradient is
 the outer product of its frame-summed upstream gradient with the style
 vector, and the style gradient sums each tap's weights times that sum.
 Both equal the convolution over the broadcast input up to rounding.
+
+The forward pass computes in the dtype of the weights it is given:
+float64 in training, float32 when the pipeline decodes.
 """
 
 from __future__ import annotations
@@ -99,20 +102,20 @@ def step_embedding(t: float, dim: int) -> np.ndarray:
 
 def build_style(speaker: np.ndarray, t: float, params: CondParams,
                 cache: dict | None = None) -> np.ndarray:
-    """tanh(affine(concat(speaker, step_embedding(t)))); a given cache receives s_in and style."""
-    speaker = np.asarray(speaker, dtype=np.float64)
+    """tanh(affine(concat(speaker, step_embedding(t)))) in the dtype of params.style_w;
+    a given cache receives s_in and style."""
     t_dim = params.style_w.shape[1] - len(speaker)
     if t_dim < 2:
         raise DimMismatch(f"speaker dim {len(speaker)} incompatible with style projection")
-    s_in = np.concatenate([speaker, step_embedding(t, t_dim)])
+    s_in = np.concatenate([speaker, step_embedding(t, t_dim)], dtype=params.style_w.dtype)
     style = np.tanh(affine(params.style_w, params.style_b, s_in))
     if cache is not None:
         cache.update(s_in=s_in, style=style)
     return style
 
 
-def _prosody_rows(track: ProsodyTrack) -> np.ndarray:
-    x = np.empty((2, track.n_frames))
+def _prosody_rows(track: ProsodyTrack, dtype) -> np.ndarray:
+    x = np.empty((2, track.n_frames), dtype=dtype)
     x[0] = track.log_f0
     x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
     return x
@@ -132,7 +135,7 @@ def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams,
     """
     if len(style) != params.merge1_w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
-    prosody = _prosody_rows(track)
+    prosody = _prosody_rows(track, params.merge1_w.dtype)
     pre1 = conv1d(params.merge1_w[:, :2], params.merge1_b, prosody)
     k = params.merge1_w.shape[2]
     for j in range(k):

@@ -5,6 +5,12 @@ gradients, and grid-based reverse sampling.
 The continuous-time schedule uses a linear beta(t); its integral has the
 closed form t*beta_min + t^2*(beta_max - beta_min)/2, giving
 alpha(t) = exp(-integral/2) exactly.
+
+The noise predictor computes in the dtype of the weights it is given.
+Training, eval_loss and gradient_check pass float64 parameters; the
+pipeline's decoder passes float32 copies. reverse_sample keeps its state
+and its noise draws in float64 either way, promoting each float32 noise
+estimate in its update.
 """
 
 from __future__ import annotations
@@ -121,12 +127,13 @@ def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray
 
 def _decoder_input(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams) -> np.ndarray:
     xn = (x_t - params.input_shift) / params.input_scale
-    return np.concatenate([xn.T, condition.T], axis=0)
+    return np.concatenate([xn.T, condition.T], axis=0, dtype=params.w1.dtype)
 
 
 def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
                   cache: dict | None = None) -> np.ndarray:
-    """Estimated noise, same shape as x_t (T, n_mels); a given cache receives the layer intermediates."""
+    """Estimated noise, same shape as x_t (T, n_mels), in the dtype of params.w1;
+    a given cache receives the layer intermediates."""
     if x_t.shape != condition.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} != condition {condition.shape}")
     d_in = _decoder_input(x_t, condition, params)

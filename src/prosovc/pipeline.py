@@ -9,10 +9,16 @@ diffusion decoder on one requested track and samples 30 steps from the
 prior; render optionally re-samples in time and vocodes. convert is
 analysis, plan, decode and render in sequence; the sweep plans each pair
 once for all its levels, and in rate mode decodes each pair once.
+
+decode runs the decoder network (style, condition and noise predictor) in
+float32 on float32 copies of the bundle's weights; the sampler's state,
+its noise draws and the decoded mel stay float64. Training and the
+checkpoint keep float64 parameters.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -232,13 +238,18 @@ def plan_synthesis(src_features, trg_features, src_align: Alignment, bundle: Mod
 def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle, *,
            seed: int) -> MelSpectrogram:
     """Sample the diffusion decoder from the plan's prior, conditioned on
-    requested and the plan's speaker, and clip the mel to the vocodable range."""
-    params = bundle.params
+    requested and the plan's speaker, and clip the mel to the vocodable range.
+
+    The network runs in float32, on float32 copies of the weights and of
+    each state; the sampler keeps its state and its noise draws in float64."""
+    trained = bundle.params
+    weights = {name: arr.astype(np.float32) for name, arr in named_parameters(trained).items()}
+    params = params_from_named(weights, trained.dims, trained.input_shift, trained.input_scale)
 
     def denoise(x_t, t):
         style = build_style(plan.speaker, t, params.cond)
         cond = build_condition(requested, style, params.cond)
-        return predict_noise(x_t, cond, params)
+        return predict_noise(x_t.astype(np.float32), cond, params)
 
     rng = np.random.default_rng(seed)
     sampled = reverse_sample(plan.prior.values, denoise, bundle.sched, rng)
@@ -273,6 +284,8 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     each step comes from a randomly chosen utterance of the same speaker,
     the decoder input normalization from corpus mel statistics.
     """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     if not items:
         raise InsufficientData("corpus is empty")
     if epochs < 1:

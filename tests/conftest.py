@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, CondParams, ModelDims, cond_shapes, he_normal
+from prosovc.diffusion import named_parameters
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
@@ -60,6 +61,19 @@ def silence(duration: float, sample_rate: int = 22050) -> Waveform:
 
 def init_cond_params(dims: ModelDims, rng: np.random.Generator) -> CondParams:
     return CondParams(**he_normal(cond_shapes(dims), rng))
+
+
+def record_network_dtypes(monkeypatch, module) -> set:
+    """Patch module.predict_noise to collect the dtypes of the state, condition and weights it is given."""
+    seen = set()
+    real = module.predict_noise
+
+    def recording(x_t, condition, params, cache=None):
+        seen.update(arr.dtype for arr in (x_t, condition, *named_parameters(params).values()))
+        return real(x_t, condition, params, cache)
+
+    monkeypatch.setattr(module, "predict_noise", recording)
+    return seen
 
 
 def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close_to_oracle, make_track, oracle_build_condition, oracle_cond_backward
+from conftest import (
+    assert_close_to_oracle,
+    make_track,
+    oracle_build_condition,
+    oracle_cond_backward,
+    record_network_dtypes,
+)
 from prosovc import diffusion
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
@@ -338,6 +344,19 @@ def test_gradient_check_tiny_stack(tiny_dims, sched):
     assert n_params <= 2000
     batch = make_batch(rng, tiny_dims, n_frames=6)
     assert gradient_check(params, batch, sched, h=1e-4) < 1e-3
+
+
+def test_training_and_the_gradient_check_run_the_network_in_float64(sched, monkeypatch):
+    seen = record_network_dtypes(monkeypatch, diffusion)
+    dims = ModelDims(n_mels=2, speaker_dim=2, t_embed_dim=2, style_dim=2, cond_hidden=2, dec_hidden=2)
+    rng = np.random.default_rng(8)
+    params = init_decoder_params(dims, rng)
+    batch = make_batch(rng, dims, n_frames=4)
+    train_step(batch, params, 1e-3, rng, sched)
+    assert seen == {np.dtype(np.float64)}
+    seen.clear()
+    gradient_check(params, batch, sched)
+    assert seen == {np.dtype(np.float64)}
 
 
 def oracle_forward_backward(params, batch, x_t, t, eps):

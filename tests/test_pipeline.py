@@ -1,20 +1,27 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from prosovc.conditioning import ModelDims
+from conftest import record_network_dtypes
+from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
     NoiseSchedule,
     init_decoder_params,
     named_parameters,
     param_shapes,
     params_from_named,
+    predict_noise,
+    reverse_sample,
 )
-from prosovc.errors import UnreadableFile
+from prosovc.errors import NonFiniteSample, UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
 from prosovc import pipeline
 from prosovc.pipeline import ModelBundle, load_bundle, save_bundle
 from prosovc.prosody import Codebook, F0Config
 from prosovc.signal_core import MelConfig
+from prosovc.transform import ModulationSpec
 
 # Non-default values that float32 storage represents exactly.
 DIMS = ModelDims(n_mels=40, speaker_dim=6, t_embed_dim=4, style_dim=5, cond_hidden=3, dec_hidden=7)
@@ -132,11 +139,88 @@ def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
         load_bundle(path)
 
 
-def test_convert_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch):
-    def analysis_reached(*args, **kwargs):
-        raise AssertionError("convert analysed its inputs before checking gl_iters")
+def analysis_reached(*args, **kwargs):
+    raise AssertionError("the inputs were analysed before the arguments were checked")
 
+
+def test_convert_rejects_negative_gl_iters_before_any_work(trained_bundle, conversion_pair, monkeypatch):
     monkeypatch.setattr(pipeline, "extract_features", analysis_reached)
     src, src_align, trg = conversion_pair
     with pytest.raises(ValueError, match="gl_iters"):
         pipeline.convert(src, trg, src_align, trained_bundle, gl_iters=-1)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+def test_train_toy_rejects_a_bad_lr_before_any_work(demo_corpus, lr, monkeypatch):
+    monkeypatch.setattr(pipeline, "extract_features", analysis_reached)
+    _, items = demo_corpus
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        pipeline.train_toy(items, epochs=1, seed=0, lr=lr)
+
+
+# -- decoder precision: float32 network at inference, float64 in training -------------
+
+@pytest.fixture(scope="module")
+def conversion_plan(trained_bundle, conversion_pair):
+    src, src_align, trg = conversion_pair
+    src_features, trg_features = (pipeline.extract_features(wave, trained_bundle.mel_cfg, trained_bundle.f0_cfg)
+                                  for wave in (src, trg))
+    return pipeline.plan_synthesis(src_features, trg_features, src_align, trained_bundle, [ModulationSpec()])
+
+
+def float64_decode(plan, bundle, seed):
+    """decode with the network on the bundle's float64 weights: the oracle of the float32 decoder."""
+    params = bundle.params
+
+    def denoise(x_t, t):
+        cond = build_condition(plan.requested[0], build_style(plan.speaker, t, params.cond), params.cond)
+        return predict_noise(x_t, cond, params)
+
+    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched, np.random.default_rng(seed))
+    return np.clip(sampled, np.log(bundle.mel_cfg.log_floor), pipeline.MEL_LOG_CEIL)
+
+
+def test_decode_runs_the_network_in_float32_and_training_keeps_float64(trained_bundle, conversion_plan,
+                                                                       monkeypatch):
+    seen = record_network_dtypes(monkeypatch, pipeline)
+    mel = pipeline.decode(conversion_plan, conversion_plan.requested[0], trained_bundle, seed=0)
+    assert seen == {np.dtype(np.float32)}
+    assert mel.values.dtype == np.float64
+    assert {arr.dtype for arr in named_parameters(trained_bundle.params).values()} == {np.dtype(np.float64)}
+
+
+def test_float32_decode_stays_near_the_float64_oracle(trained_bundle, conversion_plan):
+    decoded = pipeline.decode(conversion_plan, conversion_plan.requested[0], trained_bundle, seed=0)
+    drift = np.abs(decoded.values - float64_decode(conversion_plan, trained_bundle, seed=0)).max()
+    # measured 9.4e-4 at these 173 frames (3-epoch toy bundle)
+    assert 0 < drift < 2e-3
+
+
+def test_a_float32_only_overflow_ends_as_non_finite_sample_at_its_step(trained_bundle, conversion_plan,
+                                                                      tmp_path, monkeypatch):
+    # relu is positively homogeneous, so w2 and b2 scaled up by 1e38 and w3 down by as much leave the
+    # exact network unchanged; float32 overflows in layer 2, float64 does not
+    named = dict(named_parameters(trained_bundle.params))
+    named.update({"dec.w2": named["dec.w2"] * 1e38, "dec.b2": named["dec.b2"] * 1e38,
+                  "dec.w3": named["dec.w3"] / 1e38})
+    scaled = params_from_named(named, trained_bundle.dims, trained_bundle.params.input_shift,
+                               trained_bundle.params.input_scale)
+    path = tmp_path / "scaled.pfck"
+    save_bundle(path, replace(trained_bundle, params=scaled))  # refuses weights beyond float32
+    bundle = load_bundle(path)
+    assert np.isfinite(float64_decode(conversion_plan, bundle, seed=0)).all()
+
+    finite_steps = []
+    real = pipeline.predict_noise
+
+    def recording(x_t, condition, params, cache=None):
+        eps_hat = real(x_t, condition, params, cache)
+        finite_steps.append(bool(np.isfinite(eps_hat).all()))
+        return eps_hat
+
+    monkeypatch.setattr(pipeline, "predict_noise", recording)
+    with pytest.raises(NonFiniteSample) as info:
+        pipeline.decode(conversion_plan, conversion_plan.requested[0], bundle, seed=0)
+    step = finite_steps.index(False) + 1
+    assert len(finite_steps) == step
+    assert f"after step {step} of {bundle.sched.n_steps} " in str(info.value)
