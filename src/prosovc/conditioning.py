@@ -15,13 +15,15 @@ the outer product of its frame-summed upstream gradient with the style
 vector, and the style gradient sums each tap's weights times that sum.
 Both equal the convolution over the broadcast input up to rounding.
 
-The forward pass computes in the dtype of the weights it is given:
-float64 in training, float32 when the pipeline decodes.
+Each function reads the cond.* arrays of the decoder's weights dict
+(DecoderParams.weights) and computes in their dtype: float64 in training,
+float32 when pipeline.decode passes its float32 copy of the dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,24 +66,12 @@ class ModelDims:
             raise ValueError("t_embed_dim must be even")
 
 
-@dataclass
-class CondParams:
-    """Weights of the style projection and the two merge convolutions, shaped by cond_shapes."""
-
-    style_w: np.ndarray
-    style_b: np.ndarray
-    merge1_w: np.ndarray
-    merge1_b: np.ndarray
-    merge2_w: np.ndarray
-    merge2_b: np.ndarray
-
-
 def cond_shapes(dims: ModelDims) -> dict[str, tuple]:
-    """CondParams field -> array shape, in field order."""
+    """Checkpoint name -> shape of the style projection and the two merge convolutions."""
     return {
-        "style_w": (dims.style_dim, dims.speaker_dim + dims.t_embed_dim), "style_b": (dims.style_dim,),
-        "merge1_w": (dims.cond_hidden, 2 + dims.style_dim, 3), "merge1_b": (dims.cond_hidden,),
-        "merge2_w": (dims.n_mels, dims.cond_hidden, 3), "merge2_b": (dims.n_mels,),
+        "cond.style_w": (dims.style_dim, dims.speaker_dim + dims.t_embed_dim), "cond.style_b": (dims.style_dim,),
+        "cond.merge1_w": (dims.cond_hidden, 2 + dims.style_dim, 3), "cond.merge1_b": (dims.cond_hidden,),
+        "cond.merge2_w": (dims.n_mels, dims.cond_hidden, 3), "cond.merge2_b": (dims.n_mels,),
     }
 
 
@@ -92,23 +82,31 @@ def he_normal(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, n
             for name, shape in shapes.items()}
 
 
+@lru_cache(maxsize=4)
+def _step_frequencies(n: int) -> np.ndarray:
+    omega = np.geomspace(1.0, STEP_FREQ_MAX, n)
+    omega.flags.writeable = False  # every caller shares the cached array
+    return omega
+
+
 def step_embedding(t: float, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step t in [0, 1]."""
     if dim < 2 or dim % 2:
         raise BadDim(f"embedding dim must be even and >= 2, got {dim}")
-    omega = np.geomspace(1.0, STEP_FREQ_MAX, dim // 2)
+    omega = _step_frequencies(dim // 2)
     return np.concatenate([np.sin(t * omega), np.cos(t * omega)])
 
 
-def build_style(speaker: np.ndarray, t: float, params: CondParams,
+def build_style(speaker: np.ndarray, t: float, weights: dict[str, np.ndarray],
                 cache: dict | None = None) -> np.ndarray:
-    """tanh(affine(concat(speaker, step_embedding(t)))) in the dtype of params.style_w;
+    """tanh(affine(concat(speaker, step_embedding(t)))) in the dtype of cond.style_w;
     a given cache receives s_in and style."""
-    t_dim = params.style_w.shape[1] - len(speaker)
+    style_w = weights["cond.style_w"]
+    t_dim = style_w.shape[1] - len(speaker)
     if t_dim < 2:
         raise DimMismatch(f"speaker dim {len(speaker)} incompatible with style projection")
-    s_in = np.concatenate([speaker, step_embedding(t, t_dim)], dtype=params.style_w.dtype)
-    style = np.tanh(affine(params.style_w, params.style_b, s_in))
+    s_in = np.concatenate([speaker, step_embedding(t, t_dim)], dtype=style_w.dtype)
+    style = np.tanh(affine(style_w, weights["cond.style_b"], s_in))
     if cache is not None:
         cache.update(s_in=s_in, style=style)
     return style
@@ -127,38 +125,38 @@ def _tap_frames(j: int, k: int, n_frames: int) -> slice:
     return slice(max(pad - j, 0), min(n_frames + pad - j, n_frames))
 
 
-def build_condition(track: ProsodyTrack, style: np.ndarray, params: CondParams,
+def build_condition(track: ProsodyTrack, style: np.ndarray, weights: dict[str, np.ndarray],
                     cache: dict | None = None) -> np.ndarray:
     """Condition tensor (T, n_mels) from prosody and a style vector.
 
     A given cache receives the prosody rows, pre1 and h.
     """
-    if len(style) != params.merge1_w.shape[1] - 2:
+    m1w = weights["cond.merge1_w"]
+    if len(style) != m1w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
-    prosody = _prosody_rows(track, params.merge1_w.dtype)
-    pre1 = conv1d(params.merge1_w[:, :2], params.merge1_b, prosody)
-    k = params.merge1_w.shape[2]
+    prosody = _prosody_rows(track, m1w.dtype)
+    pre1 = conv1d(m1w[:, :2], weights["cond.merge1_b"], prosody)
+    k = m1w.shape[2]
     for j in range(k):
-        pre1[:, _tap_frames(j, k, track.n_frames)] += (params.merge1_w[:, 2:, j] @ style)[:, None]
+        pre1[:, _tap_frames(j, k, track.n_frames)] += (m1w[:, 2:, j] @ style)[:, None]
     h = relu(pre1)
     if cache is not None:
         cache.update(prosody=prosody, pre1=pre1, h=h)
-    return conv1d(params.merge2_w, params.merge2_b, h).T
+    return conv1d(weights["cond.merge2_w"], weights["cond.merge2_b"], h).T
 
 
-def cond_forward_cache(track: ProsodyTrack, speaker: np.ndarray, t: float, params: CondParams):
+def cond_forward_cache(track: ProsodyTrack, speaker: np.ndarray, t: float, weights: dict[str, np.ndarray]):
     """Forward pass retaining intermediates for backprop; returns (cond, cache)."""
     cache = {}
-    cond = build_condition(track, build_style(speaker, t, params, cache), params, cache)
+    cond = build_condition(track, build_style(speaker, t, weights, cache), weights, cache)
     return cond, cache
 
 
-def cond_backward(d_cond: np.ndarray, cache, params: CondParams):
-    """Gradients of all CondParams given d(condition) of shape (T, n_mels)."""
-    dy = d_cond.T
-    dm2w, dm2b, dh = conv1d_backward(params.merge2_w, cache["h"], dy)
+def cond_backward(d_cond: np.ndarray, cache, weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gradients of every cond.* weight given d(condition) of shape (T, n_mels)."""
+    dm2w, dm2b, dh = conv1d_backward(weights["cond.merge2_w"], cache["h"], d_cond.T)
     dpre1 = relu_backward(cache["pre1"], dh)
-    m1w = params.merge1_w
+    m1w = weights["cond.merge1_w"]
     k = m1w.shape[2]
     dm1w = np.empty_like(m1w)
     dm1w[:, :2], dm1b = conv1d_param_grads(m1w[:, :2], cache["prosody"], dpre1)
@@ -168,12 +166,6 @@ def cond_backward(d_cond: np.ndarray, cache, params: CondParams):
         dm1w[:, 2:, j] = np.outer(tap_sum, cache["style"])
         dstyle += m1w[:, 2:, j].T @ tap_sum
     ds_lin = tanh_backward(cache["style"], dstyle)
-    dsw, dsb, _ = affine_backward(params.style_w, cache["s_in"], ds_lin)
-    return {
-        "style_w": dsw,
-        "style_b": dsb,
-        "merge1_w": dm1w,
-        "merge1_b": dm1b,
-        "merge2_w": dm2w,
-        "merge2_b": dm2b,
-    }
+    dsw, dsb, _ = affine_backward(weights["cond.style_w"], cache["s_in"], ds_lin)
+    return {"cond.style_w": dsw, "cond.style_b": dsb, "cond.merge1_w": dm1w, "cond.merge1_b": dm1b,
+            "cond.merge2_w": dm2w, "cond.merge2_b": dm2b}

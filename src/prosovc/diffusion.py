@@ -6,28 +6,25 @@ The continuous-time schedule uses a linear beta(t); its integral has the
 closed form t*beta_min + t^2*(beta_max - beta_min)/2, giving
 alpha(t) = exp(-integral/2) exactly.
 
+DecoderParams.weights holds every trainable array, keyed and ordered as
+param_shapes: the conv stack's dec.* arrays, then the conditioning's
+cond.* arrays.  Init, SGD, gradients and checkpoints all use that dict.
+
 The noise predictor computes in the dtype of the weights it is given.
-Training, eval_loss and gradient_check pass float64 parameters; the
-pipeline's decoder passes float32 copies. reverse_sample keeps its state
-and its noise draws in float64 either way, promoting each float32 noise
-estimate in its update.
+Training, eval_loss and gradient_check pass float64 weights; the
+pipeline's decode passes a float32 copy of the dict. reverse_sample keeps
+its state and its noise draws in float64 either way, promoting each
+float32 noise estimate in its update.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conditioning import (
-    CondParams,
-    ModelDims,
-    cond_backward,
-    cond_forward_cache,
-    cond_shapes,
-    he_normal,
-)
+from .conditioning import ModelDims, cond_backward, cond_forward_cache, cond_shapes, he_normal
 from .errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from .nn import conv1d, conv1d_backward, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
 from .prosody import ProsodyTrack
@@ -60,19 +57,13 @@ class NoiseSchedule:
 
 @dataclass
 class DecoderParams:
-    """Conv-stack weights plus the embedded conditioning parameters, shaped by param_shapes.
+    """Every trainable array by checkpoint name, in param_shapes(dims) order.
 
     input_shift/input_scale standardize the decoder's view of the mel state
     (set from corpus statistics at training time; they are not trained).
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    cond: CondParams
+    weights: dict[str, np.ndarray]
     dims: ModelDims
     input_shift: float
     input_scale: float
@@ -80,38 +71,16 @@ class DecoderParams:
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple]:
     """Checkpoint name -> shape of every trainable array: the one table of the parameter set."""
-    shapes = {
+    return {
         "dec.w1": (dims.dec_hidden, 2 * dims.n_mels, 3), "dec.b1": (dims.dec_hidden,),
         "dec.w2": (dims.dec_hidden, dims.dec_hidden, 3), "dec.b2": (dims.dec_hidden,),
         "dec.w3": (dims.n_mels, dims.dec_hidden, 3), "dec.b3": (dims.n_mels,),
-    }
-    shapes.update({f"cond.{name}": shape for name, shape in cond_shapes(dims).items()})
-    return shapes
-
-
-def params_from_named(named: dict[str, np.ndarray], dims: ModelDims,
-                      input_shift: float, input_scale: float) -> DecoderParams:
-    """Inverse of named_parameters: the arrays named in param_shapes(dims), as DecoderParams."""
-    groups = {"dec": {}, "cond": {}}
-    for name in param_shapes(dims):
-        group, field = name.split(".")
-        groups[group][field] = named[name]
-    return DecoderParams(cond=CondParams(**groups["cond"]), dims=dims,
-                         input_shift=input_shift, input_scale=input_scale, **groups["dec"])
+    } | cond_shapes(dims)
 
 
 def init_decoder_params(dims: ModelDims, rng: np.random.Generator,
                         input_shift: float = 0.0, input_scale: float = 1.0) -> DecoderParams:
-    return params_from_named(he_normal(param_shapes(dims), rng), dims, input_shift, input_scale)
-
-
-def named_parameters(params: DecoderParams) -> dict[str, np.ndarray]:
-    """Name -> array view of every trainable parameter, in param_shapes order."""
-    out = {}
-    for name in param_shapes(params.dims):
-        group, field = name.split(".")
-        out[name] = getattr(params if group == "dec" else params.cond, field)
-    return out
+    return DecoderParams(he_normal(param_shapes(dims), rng), dims, input_shift, input_scale)
 
 
 # -- forward/reverse process ------------------------------------------------------
@@ -125,25 +94,22 @@ def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray
     return a * x0 + (1.0 - a) * prior + math.sqrt(max(1.0 - a * a, 0.0)) * eps
 
 
-def _decoder_input(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams) -> np.ndarray:
-    xn = (x_t - params.input_shift) / params.input_scale
-    return np.concatenate([xn.T, condition.T], axis=0, dtype=params.w1.dtype)
-
-
 def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
                   cache: dict | None = None) -> np.ndarray:
-    """Estimated noise, same shape as x_t (T, n_mels), in the dtype of params.w1;
+    """Estimated noise, same shape as x_t (T, n_mels), in the dtype of dec.w1;
     a given cache receives the layer intermediates."""
     if x_t.shape != condition.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} != condition {condition.shape}")
-    d_in = _decoder_input(x_t, condition, params)
-    pre1 = conv1d(params.w1, params.b1, d_in)
+    w = params.weights
+    xn = (x_t - params.input_shift) / params.input_scale
+    d_in = np.concatenate([xn.T, condition.T], axis=0, dtype=w["dec.w1"].dtype)
+    pre1 = conv1d(w["dec.w1"], w["dec.b1"], d_in)
     a1 = relu(pre1)
-    pre2 = conv1d(params.w2, params.b2, a1)
+    pre2 = conv1d(w["dec.w2"], w["dec.b2"], a1)
     a2 = relu(pre2)
     if cache is not None:
         cache.update(d_in=d_in, pre1=pre1, a1=a1, pre2=pre2, a2=a2)
-    return conv1d(params.w3, params.b3, a2).T
+    return conv1d(w["dec.w3"], w["dec.b3"], a2).T
 
 
 def noise_loss(eps_hat: np.ndarray, eps: np.ndarray) -> float:
@@ -169,7 +135,8 @@ class TrainBatch:
 def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
                       t: float, eps: np.ndarray):
     """Loss and gradients of noise_loss w.r.t. every parameter."""
-    cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, params.cond)
+    w = params.weights
+    cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, w)
     cache = {}
     eps_hat = predict_noise(x_t, cond, params, cache)
 
@@ -179,19 +146,15 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
         raise NonFiniteLoss(f"loss became {loss}")
 
     d_eps_hat = (2.0 / diff.size) * diff
-    dw3, db3, da2 = conv1d_backward(params.w3, cache["a2"], d_eps_hat.T)
+    dw3, db3, da2 = conv1d_backward(w["dec.w3"], cache["a2"], d_eps_hat.T)
     dpre2 = relu_backward(cache["pre2"], da2)
-    dw2, db2, da1 = conv1d_backward(params.w2, cache["a1"], dpre2)
+    dw2, db2, da1 = conv1d_backward(w["dec.w2"], cache["a1"], dpre2)
     dpre1 = relu_backward(cache["pre1"], da1)
     # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
-    dw1, db1 = conv1d_param_grads(params.w1, cache["d_in"], dpre1)
-    d_cond = conv1d_input_grad(params.w1[:, params.dims.n_mels:], dpre1).T
-    cgrads = cond_backward(d_cond, ccache, params.cond)
-
-    grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2,
-             "dec.w3": dw3, "dec.b3": db3}
-    grads.update({f"cond.{k}": v for k, v in cgrads.items()})
-    return loss, grads
+    dw1, db1 = conv1d_param_grads(w["dec.w1"], cache["d_in"], dpre1)
+    d_cond = conv1d_input_grad(w["dec.w1"][:, params.dims.n_mels:], dpre1).T
+    grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
+    return loss, grads | cond_backward(d_cond, ccache, w)
 
 
 def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
@@ -210,12 +173,12 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
     # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = _forward_backward(params, batch, x_t, t, eps)
-        updated = {name: arr - lr * grads[name] for name, arr in named_parameters(params).items()}
+        updated = {name: arr - lr * grads[name] for name, arr in params.weights.items()}
     # a finite loss can still drive a weight past what a checkpoint can store; stop at that step
     for name, arr in updated.items():
         if not np.abs(arr).max() <= _F32_MAX:
             raise NonFiniteLoss(f"parameter {name} left the float32 range")
-    return params_from_named(updated, params.dims, params.input_shift, params.input_scale), loss
+    return replace(params, weights=updated), loss
 
 
 def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
@@ -224,7 +187,7 @@ def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
     total = 0.0
     for t, eps in pairs:
         x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
-        cond, _ = cond_forward_cache(batch.prosody, batch.speaker, t, params.cond)
+        cond, _ = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
         total += noise_loss(predict_noise(x_t, cond, params), eps)
     return total / len(pairs)
 
@@ -282,9 +245,8 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
     _, grads = _forward_backward(params, batch, x_t, t, eps)
     pair = [(t, eps)]
     worst = 0.0
-    named = {name: arr.copy() for name, arr in named_parameters(params).items()}
-    probe = params_from_named(named, params.dims, params.input_shift, params.input_scale)
-    for name, arr in named.items():
+    probe = replace(params, weights={name: arr.copy() for name, arr in params.weights.items()})
+    for name, arr in probe.weights.items():
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)
         for idx in range(flat.size):

@@ -55,13 +55,16 @@ def log_spectral_distance(a: MelSpectrogram, b: MelSpectrogram) -> float:
 
 def sweep_plan(mode: str = "f0", levels=None) -> list[tuple[float, ModulationSpec]]:
     """A sweep's (level, spec) pairs: "f0" sets octave_shift, "rate" rate_multiplier,
-    levels default per mode; ValueError on an unknown mode or a level the spec refuses."""
+    levels default per mode; ValueError on an unknown mode, no levels or a level the spec refuses."""
     if mode not in ("f0", "rate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     if levels is None:
         levels = F0_SWEEP_LEVELS if mode == "f0" else RATE_SWEEP_LEVELS
     knob = "octave_shift" if mode == "f0" else "rate_multiplier"
-    return [(level, ModulationSpec(**{knob: level})) for level in levels]
+    grid = [(level, ModulationSpec(**{knob: level})) for level in levels]
+    if not grid:
+        raise ValueError("no sweep levels")
+    return grid
 
 
 def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", seed: int = 0,

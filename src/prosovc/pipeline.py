@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,9 +30,7 @@ from .diffusion import (
     NoiseSchedule,
     TrainBatch,
     init_decoder_params,
-    named_parameters,
     param_shapes,
-    params_from_named,
     predict_noise,
     reverse_sample,
     train_step,
@@ -102,7 +100,7 @@ _META = {
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    blocks = {f"param.{k}": v for k, v in named_parameters(bundle.params).items()}
+    blocks = {f"param.{k}": v for k, v in bundle.params.weights.items()}
     for name, (attr, cls) in _META.items():
         cfg = getattr(bundle, attr)
         blocks[name] = np.array([getattr(cfg, f.name) for f in fields(cls)], dtype=np.float64)
@@ -111,7 +109,13 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     write_pfck(path, blocks)
 
 
-_CASTS = {"int": int, "float": float}
+def _cast(field, value):
+    """value as field's declared type, int or float; an int field refuses a value that is not integral."""
+    if field.type == "float":
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"{field.name} {value:g} is not an integer")
+    return int(value)
 
 
 def _block(blocks: dict, name: str, shape: tuple) -> np.ndarray:
@@ -128,7 +132,7 @@ def _unpack(blocks: dict, name: str, cls):
     cls_fields = fields(cls)
     values = _block(blocks, name, (len(cls_fields),))
     try:
-        return cls(**{f.name: _CASTS[f.type](v) for f, v in zip(cls_fields, values)})
+        return cls(**{f.name: _cast(f, v) for f, v in zip(cls_fields, values)})
     except (ValueError, OverflowError, BadSchedule) as exc:
         raise UnreadableFile(f"checkpoint block {name} is invalid: {exc}") from exc
 
@@ -143,8 +147,8 @@ def load_bundle(path) -> ModelBundle:
     shift, scale = _block(blocks, "meta.input_norm", (2,))
     if not scale > 0:
         raise UnreadableFile(f"checkpoint block meta.input_norm has input scale {scale}, not > 0")
-    named = {name: _block(blocks, f"param.{name}", shape) for name, shape in param_shapes(dims).items()}
-    params = params_from_named(named, dims, float(shift), float(scale))
+    weights = {name: _block(blocks, f"param.{name}", shape) for name, shape in param_shapes(dims).items()}
+    params = DecoderParams(weights, dims, float(shift), float(scale))
     if "codebook.centroids" not in blocks:
         raise UnreadableFile("checkpoint block codebook.centroids is missing")
     try:
@@ -242,13 +246,12 @@ def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle, *,
 
     The network runs in float32, on float32 copies of the weights and of
     each state; the sampler keeps its state and its noise draws in float64."""
-    trained = bundle.params
-    weights = {name: arr.astype(np.float32) for name, arr in named_parameters(trained).items()}
-    params = params_from_named(weights, trained.dims, trained.input_shift, trained.input_scale)
+    weights = {name: arr.astype(np.float32) for name, arr in bundle.params.weights.items()}
+    params = replace(bundle.params, weights=weights)
 
     def denoise(x_t, t):
-        style = build_style(plan.speaker, t, params.cond)
-        cond = build_condition(requested, style, params.cond)
+        style = build_style(plan.speaker, t, weights)
+        cond = build_condition(requested, style, weights)
         return predict_noise(x_t.astype(np.float32), cond, params)
 
     rng = np.random.default_rng(seed)

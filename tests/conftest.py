@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, CondParams, ModelDims, cond_shapes, he_normal
-from prosovc.diffusion import named_parameters
+from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims, cond_shapes, he_normal
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
@@ -59,8 +58,8 @@ def silence(duration: float, sample_rate: int = 22050) -> Waveform:
     return Waveform(np.zeros(int(round(duration * sample_rate))), sample_rate)
 
 
-def init_cond_params(dims: ModelDims, rng: np.random.Generator) -> CondParams:
-    return CondParams(**he_normal(cond_shapes(dims), rng))
+def init_cond_weights(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return he_normal(cond_shapes(dims), rng)
 
 
 def record_network_dtypes(monkeypatch, module) -> set:
@@ -69,7 +68,7 @@ def record_network_dtypes(monkeypatch, module) -> set:
     real = module.predict_noise
 
     def recording(x_t, condition, params, cache=None):
-        seen.update(arr.dtype for arr in (x_t, condition, *named_parameters(params).values()))
+        seen.update(arr.dtype for arr in (x_t, condition, *params.weights.values()))
         return real(x_t, condition, params, cache)
 
     monkeypatch.setattr(module, "predict_noise", recording)
@@ -123,28 +122,28 @@ def conversion_pair():
 
 # -- oracles: merge1 as one conv1d over the style broadcast to every frame ----------
 
-def oracle_build_condition(track, style, params, cache=None):
+def oracle_build_condition(track, style, weights, cache=None):
     """build_condition with merge1 convolving [logF0, energy, style repeated per frame]."""
     x = np.empty((2 + len(style), track.n_frames))
     x[0] = track.log_f0
     x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
     x[2:] = style[:, None]
-    pre1 = conv1d(params.merge1_w, params.merge1_b, x)
+    pre1 = conv1d(weights["cond.merge1_w"], weights["cond.merge1_b"], x)
     h = relu(pre1)
     if cache is not None:
         cache.update(x=x, pre1=pre1, h=h)
-    return conv1d(params.merge2_w, params.merge2_b, h).T
+    return conv1d(weights["cond.merge2_w"], weights["cond.merge2_b"], h).T
 
 
-def oracle_cond_backward(d_cond, cache, params):
+def oracle_cond_backward(d_cond, cache, weights):
     """cond_backward through merge1's full input gradient, summed over the style rows."""
-    dm2w, dm2b, dh = conv1d_backward(params.merge2_w, cache["h"], d_cond.T)
+    dm2w, dm2b, dh = conv1d_backward(weights["cond.merge2_w"], cache["h"], d_cond.T)
     dpre1 = relu_backward(cache["pre1"], dh)
-    dm1w, dm1b, dx = conv1d_backward(params.merge1_w, cache["x"], dpre1)
+    dm1w, dm1b, dx = conv1d_backward(weights["cond.merge1_w"], cache["x"], dpre1)
     ds_lin = tanh_backward(cache["style"], dx[2:].sum(axis=1))
-    dsw, dsb, _ = affine_backward(params.style_w, cache["s_in"], ds_lin)
-    return {"style_w": dsw, "style_b": dsb, "merge1_w": dm1w, "merge1_b": dm1b,
-            "merge2_w": dm2w, "merge2_b": dm2b}
+    dsw, dsb, _ = affine_backward(weights["cond.style_w"], cache["s_in"], ds_lin)
+    return {"cond.style_w": dsw, "cond.style_b": dsb, "cond.merge1_w": dm1w, "cond.merge1_b": dm1b,
+            "cond.merge2_w": dm2w, "cond.merge2_b": dm2b}
 
 
 def assert_close_to_oracle(ours, oracle, rtol=1e-12):

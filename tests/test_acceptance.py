@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import init_cond_params, make_track, sawtooth_wave, silence
+from conftest import init_cond_weights, make_track, sawtooth_wave, silence
 from prosovc.cli import main
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
@@ -21,7 +21,6 @@ from prosovc.diffusion import (
     forward_diffuse,
     gradient_check,
     init_decoder_params,
-    named_parameters,
     train_step,
 )
 from prosovc.encoders import Alignment, AlignSegment, average_mel_target
@@ -146,7 +145,7 @@ def test_criterion_06_gradient_check(tiny_dims):
     sched = NoiseSchedule(30, 0.05, 20.0)
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
-    n_params = sum(a.size for a in named_parameters(params).values())
+    n_params = sum(a.size for a in params.weights.values())
     assert n_params <= 2000
     batch = TrainBatch(
         x0=rng.standard_normal((6, tiny_dims.n_mels)),
@@ -198,7 +197,7 @@ def test_criterion_08_conditioning_shapes():
     started = time.perf_counter()
     dims = ModelDims(n_mels=8, speaker_dim=6, t_embed_dim=6, style_dim=6,
                      cond_hidden=10, dec_hidden=10)
-    params = init_cond_params(dims, np.random.default_rng(7))
+    params = init_cond_weights(dims, np.random.default_rng(7))
     spk = np.ones(dims.speaker_dim)
     style = build_style(spk, 0.5, params)
     for n_frames in (1, 7, 100):

@@ -323,6 +323,20 @@ def test_convert_nonfinite_param_block_exit_2(ckpt, pair_files, tmp_path, capsys
     assert not (tmp_path / "o.wav").exists()
 
 
+def test_convert_non_integral_step_count_exit_2(ckpt, pair_files, tmp_path, capsys):
+    from prosovc.formats import read_pfck, write_pfck
+
+    blocks = read_pfck(ckpt)
+    blocks["meta.schedule"][0] = 30.5
+    bad = tmp_path / "bad.pfck"
+    write_pfck(bad, blocks)
+    rc = main(convert_args(bad, pair_files, tmp_path / "o.wav"))
+    assert rc == 2
+    assert capsys.readouterr().err == ("UnreadableFile: checkpoint block meta.schedule is invalid: "
+                                       "n_steps 30.5 is not an integer\n")
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_convert_signalling_nan_param_block_is_one_line(ckpt, pair_files, tmp_path):
     # a float32 signalling NaN sets the invalid flag when widened to float64; no warning may be printed
     from prosovc.formats import read_pfck, write_pfck

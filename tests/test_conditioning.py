@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_close_to_oracle,
-    init_cond_params,
+    init_cond_weights,
     make_track,
     oracle_build_condition,
     oracle_cond_backward,
 )
 from prosovc.conditioning import (
+    STEP_FREQ_MAX,
     ModelDims,
+    _step_frequencies,
     build_condition,
     build_style,
     cond_backward,
@@ -30,12 +32,12 @@ def dims():
 
 @pytest.fixture
 def params(dims):
-    return init_cond_params(dims, np.random.default_rng(7))
+    return init_cond_weights(dims, np.random.default_rng(7))
 
 
 def zero_params(dims):
-    p = init_cond_params(dims, np.random.default_rng(0))
-    for arr in (p.style_w, p.style_b, p.merge1_w, p.merge1_b, p.merge2_w, p.merge2_b):
+    p = init_cond_weights(dims, np.random.default_rng(0))
+    for arr in p.values():
         arr[...] = 0.0
     return p
 
@@ -51,6 +53,21 @@ def test_step_embedding_at_zero():
     emb = step_embedding(0.0, 8)
     assert np.array_equal(emb[:4], np.zeros(4))
     assert np.array_equal(emb[4:], np.ones(4))
+
+
+@pytest.mark.parametrize("dim", [2, 6, 64])
+@pytest.mark.parametrize("t", [0.0, 1 / 30, 0.5, 1.0])
+def test_step_embedding_equals_the_inline_geomspace_formula(t, dim):
+    omega = np.geomspace(1.0, STEP_FREQ_MAX, dim // 2)
+    assert np.array_equal(step_embedding(t, dim), np.concatenate([np.sin(t * omega), np.cos(t * omega)]))
+
+
+def test_step_frequencies_are_cached_read_only():
+    omega = _step_frequencies(32)
+    assert _step_frequencies(32) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[0] = 2.0
 
 
 def test_step_embedding_distinguishes_t():
@@ -181,9 +198,9 @@ def test_condition_and_gradients_equal_broadcast_style_oracle(n_frames, n_mels, 
     dims = ModelDims(n_mels=n_mels, speaker_dim=speaker_dim, t_embed_dim=t_embed_dim,
                      style_dim=style_dim, cond_hidden=cond_hidden, dec_hidden=1)
     rng = np.random.default_rng(seed)
-    params = init_cond_params(dims, rng)
-    for arr in (params.style_b, params.merge1_b, params.merge2_b):
-        arr[...] = rng.standard_normal(arr.shape)
+    params = init_cond_weights(dims, rng)
+    for name in ("cond.style_b", "cond.merge1_b", "cond.merge2_b"):
+        params[name][...] = rng.standard_normal(params[name].shape)
     track = make_track(rng, n_frames=n_frames)
     speaker = rng.standard_normal(speaker_dim)
     d_cond = rng.standard_normal((n_frames, n_mels))

@@ -22,7 +22,6 @@ from prosovc.diffusion import (
     forward_diffuse,
     gradient_check,
     init_decoder_params,
-    named_parameters,
     noise_loss,
     param_shapes,
     predict_noise,
@@ -158,13 +157,13 @@ def test_noise_loss_shape_mismatch():
 @pytest.mark.parametrize("default_dims", [True, False], ids=["default-dims", "tiny-dims"])
 def test_param_shapes_lists_every_parameter_in_order(tiny_dims, default_dims):
     dims = ModelDims() if default_dims else tiny_dims
-    named = named_parameters(init_decoder_params(dims, np.random.default_rng(0)))
-    assert list(param_shapes(dims).items()) == [(name, arr.shape) for name, arr in named.items()]
+    weights = init_decoder_params(dims, np.random.default_rng(0)).weights
+    assert list(param_shapes(dims).items()) == [(name, arr.shape) for name, arr in weights.items()]
 
 
 def test_predict_noise_zero_params(tiny_dims):
     params = init_decoder_params(tiny_dims, np.random.default_rng(0))
-    for arr in named_parameters(params).values():
+    for arr in params.weights.values():
         arr[...] = 0.0
     x = np.random.default_rng(1).standard_normal((9, tiny_dims.n_mels))
     out = predict_noise(x, np.ones_like(x), params)
@@ -205,8 +204,8 @@ def test_train_step_zero_lr_is_identity(tiny_dims, sched):
     batch = make_batch(rng, tiny_dims)
     updated, loss = train_step(batch, params, 0.0, np.random.default_rng(0), sched)
     assert math.isfinite(loss)
-    for name, arr in named_parameters(params).items():
-        assert np.array_equal(named_parameters(updated)[name], arr)
+    for name, arr in params.weights.items():
+        assert np.array_equal(updated.weights[name], arr)
 
 
 def test_train_step_deterministic(tiny_dims, sched):
@@ -216,17 +215,17 @@ def test_train_step_deterministic(tiny_dims, sched):
     out1, loss1 = train_step(batch, params, 1e-3, np.random.default_rng(11), sched)
     out2, loss2 = train_step(batch, params, 1e-3, np.random.default_rng(11), sched)
     assert loss1 == loss2
-    for name in named_parameters(out1):
-        assert np.array_equal(named_parameters(out1)[name], named_parameters(out2)[name])
+    for name in out1.weights:
+        assert np.array_equal(out1.weights[name], out2.weights[name])
 
 
 def test_train_step_does_not_mutate_input(tiny_dims, sched):
     rng = np.random.default_rng(8)
     params = init_decoder_params(tiny_dims, rng)
-    before = {k: v.copy() for k, v in named_parameters(params).items()}
+    before = {k: v.copy() for k, v in params.weights.items()}
     batch = make_batch(rng, tiny_dims)
     train_step(batch, params, 1e-2, np.random.default_rng(0), sched)
-    for name, arr in named_parameters(params).items():
+    for name, arr in params.weights.items():
         assert np.array_equal(arr, before[name])
 
 
@@ -245,9 +244,9 @@ def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims, sched):
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims)
     f32_max = float(np.finfo(np.float32).max)
-    params.b3[0] = f32_max  # the loss stays finite in float64
+    params.weights["dec.b3"][0] = f32_max  # the loss stays finite in float64
     train_step(batch, params, 0.0, np.random.default_rng(0), sched)
-    params.b3[0] = np.nextafter(f32_max, np.inf)
+    params.weights["dec.b3"][0] = np.nextafter(f32_max, np.inf)
     with pytest.raises(NonFiniteLoss, match=r"^parameter dec\.b3 left the float32 range$"):
         train_step(batch, params, 0.0, np.random.default_rng(0), sched)
 
@@ -285,7 +284,7 @@ def test_reverse_output_shape(sched, tiny_dims):
     prior = rng.standard_normal((15, tiny_dims.n_mels))
 
     def denoise(x, t):
-        cond = build_condition(track, build_style(spk, t, params.cond), params.cond)
+        cond = build_condition(track, build_style(spk, t, params.weights), params.weights)
         return predict_noise(x, cond, params)
 
     out = reverse_sample(prior, denoise, sched, np.random.default_rng(3))
@@ -340,7 +339,7 @@ def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
 def test_gradient_check_tiny_stack(tiny_dims, sched):
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
-    n_params = sum(a.size for a in named_parameters(params).values())
+    n_params = sum(a.size for a in params.weights.values())
     assert n_params <= 2000
     batch = make_batch(rng, tiny_dims, n_frames=6)
     assert gradient_check(params, batch, sched, h=1e-4) < 1e-3
@@ -361,20 +360,19 @@ def test_training_and_the_gradient_check_run_the_network_in_float64(sched, monke
 
 def oracle_forward_backward(params, batch, x_t, t, eps):
     """(condition, loss, gradients) with merge1 over the broadcast style and layer 1's full input gradient."""
+    w = params.weights
     ccache = {}
-    cond = oracle_build_condition(batch.prosody, build_style(batch.speaker, t, params.cond, ccache),
-                                  params.cond, ccache)
+    cond = oracle_build_condition(batch.prosody, build_style(batch.speaker, t, w, ccache), w, ccache)
     cache = {}
     diff = predict_noise(x_t, cond, params, cache) - eps
-    dw3, db3, da2 = conv1d_backward(params.w3, cache["a2"], (2.0 / diff.size) * diff.T)
+    dw3, db3, da2 = conv1d_backward(w["dec.w3"], cache["a2"], (2.0 / diff.size) * diff.T)
     dpre2 = relu_backward(cache["pre2"], da2)
-    dw2, db2, da1 = conv1d_backward(params.w2, cache["a1"], dpre2)
+    dw2, db2, da1 = conv1d_backward(w["dec.w2"], cache["a1"], dpre2)
     dpre1 = relu_backward(cache["pre1"], da1)
-    dw1, db1, dd_in = conv1d_backward(params.w1, cache["d_in"], dpre1)
+    dw1, db1, dd_in = conv1d_backward(w["dec.w1"], cache["d_in"], dpre1)
     grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
-    cgrads = oracle_cond_backward(dd_in[params.dims.n_mels:].T, ccache, params.cond)
-    grads.update({f"cond.{k}": v for k, v in cgrads.items()})
-    return cond, float(np.mean(diff * diff)), grads
+    cgrads = oracle_cond_backward(dd_in[params.dims.n_mels:].T, ccache, w)
+    return cond, float(np.mean(diff * diff)), grads | cgrads
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,7 +388,7 @@ def test_gradients_equal_full_input_gradient_oracle(sched, n_frames, n_mels, sty
     x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
 
     oracle_cond, oracle_loss, oracle_grads = oracle_forward_backward(params, batch, x_t, t, eps)
-    cond, _ = diffusion.cond_forward_cache(batch.prosody, batch.speaker, t, params.cond)
+    cond, _ = diffusion.cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
     assert_close_to_oracle(cond, oracle_cond)
     loss, grads = diffusion._forward_backward(params, batch, x_t, t, eps)
     assert loss == pytest.approx(oracle_loss, rel=1e-12)

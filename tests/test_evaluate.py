@@ -189,6 +189,13 @@ def test_sweep_rejects_a_bad_level_before_any_work(trained_bundle, conversion_pa
         modulation_sweep([conversion_pair], trained_bundle, levels=levels, mode=mode, gl_iters=0)
 
 
+@pytest.mark.parametrize("mode", ["f0", "rate"])
+def test_sweep_rejects_no_levels_before_any_work(trained_bundle, conversion_pair, monkeypatch, mode):
+    fail_on_work(monkeypatch)
+    with pytest.raises(ValueError, match="^no sweep levels$"):
+        modulation_sweep([conversion_pair], trained_bundle, levels=[], mode=mode, gl_iters=0)
+
+
 def test_sweep_rejects_no_pairs_before_any_work(trained_bundle, monkeypatch):
     fail_on_work(monkeypatch)
     with pytest.raises(ValueError, match="no pairs"):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ import pytest
 from conftest import record_network_dtypes
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
+    DecoderParams,
     NoiseSchedule,
     init_decoder_params,
-    named_parameters,
     param_shapes,
-    params_from_named,
     predict_noise,
     reverse_sample,
 )
@@ -55,11 +54,11 @@ def test_bundle_params_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(3)
     named = {name: rng.standard_normal(shape).astype(np.float32).astype(np.float64)
              for name, shape in param_shapes(DIMS).items()}
-    params = params_from_named(named, DIMS, input_shift=-4.5, input_scale=2.25)
+    params = DecoderParams(named, DIMS, input_shift=-4.5, input_scale=2.25)
     path = tmp_path / "b.pfck"
     save_bundle(path, ModelBundle(params, NoiseSchedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK))
     loaded = load_bundle(path).params
-    reloaded = named_parameters(loaded)
+    reloaded = loaded.weights
     assert list(reloaded) == list(named)
     for name, arr in named.items():
         assert reloaded[name].dtype == arr.dtype and reloaded[name].shape == arr.shape
@@ -129,6 +128,22 @@ def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
         load_bundle(ckpt_path)
 
 
+# (block, position, name) of every int field of every meta block
+INT_FIELDS = [(block, i, f.name) for block, (_, cls) in pipeline._META.items()
+              for i, f in enumerate(fields(cls)) if f.type == "int"]
+
+
+@pytest.mark.parametrize("block, index, field", INT_FIELDS, ids=[f"{b}.{f}" for b, _, f in INT_FIELDS])
+def test_a_non_integral_int_field_is_unreadable(ckpt_path, block, index, field):
+    blocks = read_pfck(ckpt_path)
+    blocks[block] = blocks[block].copy()
+    blocks[block][index] += 0.5
+    write_pfck(ckpt_path, blocks)
+    message = rf"^checkpoint block {block} is invalid: {field} \d+\.5 is not an integer$"
+    with pytest.raises(UnreadableFile, match=message):
+        load_bundle(ckpt_path)
+
+
 def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
     # the codebook matches meta.melcfg; only meta.dims holds the other band count
     params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
@@ -173,7 +188,7 @@ def float64_decode(plan, bundle, seed):
     params = bundle.params
 
     def denoise(x_t, t):
-        cond = build_condition(plan.requested[0], build_style(plan.speaker, t, params.cond), params.cond)
+        cond = build_condition(plan.requested[0], build_style(plan.speaker, t, params.weights), params.weights)
         return predict_noise(x_t, cond, params)
 
     sampled = reverse_sample(plan.prior.values, denoise, bundle.sched, np.random.default_rng(seed))
@@ -186,7 +201,7 @@ def test_decode_runs_the_network_in_float32_and_training_keeps_float64(trained_b
     mel = pipeline.decode(conversion_plan, conversion_plan.requested[0], trained_bundle, seed=0)
     assert seen == {np.dtype(np.float32)}
     assert mel.values.dtype == np.float64
-    assert {arr.dtype for arr in named_parameters(trained_bundle.params).values()} == {np.dtype(np.float64)}
+    assert {arr.dtype for arr in trained_bundle.params.weights.values()} == {np.dtype(np.float64)}
 
 
 def test_float32_decode_stays_near_the_float64_oracle(trained_bundle, conversion_plan):
@@ -200,11 +215,10 @@ def test_a_float32_only_overflow_ends_as_non_finite_sample_at_its_step(trained_b
                                                                       tmp_path, monkeypatch):
     # relu is positively homogeneous, so w2 and b2 scaled up by 1e38 and w3 down by as much leave the
     # exact network unchanged; float32 overflows in layer 2, float64 does not
-    named = dict(named_parameters(trained_bundle.params))
-    named.update({"dec.w2": named["dec.w2"] * 1e38, "dec.b2": named["dec.b2"] * 1e38,
-                  "dec.w3": named["dec.w3"] / 1e38})
-    scaled = params_from_named(named, trained_bundle.dims, trained_bundle.params.input_shift,
-                               trained_bundle.params.input_scale)
+    weights = trained_bundle.params.weights
+    scaled = replace(trained_bundle.params, weights=weights | {"dec.w2": weights["dec.w2"] * 1e38,
+                                                               "dec.b2": weights["dec.b2"] * 1e38,
+                                                               "dec.w3": weights["dec.w3"] / 1e38})
     path = tmp_path / "scaled.pfck"
     save_bundle(path, replace(trained_bundle, params=scaled))  # refuses weights beyond float32
     bundle = load_bundle(path)
