@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -159,14 +158,13 @@ def tree_hash(cwd=ROOT) -> str:
     """The git tree hash of the working tree: tracked files as they are on disk
     and untracked files that .gitignore does not list.
 
-    It is written through a copy of the index, so the real index is left as it
-    was. A commit of exactly these files has it as `git rev-parse <commit>^{tree}`.
+    It is written through an empty temporary index, so the real index is left
+    as it was, and every file is hashed: stat data copied from the real index
+    can match a file edited since, and git would then skip it. A commit of
+    exactly these files has it as `git rev-parse <commit>^{tree}`.
     """
-    index = Path(cwd) / git("rev-parse", "--git-path", "index", cwd=cwd)
     with tempfile.TemporaryDirectory(prefix="bench-ab-index-") as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
-        if index.exists():
-            shutil.copyfile(index, env["GIT_INDEX_FILE"])
         git("add", "--all", cwd=cwd, env=env)
         return git("write-tree", cwd=cwd, env=env)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NoCommonVoiced, NoVoicedFrames, ShapeMismatch
 # convert stays importable here: the traced benchmark replaces evaluate.convert.
-from .pipeline import ModelBundle, convert, decode, extract_features, plan_synthesis, render
+from .pipeline import ModelBundle, analyse_prosody, convert, decode, extract_features, plan_synthesis, render
 from .prosody import ProsodyTrack
 from .signal_core import MelSpectrogram, open_file
 from .transform import ConversionRate, ModulationSpec, voiced_mean
@@ -122,7 +122,7 @@ def _f0_row(wave, requested: ProsodyTrack, out_frames: int, bundle: ModelBundle)
     achieved_mean = math.nan
     rmse = math.nan
     try:
-        _, extracted = extract_features(wave, bundle.mel_cfg, bundle.f0_cfg)
+        extracted = analyse_prosody(wave, bundle.mel_cfg, bundle.f0_cfg)
         achieved_mean = voiced_mean(extracted)
         rmse = f0_rmse(requested, extracted)
     except (NoVoicedFrames, NoCommonVoiced, LengthMismatch):

@@ -1,10 +1,11 @@
 """End-to-end orchestration: feature extraction, conversion, and toy training.
 
 The inference path mirrors the intended flow. extract_features analyses
-source and target (mel, prosody). plan_synthesis forms all a pair fixes:
-it transfers the source F0 mean onto the target's, computes the
-unit-duration conversion rate, applies each requested modulation, and
-takes the speaker vector and the average-mel prior. decode conditions the
+source and target (mel, prosody); analyse_prosody is its prosody half,
+which the sweep also runs on its outputs. plan_synthesis forms all a
+pair fixes: it transfers the source F0 mean onto the target's, computes
+the unit-duration conversion rate, applies each requested modulation,
+and takes the speaker vector and the average-mel prior. decode conditions the
 diffusion decoder on one requested track and samples 30 steps from the
 prior; render optionally re-samples in time and vocodes. convert is
 analysis, plan, decode and render in sequence; the sweep plans each pair
@@ -180,12 +181,15 @@ class SynthesisPlan:
     report: dict
 
 
+def analyse_prosody(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config) -> ProsodyTrack:
+    """The prosody track of the high-passed signal."""
+    return extract_prosody(highpass_filter(wave, HPF_CUTOFF_HZ), mel_cfg, f0_cfg)
+
+
 def extract_features(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config):
     """(mel, prosody track) with the prosody taken from the high-passed signal."""
     mel = mel_spectrogram(wave, mel_cfg)
-    filtered = highpass_filter(wave, HPF_CUTOFF_HZ)
-    track = extract_prosody(filtered, mel_cfg, f0_cfg)
-    return mel, track
+    return mel, analyse_prosody(wave, mel_cfg, f0_cfg)
 
 
 def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBundle,

@@ -9,7 +9,9 @@ i * hop) so prosody aligns with the spectrogram one-to-one.
 and run YIN and the sums of squares over `signal_core.frame_blocks`. Every
 row's FFT, cumulative sum and sum is computed alone, so the results equal
 one whole-utterance batch bit for bit, while the temporaries stay the size
-of one block.
+of one block. YIN's lag correlation takes the shortest FFT that does not
+wrap, and its lag pick runs as array operations over a block's rows, each
+step the IEEE operation a per-frame loop would do.
 """
 
 from __future__ import annotations
@@ -126,37 +128,19 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
     # at i*hop; the difference function integrates over W = tau_max lags.
     n_frames = mel_cfg.frame_count(n)
     frames = frame_signal(wave.samples, 2 * tau_max, mel_cfg.hop, "constant")
-    fft_n = 1 << int(math.ceil(math.log2(3 * tau_max)))
 
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
     for lo, hi in frame_blocks(n_frames):
-        cmndf, rms = _cmndf(frames[lo:hi], tau_max, fft_n)
-        for i, (row, row_rms) in enumerate(zip(cmndf, rms), lo):
-            if row_rms <= f0_cfg.rms_floor:
-                continue
-            below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold
-            if not below.any():
-                continue
-            tau = tau_min + int(np.argmax(below))
-            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-                tau += 1
-            lag = float(tau)
-            if tau_min < tau < tau_max:
-                dm, d0, dp = row[tau - 1], row[tau], row[tau + 1]
-                denom = dm - 2.0 * d0 + dp
-                if denom > 0:
-                    shift = 0.5 * (dm - dp) / denom
-                    if abs(shift) <= 1.0:
-                        lag += shift
-            lag = min(max(lag, lag_lo), lag_hi)
-            f0[i] = sr / lag
-            voiced[i] = True
+        cmndf, rms = _cmndf(frames[lo:hi], tau_max)
+        lag, found = _yin_lag(cmndf, tau_min, f0_cfg.yin_threshold)
+        voiced[lo:hi] = found & (rms > f0_cfg.rms_floor)
+        f0[lo:hi] = np.where(voiced[lo:hi], sr / np.clip(lag, lag_lo, lag_hi), 0.0)
     return f0, voiced
 
 
-def _cmndf(frames: np.ndarray, tau_max: int, fft_n: int):
+def _cmndf(frames: np.ndarray, tau_max: int):
     """YIN's cumulative mean normalized difference, lags 0..tau_max, and the RMS
     of each (2*tau_max)-sample frame; one row per frame, each row computed alone."""
     rows, seg_len = frames.shape
@@ -165,6 +149,10 @@ def _cmndf(frames: np.ndarray, tau_max: int, fft_n: int):
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
     rms = np.sqrt(sq[:, -1] / seg_len)
 
+    # The lag correlation of the first W samples with the frame. `head` is zero
+    # from W on and no lag exceeds tau_max, so every product it sums sits below
+    # W + tau_max = 2 * tau_max <= fft_n: the circular correlation never wraps.
+    fft_n = 1 << int(math.ceil(math.log2(2 * tau_max)))
     head = np.zeros_like(frames)
     head[:, :w] = frames[:, :w]
     corr = np.fft.irfft(np.conj(np.fft.rfft(head, fft_n)) * np.fft.rfft(frames, fft_n), fft_n)
@@ -176,6 +164,34 @@ def _cmndf(frames: np.ndarray, tau_max: int, fft_n: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         cmndf = np.where(cums > 0, diff[:, 1:] * taus / cums, 1.0)
     return np.concatenate([np.ones((rows, 1)), cmndf], axis=1), rms
+
+
+def _yin_lag(cmndf: np.ndarray, tau_min: int, threshold: float):
+    """(lag, found) per cmndf row: YIN's absolute threshold and parabolic refinement.
+
+    The lag is the first one from tau_min on whose value is below threshold,
+    walked on while the next lag is lower, then moved by the vertex of the
+    parabola through it and its neighbours when that parabola opens upward and
+    the shift is at most one lag; a lag of tau_min or tau_max stays as it is.
+    `found` is False on rows with no lag below threshold. Each step is the IEEE operation
+    a per-row loop would do, so the lags equal that loop bit for bit.
+    """
+    tau_max = cmndf.shape[1] - 1
+    below = cmndf[:, tau_min:] < threshold
+    first = tau_min + np.argmax(below, axis=1)
+    # the walk stops at the first lag from `first` on whose next lag is not lower
+    stop = np.ones(cmndf.shape, dtype=bool)
+    stop[:, :-1] = ~(cmndf[:, 1:] < cmndf[:, :-1])
+    tau = np.argmax(stop & (np.arange(tau_max + 1) >= first[:, None]), axis=1)
+
+    rows = np.arange(len(cmndf))
+    t = np.clip(tau, 1, tau_max - 1)
+    dm, d0, dp = cmndf[rows, t - 1], cmndf[rows, t], cmndf[rows, t + 1]
+    denom = dm - 2.0 * d0 + dp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * (dm - dp) / denom
+    refine = (tau_min < tau) & (tau < tau_max) & (denom > 0) & (np.abs(shift) <= 1.0)
+    return np.where(refine, tau + shift, tau), below.any(axis=1)
 
 
 def extract_log_energy(wave: Waveform, mel_cfg: MelConfig) -> np.ndarray:

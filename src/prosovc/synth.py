@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .encoders import Alignment, AlignSegment
-from .signal_core import RECURSION_CHUNK, Waveform, open_file
+from .signal_core import Waveform, open_file
+
+# Samples per chunk of the tilt's Python-float recursion: one float object per
+# sample of a chunk is all it holds at once, never one per sample of the utterance.
+RECURSION_CHUNK = 1024
 
 
 def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
@@ -55,7 +59,7 @@ def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
         cursor += n / sample_rate
     out = np.concatenate(samples)
     if tilt > 0.0:
-        # One-pole recursion over Python floats, chunked like signal_core._biquad.
+        # One-pole recursion over Python floats, RECURSION_CHUNK samples at a time.
         colored = np.empty_like(out)
         prev = 0.0
         for start in range(0, len(out), RECURSION_CHUNK):

@@ -155,7 +155,8 @@ def assert_close_to_oracle(ours, oracle, rtol=1e-12):
 # -- oracle: YIN over the whole utterance as one batch of frames -------------------
 
 def reference_extract_f0(wave, mel_cfg, f0_cfg=F0Config()):
-    """extract_f0 with the difference function of every frame computed at once."""
+    """extract_f0 with the difference function of every frame computed at once
+    and the lag of each frame picked by a per-frame loop."""
     n = len(wave)
     sr = wave.sample_rate
     tau_min = max(2, int(math.ceil(sr / f0_cfg.f0_max)))
@@ -170,7 +171,7 @@ def reference_extract_f0(wave, mel_cfg, f0_cfg=F0Config()):
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
     rms = np.sqrt(sq[:, -1] / seg_len)
 
-    fft_n = 1 << int(math.ceil(math.log2(3 * tau_max)))
+    fft_n = 1 << int(math.ceil(math.log2(2 * tau_max)))
     head = np.zeros_like(frames)
     head[:, :w] = frames[:, :w]
     corr = np.fft.irfft(np.conj(np.fft.rfft(head, fft_n)) * np.fft.rfft(frames, fft_n), fft_n)

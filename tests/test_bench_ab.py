@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -104,8 +105,13 @@ def test_tree_hash_covers_edits_and_untracked_files_but_not_ignored_ones(bench_a
         return bench_ab.git("-c", "user.name=t", "-c", "user.email=t@example.com", *args, cwd=tmp_path)
 
     git("init", "-q")
+    # ctime ignored and an mtime an hour old, so the index's stat data for a.py is trusted
+    git("config", "core.trustctime", "false")
     (tmp_path / ".gitignore").write_text("out/\n")
-    (tmp_path / "a.py").write_text("x = 1\n")
+    a_py = tmp_path / "a.py"
+    a_py.write_text("x = 1\n")
+    mtime_ns = a_py.stat().st_mtime_ns - 3600 * 10**9
+    os.utime(a_py, ns=(mtime_ns, mtime_ns))
     git("add", "--all")
     git("commit", "-q", "-m", "start")
     assert bench_ab.tree_hash(tmp_path) == git("rev-parse", "HEAD^{tree}")
@@ -113,10 +119,12 @@ def test_tree_hash_covers_edits_and_untracked_files_but_not_ignored_ones(bench_a
     (tmp_path / "out" / "run.log").write_text("ignored\n")
     assert bench_ab.tree_hash(tmp_path) == git("rev-parse", "HEAD^{tree}")
 
-    (tmp_path / "a.py").write_text("x = 2\n")
+    # an edit of the same size that keeps the mtime matches the index's stat data
+    a_py.write_text("x = 2\n")
+    os.utime(a_py, ns=(mtime_ns, mtime_ns))
     edited = bench_ab.tree_hash(tmp_path)
     assert edited != git("rev-parse", "HEAD^{tree}")
-    (tmp_path / "a.py").write_text("x = 1\n")
+    a_py.write_text("x = 1\n")
     (tmp_path / "b.py").write_text("y = 1\n")
     untracked = bench_ab.tree_hash(tmp_path)
     assert untracked not in (edited, git("rev-parse", "HEAD^{tree}"))

@@ -11,7 +11,7 @@ import numpy as np
 
 from prosovc.pipeline import convert
 from prosovc.prosody import extract_f0, extract_prosody
-from prosovc.signal_core import MelSpectrogram, mel_spectrogram
+from prosovc.signal_core import MelSpectrogram, highpass_filter, mel_spectrogram
 from prosovc.synth import toy_utterance
 from prosovc.vocoder import griffin_lim, mel_to_linear
 
@@ -29,6 +29,13 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak - base
+
+
+def test_highpass_filter_peak_on_20s():
+    wave, _ = toy_utterance(seed=3, duration=20.0)
+    # measured 3.9 MiB: the output (3.4 MiB), the finiteness mask of its Waveform
+    # (0.4 MiB) and one run's temporaries; a whole-utterance temporary adds 3.4 MiB
+    assert traced_peak(highpass_filter, wave, 50.0) < 4.2 * MIB
 
 
 def test_extract_f0_peak_on_20s(mel_cfg):

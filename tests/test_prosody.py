@@ -1,6 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, reference_extract_f0, sawtooth_wave, white_noise, wide_hop_noise
+from conftest import (
+    BLOCK_EDGE_FRAMES,
+    WIDE_HOP,
+    assert_close_to_oracle,
+    reference_extract_f0,
+    sawtooth_wave,
+    white_noise,
+    wide_hop_noise,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +21,7 @@ from prosovc.prosody import (
     F0Config,
     ProsodyTrack,
     UnitSequence,
+    _cmndf,
     extract_f0,
     extract_log_energy,
     extract_prosody,
@@ -79,12 +90,12 @@ def test_f0_sample_rate_mismatch(mel_cfg):
 # -- F0 in frame blocks --------------------------------------------------------------
 
 # (MelConfig, F0Config) pairs; each sets YIN's lag range tau_max = floor(sr / f0_min)
-# and its FFT length fft_n, the power of two >= 3 * tau_max.
+# and its FFT length fft_n, the power of two >= 2 * tau_max.
 YIN_CONFIGS = {
-    "default": (MelConfig(), F0Config()),  # tau_max 441, fft_n 2048
+    "default": (MelConfig(), F0Config()),  # tau_max 441, fft_n 1024
     "22k_narrow": (MelConfig(), F0Config(f0_min=80.0, f0_max=500.0)),  # tau_max 275, fft_n 1024
     "16k_wide": (MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400),
-                 F0Config(f0_min=20.0, f0_max=400.0)),  # tau_max 800, fft_n 4096
+                 F0Config(f0_min=20.0, f0_max=400.0)),  # tau_max 800, fft_n 2048
 }
 
 
@@ -133,6 +144,21 @@ def test_extract_f0_in_blocks_equals_whole_utterance_20s(mel_cfg):
     assert voiced.any() and not voiced.all()
     assert np.array_equal(f0, ref_f0)
     assert np.array_equal(voiced, ref_voiced)
+
+
+@pytest.mark.parametrize("config", sorted(YIN_CONFIGS))
+def test_cmndf_lag_correlation_equals_direct_dot_products(config):
+    # The lag correlation is taken by FFT at fft_n, the power of two >= 2 * tau_max.
+    # Had it wrapped, the upper lags would be off by whole products, far beyond rounding.
+    mel_cfg, f0_cfg = YIN_CONFIGS[config]
+    tau_max = math.floor(mel_cfg.sample_rate / f0_cfg.f0_min)
+    frames = 0.3 * np.random.default_rng(tau_max).standard_normal((3, 2 * tau_max))
+    cmndf, _ = _cmndf(frames, tau_max)
+    w = tau_max
+    taus = np.arange(1, tau_max + 1)
+    for row, x in zip(cmndf, frames):
+        diff = np.array([x[:w] @ x[:w] + x[t:t + w] @ x[t:t + w] - 2.0 * (x[:w] @ x[t:t + w]) for t in taus])
+        assert_close_to_oracle(row[1:], diff * taus / np.cumsum(diff))
 
 
 # -- log energy ------------------------------------------------------------------
