@@ -46,6 +46,8 @@ from .transform import ModulationSpec
 _MODULATION_FLAGS = {"octave": "octave_shift", "semitones": "semitone_shift",
                      "energy_gain": "energy_gain", "rate": "rate_multiplier"}
 
+GL_SEED_HELP = "seeds only Griffin-Lim's random start phase; the decoder draws no noise"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prosovc",
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-sample the output mel by the conversion rate")
     p.add_argument("--mod-file", help="key=value file with modulation defaults")
     p.add_argument("--gl-iters", type=int, default=DEFAULT_GL_ITERS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=GL_SEED_HELP)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train-toy", help="train the toy decoder on a corpus directory")
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("f0", "rate"), default="f0")
     p.add_argument("--levels", type=float, nargs="+")
     p.add_argument("--gl-iters", type=int, default=evaluate.DEFAULT_SWEEP_GL_ITERS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=GL_SEED_HELP)
     p.set_defaults(func=cmd_sweep)
 
     return parser

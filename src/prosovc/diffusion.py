@@ -12,9 +12,9 @@ cond.* arrays.  Init, SGD, gradients and checkpoints all use that dict.
 
 The noise predictor computes in the dtype of the weights it is given.
 Training, eval_loss and gradient_check pass float64 weights; the
-pipeline's decode passes a float32 copy of the dict. reverse_sample keeps
-its state and its noise draws in float64 either way, promoting each
-float32 noise estimate in its update.
+pipeline's decode passes a float32 copy of the dict. reverse_sample draws
+no noise: it keeps its state in float64 either way, promoting each float32
+noise estimate in its update.
 """
 
 from __future__ import annotations
@@ -194,20 +194,17 @@ def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
 
 # -- sampling -----------------------------------------------------------------------
 
-def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Iterative denoising from the prior over the schedule grid.
+def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule) -> np.ndarray:
+    """Deterministic denoising from the prior over the schedule grid.
 
     denoise_fn(x_t, t) must return the estimated noise for state x_t at
-    grid time t.  Without an rng the sampler is deterministic (zero
-    injected noise).  A step that leaves the state non-finite raises
-    NonFiniteSample naming that step.
+    grid time t.  Each step estimates x0 and re-projects it to the next
+    grid time with no injected noise; alpha(0) is exactly 1, so the last
+    step returns the x0 estimate.  A step that leaves the state non-finite
+    raises NonFiniteSample naming that step.
     """
-    def noise():
-        return rng.standard_normal(prior.shape) if rng is not None else 0.0
-
     grid = sched.grid
-    x = prior + noise()
+    x = prior
     # an overflow shows up as a non-finite state, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sched.n_steps, 0, -1):
@@ -217,13 +214,8 @@ def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule,
             if np.shape(eps_hat) != x.shape:
                 raise ShapeMismatch(f"denoiser returned {np.shape(eps_hat)}, expected {x.shape}")
             x0_hat = (x - (1.0 - a) * prior - math.sqrt(max(1.0 - a * a, 0.0)) * eps_hat) / a
-            t_next = float(grid[i - 1])
-            if i - 1 == 0:
-                x = x0_hat
-            else:
-                a_next = sched.alpha(t_next)
-                x = a_next * x0_hat + (1.0 - a_next) * prior \
-                    + math.sqrt(max(1.0 - a_next * a_next, 0.0)) * noise()
+            a_next = sched.alpha(float(grid[i - 1]))
+            x = a_next * x0_hat + (1.0 - a_next) * prior
             if not np.isfinite(x).all():
                 raise NonFiniteSample(f"decoder state is non-finite after step "
                                       f"{sched.n_steps - i + 1} of {sched.n_steps} (t={t:g})")

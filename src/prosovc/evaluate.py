@@ -80,7 +80,8 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
     be measured on a given output (no voiced frames) are recorded as NaN.
     Every argument is checked before any analysis, and every pair is
-    planned with every level's modulation before any synthesis.
+    planned with every level's modulation before any synthesis. seed
+    seeds only Griffin-Lim's random start phase: decoding draws no noise.
     """
     grid = sweep_plan(mode, levels)
     if gl_iters < 0:
@@ -92,13 +93,13 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
                             extract_features(trg, bundle.mel_cfg, bundle.f0_cfg), src_align, bundle, mods)
              for src, src_align, trg in pairs]
     # every rate level requests the same track, so rate mode decodes each pair once
-    shared = [decode(plan, plan.requested[0], bundle, seed=seed) for plan in plans] if mode == "rate" else None
+    shared = [decode(plan, plan.requested[0], bundle) for plan in plans] if mode == "rate" else None
     rows = []
     for i, (level, mod) in enumerate(grid):
         cols = []
         for k, plan in enumerate(plans):
             requested = plan.requested[i]
-            mel = shared[k] if shared else decode(plan, requested, bundle, seed=seed)
+            mel = shared[k] if shared else decode(plan, requested, bundle)
             rate = None if mod.rate_multiplier is None else ConversionRate(mod.rate_multiplier)
             wave, mel_out = render(mel, rate, bundle, seed=seed, gl_iters=gl_iters)
             if mode == "f0":

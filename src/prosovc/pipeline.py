@@ -12,8 +12,8 @@ analysis, plan, decode and render in sequence; the sweep plans each pair
 once for all its levels, and in rate mode decodes each pair once.
 
 decode runs the decoder network (style, condition and noise predictor) in
-float32 on float32 copies of the bundle's weights; the sampler's state,
-its noise draws and the decoded mel stay float64. Training and the
+float32 on float32 copies of the bundle's weights; the sampler draws no
+noise, and its state and the decoded mel stay float64. Training and the
 checkpoint keep float64 parameters.
 """
 
@@ -196,7 +196,8 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
             mod: ModulationSpec = ModulationSpec(), *, rate_control: bool = False,
             seed: int = 0, gl_iters: int = DEFAULT_GL_ITERS) -> ConvertResult:
     """Full inference path: analysis of both waves, plan, decode, then render.
-    A given mod.rate_multiplier wins over rate_control's unit conversion rate."""
+    A given mod.rate_multiplier wins over rate_control's unit conversion rate;
+    seed seeds only Griffin-Lim's random start phase."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
@@ -204,7 +205,7 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
                           extract_features(trg, bundle.mel_cfg, bundle.f0_cfg),
                           src_align, bundle, [mod])
     requested = plan.requested[0]
-    decoded = decode(plan, requested, bundle, seed=seed)
+    decoded = decode(plan, requested, bundle)
     rate = plan.rate if rate_control else None
     if mod.rate_multiplier is not None:
         rate = ConversionRate(mod.rate_multiplier)
@@ -243,13 +244,12 @@ def plan_synthesis(src_features, trg_features, src_align: Alignment, bundle: Mod
     return SynthesisPlan(requested, rc, spk, prior, report)
 
 
-def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle, *,
-           seed: int) -> MelSpectrogram:
+def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle) -> MelSpectrogram:
     """Sample the diffusion decoder from the plan's prior, conditioned on
     requested and the plan's speaker, and clip the mel to the vocodable range.
 
     The network runs in float32, on float32 copies of the weights and of
-    each state; the sampler keeps its state and its noise draws in float64."""
+    each state; the sampler keeps its state in float64 and draws no noise."""
     weights = {name: arr.astype(np.float32) for name, arr in bundle.params.weights.items()}
     params = replace(bundle.params, weights=weights)
 
@@ -258,8 +258,7 @@ def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle, *,
         cond = build_condition(requested, style, weights)
         return predict_noise(x_t.astype(np.float32), cond, params)
 
-    rng = np.random.default_rng(seed)
-    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched, rng)
+    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched)
     return MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
                           bundle.mel_cfg)
 

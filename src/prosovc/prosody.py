@@ -133,21 +133,24 @@ def extract_f0(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Config()
     voiced = np.zeros(n_frames, dtype=bool)
     lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
     for lo, hi in frame_blocks(n_frames):
-        cmndf, rms = _cmndf(frames[lo:hi], tau_max)
+        cmndf, rms, head_rms = _cmndf(frames[lo:hi], tau_max)
         lag, found = _yin_lag(cmndf, tau_min, f0_cfg.yin_threshold)
-        voiced[lo:hi] = found & (rms > f0_cfg.rms_floor)
+        # a near-silent head leaves the difference function all rounding noise
+        voiced[lo:hi] = found & (rms > f0_cfg.rms_floor) & (head_rms > f0_cfg.rms_floor)
         f0[lo:hi] = np.where(voiced[lo:hi], sr / np.clip(lag, lag_lo, lag_hi), 0.0)
     return f0, voiced
 
 
 def _cmndf(frames: np.ndarray, tau_max: int):
-    """YIN's cumulative mean normalized difference, lags 0..tau_max, and the RMS
-    of each (2*tau_max)-sample frame; one row per frame, each row computed alone."""
+    """YIN's cumulative mean normalized difference, lags 0..tau_max, the RMS of
+    each (2*tau_max)-sample frame and the RMS of its head, the first W = tau_max
+    samples; one row per frame, each row computed alone."""
     rows, seg_len = frames.shape
     w = tau_max
     sq = np.concatenate([np.zeros((rows, 1)), np.cumsum(frames**2, axis=1)], axis=1)
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
     rms = np.sqrt(sq[:, -1] / seg_len)
+    head_rms = np.sqrt(energy[:, 0] / w)
 
     # The lag correlation of the first W samples with the frame. `head` is zero
     # from W on and no lag exceeds tau_max, so every product it sums sits below
@@ -163,7 +166,7 @@ def _cmndf(frames: np.ndarray, tau_max: int):
     taus = np.arange(1, tau_max + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         cmndf = np.where(cums > 0, diff[:, 1:] * taus / cums, 1.0)
-    return np.concatenate([np.ones((rows, 1)), cmndf], axis=1), rms
+    return np.concatenate([np.ones((rows, 1)), cmndf], axis=1), rms, head_rms
 
 
 def _yin_lag(cmndf: np.ndarray, tau_min: int, threshold: float):

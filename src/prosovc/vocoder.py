@@ -2,7 +2,8 @@
 
 Replaces a neural vocoder with a fully self-contained pipeline: the log-mel
 is exponentiated, mapped through the pseudo-inverse of the mel filterbank
-(clamped at zero), and phase is estimated by iterative STFT projections.
+(clamped at zero) and square-rooted from power to magnitude, and phase is
+estimated by iterative STFT projections.
 
 `griffin_lim` iterates from signal to signal (Griffin & Lim, 1984): an
 iteration needs only the previous signal. Two (T + k - 1, hop) signal-block
@@ -49,9 +50,9 @@ def _mel_pinv(cfg: MelConfig) -> np.ndarray:
 
 
 def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
-    """Non-negative linear-frequency magnitudes, shape (T, fft_size/2 + 1)."""
+    """Non-negative linear-frequency magnitudes, shape (T, fft_size/2 + 1): roots of the inverted mel power."""
     linear = np.exp(mel.values) @ _mel_pinv(mel.config).T
-    return np.maximum(linear, 0.0, out=linear)
+    return np.sqrt(np.maximum(linear, 0.0, out=linear), out=linear)
 
 
 def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray, zero: np.ndarray) -> np.ndarray:

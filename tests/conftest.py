@@ -170,6 +170,7 @@ def reference_extract_f0(wave, mel_cfg, f0_cfg=F0Config()):
     sq = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(frames**2, axis=1)], axis=1)
     energy = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
     rms = np.sqrt(sq[:, -1] / seg_len)
+    head_rms = np.sqrt(energy[:, 0] / w)
 
     fft_n = 1 << int(math.ceil(math.log2(2 * tau_max)))
     head = np.zeros_like(frames)
@@ -188,7 +189,7 @@ def reference_extract_f0(wave, mel_cfg, f0_cfg=F0Config()):
     voiced = np.zeros(n_frames, dtype=bool)
     lag_lo, lag_hi = sr / f0_cfg.f0_max, sr / f0_cfg.f0_min
     for i in range(n_frames):
-        if rms[i] <= f0_cfg.rms_floor:
+        if rms[i] <= f0_cfg.rms_floor or head_rms[i] <= f0_cfg.rms_floor:
             continue
         row = cmndf[i]
         below = row[tau_min:tau_max + 1] < f0_cfg.yin_threshold

@@ -272,7 +272,7 @@ def test_single_sample_overfit_halves_loss(sched):
 def test_reverse_single_step_zero_denoiser_returns_prior():
     sched1 = NoiseSchedule(1, 0.05, 20.0)
     prior = np.random.default_rng(0).standard_normal((7, 3))
-    out = reverse_sample(prior, lambda x, t: np.zeros_like(x), sched1, rng=None)
+    out = reverse_sample(prior, lambda x, t: np.zeros_like(x), sched1)
     assert np.allclose(out, prior, atol=1e-9)
 
 
@@ -287,13 +287,14 @@ def test_reverse_output_shape(sched, tiny_dims):
         cond = build_condition(track, build_style(spk, t, params.weights), params.weights)
         return predict_noise(x, cond, params)
 
-    out = reverse_sample(prior, denoise, sched, np.random.default_rng(3))
+    out = reverse_sample(prior, denoise, sched)
     assert out.shape == prior.shape
 
 
 def test_reverse_analytic_posterior_oracle(sched):
     # data are x0 = prior + constant offset; the exact noise predictor is
-    # eps = (x - prior - alpha * offset) / sqrt(1 - alpha^2)
+    # eps = (x - prior - alpha * offset) / sqrt(1 - alpha^2), so the first step's
+    # x0 estimate is x0 itself and every later step keeps it
     rng = np.random.default_rng(5)
     prior = rng.standard_normal((6, 4))
     offset = 0.8
@@ -303,10 +304,9 @@ def test_reverse_analytic_posterior_oracle(sched):
         a = sched.alpha(t)
         return (x - prior - a * offset) / math.sqrt(1 - a * a)
 
-    outs = [reverse_sample(prior, oracle, sched, np.random.default_rng(run))
-            for run in range(100)]
-    mean_out = np.mean(outs, axis=0)
-    assert np.max(np.abs(mean_out - x0_true)) < 0.05
+    out = reverse_sample(prior, oracle, sched)
+    # rounding only: at most 4.4e-16 measured over 50 seeded priors
+    assert np.max(np.abs(out - x0_true)) < 1e-13
 
 
 def test_reverse_rejects_bad_denoiser_shape(sched):
@@ -315,8 +315,7 @@ def test_reverse_rejects_bad_denoiser_shape(sched):
         reverse_sample(prior, lambda x, t: np.zeros((2, 2)), sched)
 
 
-@pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
-def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
+def test_reverse_names_the_step_that_turns_non_finite(sched):
     prior = np.zeros((4, 4))
     calls = []
 
@@ -330,7 +329,7 @@ def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteSample, match=r"after step 7 of 30 \(t="):
-            reverse_sample(prior, denoise, sched, rng)
+            reverse_sample(prior, denoise, sched)
     assert len(calls) == 7
 
 

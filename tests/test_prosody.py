@@ -153,7 +153,7 @@ def test_cmndf_lag_correlation_equals_direct_dot_products(config):
     mel_cfg, f0_cfg = YIN_CONFIGS[config]
     tau_max = math.floor(mel_cfg.sample_rate / f0_cfg.f0_min)
     frames = 0.3 * np.random.default_rng(tau_max).standard_normal((3, 2 * tau_max))
-    cmndf, _ = _cmndf(frames, tau_max)
+    cmndf, _, _ = _cmndf(frames, tau_max)
     w = tau_max
     taus = np.arange(1, tau_max + 1)
     for row, x in zip(cmndf, frames):

@@ -13,6 +13,7 @@ from prosovc.signal_core import (
     mel_spectrogram,
     stft,
 )
+from prosovc.synth import toy_utterance
 from prosovc.vocoder import griffin_lim, mel_to_linear
 
 SR = 22050
@@ -22,8 +23,16 @@ def test_floor_mel_maps_to_near_zero(mel_cfg):
     mel = MelSpectrogram(np.full((10, mel_cfg.n_mels), np.log(mel_cfg.log_floor)), mel_cfg)
     linear = mel_to_linear(mel)
     assert linear.shape == (10, mel_cfg.n_bins)
-    assert linear.max() < 1e-6
+    assert linear.max() ** 2 < 1e-6
     assert linear.min() >= 0.0
+
+
+def test_resynthesis_keeps_the_input_rms(mel_cfg):
+    # mel_to_linear gives magnitudes, not power: 5.7 against 0.16 when it returned power
+    wave, _ = toy_utterance(0, base_f0=140.0, duration=3.0)
+    out = griffin_lim(mel_to_linear(mel_spectrogram(wave, mel_cfg)), mel_cfg, n_iters=30, seed=0)
+    rms_in, rms_out = (np.sqrt(np.mean(w.samples ** 2)) for w in (wave, out))
+    assert abs(rms_out - rms_in) < 0.05 * rms_in
 
 
 def test_mel_roundtrip_argmax_bin(mel_cfg):
