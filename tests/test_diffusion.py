@@ -315,8 +315,11 @@ def test_reverse_rejects_bad_denoiser_shape(sched):
         reverse_sample(prior, lambda x, t: np.zeros((2, 2)), sched)
 
 
-def test_reverse_names_the_step_that_turns_non_finite(sched):
-    prior = np.zeros((4, 4))
+# the sampler draws no noise; rng only draws a non-zero prior, so the step is
+# named the same way from a zero prior and from a random one
+@pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
+def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
+    prior = np.zeros((4, 4)) if rng is None else rng.standard_normal((4, 4))
     calls = []
 
     def denoise(x, t):
