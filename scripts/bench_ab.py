@@ -6,8 +6,8 @@ Run from anywhere inside a git checkout:
     python3 scripts/bench_ab.py --base HEAD~1 --label my_change --workload convert_short \
         --pairs 10 --seed 701 --seconds 12
 
-The base ref is checked out with ``git worktree add --detach`` into a
-temporary directory, removed again at the end. Each pair runs
+The committed files of the base ref are unpacked with ``git archive`` into
+a temporary directory, removed again at the end. Each pair runs
 ``perfbench/run.py --trace 0`` once on each side with the same seed, the
 base first on odd seeds and the working tree first on even ones, so host
 drift does not favour one side. Only run.py's standard output is read: its
@@ -18,11 +18,15 @@ git tree hash of the measured working tree (see ``tree_hash``), the
 environment of each side, the ``MALLOC_*`` allocator settings both sides
 ran under (``MALLOC_MMAP_THRESHOLD_`` moves ``peak_rss_mb`` by heap layout
 alone), the seeds and run order, each side's per-workload
-fingerprints, each gated metric's median and quartiles per side, and per
-metric how many pairs each side won. Standard output gets one
-``fingerprints <workload> unchanged|changed`` line per workload and one
-line per metric. The exit status is 0 whenever every run printed a result,
-whether or not anything changed.
+fingerprints, each gated metric's median and quartiles per side, per
+metric how many pairs each side won, and the gate. The gate reads each
+end-to-end metric's ``better`` and ``bound`` from ``BENCHMARK.json`` (and
+never writes it): a metric breaches when its change median is worse than
+its base median by more than ``bound * |base median|``. Standard output gets
+one ``fingerprints <workload> unchanged|changed`` line per workload, one line
+per metric, with ``BREACH`` on each that breaches, and a last ``gate`` line.
+The exit status is 0 whenever every run printed a result, whether or not
+anything changed or breached.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -129,7 +134,29 @@ def summarise(runs: list[dict], better: dict) -> dict:
     return {"seeds": seeds, "fingerprints": fingerprints, "metrics": metrics, "verdict": verdict}
 
 
+def gate(metrics: dict, end_to_end: dict) -> dict:
+    """The metrics (and their workloads) whose change median is worse than the base
+    median by more than bound * |base median|.
+
+    metrics: summarise's "metrics"; end_to_end maps a metric name without its
+    workload prefix to {"better", "bound"}. Metrics it does not name have no bound.
+    """
+    breaches = []
+    for name, m in metrics.items():
+        spec = end_to_end.get(name.split(".", 1)[-1])
+        if spec is None:
+            continue
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        worse_by = sign * (m["change"]["median"] - m["base"]["median"])
+        if worse_by > spec["bound"] * abs(m["base"]["median"]):
+            breaches.append(name)
+    workloads = sorted({name.split(".", 1)[0] for name in breaches})
+    return {"pass": not breaches, "breaches": breaches, "workloads": workloads}
+
+
 def summary_lines(summary: dict) -> list[str]:
+    """One line per fingerprint, side verdict and metric; a last gate line if summary has a gate."""
+    breaches = summary.get("gate", {}).get("breaches", [])
     lines = [f"fingerprints {name} {entry['status']}" for name, entry in summary["fingerprints"].items()]
     for side in SIDES:
         v = summary["verdict"][side]
@@ -141,7 +168,12 @@ def summary_lines(summary: dict) -> list[str]:
         lines.append(f"metric {name} base {base['median']:.6g} [{base['q1']:.6g}, {base['q3']:.6g}] "
                      f"change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]{rel}; "
                      f"{m['better']} is better; change better in {m['wins']['change']}/{n_pairs} pairs, "
-                     f"base in {m['wins']['base']}")
+                     f"base in {m['wins']['base']}" + ("; BREACH" if name in breaches else ""))
+    if "gate" in summary:
+        g = summary["gate"]
+        lines.append("gate pass: no end-to-end metric is worse than its bound" if g["pass"] else
+                     f"gate fail: {len(g['breaches'])} breach(es) in {', '.join(g['workloads'])}: "
+                     f"{', '.join(g['breaches'])}")
     return lines
 
 
@@ -178,9 +210,18 @@ def run_side(tree: Path, args, seed: int) -> dict:
     return parse_run(proc.stdout, args.workload)
 
 
-def benchmark_directions(tree: Path) -> dict:
+def end_to_end_specs(tree: Path) -> dict:
+    """BENCHMARK.json's end-to-end metrics: name -> {"better", "bound"}."""
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+    return {m["name"]: {"better": m.get("better", "lower"), "bound": m["bound"]}
+            for m in spec.get("end_to_end", [])}
+
+
+def unpack_commit(commit: str, dest: Path) -> None:
+    """The committed files of `commit`, as `git archive` gives them, under dest."""
+    blob = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=blob, check=True)
 
 
 def main(argv=None) -> int:
@@ -190,9 +231,9 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     change_tree = tree_hash()
     base_dir = Path(tempfile.mkdtemp(prefix="bench-ab-base-"))
-    git("worktree", "add", "--detach", str(base_dir), base_commit)
     runs = []
     try:
+        unpack_commit(base_commit, base_dir)
         trees = {"base": base_dir, "change": ROOT}
         for seed in range(args.seed, args.seed + args.pairs):
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -201,8 +242,10 @@ def main(argv=None) -> int:
                 runs.append({"seed": seed, "side": side, "first": position == 0,
                              "parsed": run_side(trees[side], args, seed)})
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_dir)], cwd=ROOT, check=False)
-    summary = summarise(runs, benchmark_directions(ROOT))
+        shutil.rmtree(base_dir, ignore_errors=True)
+    specs = end_to_end_specs(ROOT)
+    summary = summarise(runs, {name: spec["better"] for name, spec in specs.items()})
+    summary["gate"] = gate(summary["metrics"], specs)
     record = {
         "label": args.label,
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds} --trace 0",

@@ -164,9 +164,14 @@ def cmd_convert(args) -> int:
     report["target"] = args.trg
     report["output"] = args.out
     if args.report is not None:
-        with open_file(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open_file(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except UnwritableFile:
+            # a run that fails leaves no output behind, so the WAV goes too
+            Path(args.out).unlink()
+            raise
     print(json.dumps({k: report[k] for k in ("mu_src_hz", "mu_trg_hz", "rc_raw", "rc_clamped",
                                              "requested_mean_hz", "out_frames")}))
     return 0

@@ -2,9 +2,10 @@
 time-convolution noise predictor, plain-SGD training with hand-derived
 gradients, and grid-based reverse sampling.
 
-The continuous-time schedule uses a linear beta(t); its integral has the
-closed form t*beta_min + t^2*(beta_max - beta_min)/2, giving
-alpha(t) = exp(-integral/2) exactly.
+The noise schedule is DiffVC's and fixed: a linear beta(t) from BETA_MIN
+to BETA_MAX over N_STEPS grid steps. Its integral has the closed form
+t*BETA_MIN + t^2*(BETA_MAX - BETA_MIN)/2, giving alpha(t) = exp(-integral/2)
+exactly.
 
 DecoderParams.weights holds every trainable array, keyed and ordered as
 param_shapes: the conv stack's dec.* arrays, then the conditioning's
@@ -25,34 +26,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conditioning import ModelDims, cond_backward, cond_forward_cache, cond_shapes, he_normal
-from .errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
+from .errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from .nn import conv1d, conv1d_backward, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
 from .prosody import ProsodyTrack
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    n_steps: int = 30
-    beta_min: float = 0.05
-    beta_max: float = 20.0
+N_STEPS = 30
+BETA_MIN = 0.05
+BETA_MAX = 20.0
+GRID = np.linspace(0.0, 1.0, N_STEPS + 1)
+GRID.flags.writeable = False
 
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise BadSchedule(f"n_steps must be >= 1, got {self.n_steps}")
-        if not 0 < self.beta_min < self.beta_max:
-            raise BadSchedule(f"need 0 < beta_min < beta_max, got [{self.beta_min}, {self.beta_max}]")
-        if self.alpha(1.0) > 0.01:
-            raise BadSchedule(f"terminal alpha {self.alpha(1.0):.4f} > 0.01; noise too weak")
 
-    def alpha(self, t: float) -> float:
-        integral = t * self.beta_min + 0.5 * t * t * (self.beta_max - self.beta_min)
-        return math.exp(-0.5 * integral)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_steps + 1)
+def alpha(t: float) -> float:
+    integral = t * BETA_MIN + 0.5 * t * t * (BETA_MAX - BETA_MIN)
+    return math.exp(-0.5 * integral)
 
 
 @dataclass
@@ -85,12 +75,11 @@ def init_decoder_params(dims: ModelDims, rng: np.random.Generator,
 
 # -- forward/reverse process ------------------------------------------------------
 
-def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray,
-                    sched: NoiseSchedule) -> np.ndarray:
+def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray) -> np.ndarray:
     """x_t = alpha*x0 + (1-alpha)*prior + sqrt(1-alpha^2)*eps."""
     if x0.shape != prior.shape or x0.shape != eps.shape:
         raise ShapeMismatch(f"x0 {x0.shape}, prior {prior.shape}, eps {eps.shape} must match")
-    a = sched.alpha(t)
+    a = alpha(t)
     return a * x0 + (1.0 - a) * prior + math.sqrt(max(1.0 - a * a, 0.0)) * eps
 
 
@@ -157,36 +146,34 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
     return loss, grads | cond_backward(d_cond, ccache, w)
 
 
-def train_step(batch: TrainBatch, params: DecoderParams, lr: float,
-               rng: np.random.Generator, sched: NoiseSchedule):
+def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.random.Generator):
     """One SGD update over all decoder and conditioning parameters.
 
     Samples t uniformly from the positive schedule grid and eps from rng;
     returns (updated params, loss).  The input params are left untouched.
     A non-finite loss, or an update that leaves any parameter beyond the
-    float32 range a checkpoint stores, raises NonFiniteLoss.
+    float32 range the decoder runs in, raises NonFiniteLoss.
     """
-    i = int(rng.integers(1, sched.n_steps + 1))
-    t = i / sched.n_steps
+    i = int(rng.integers(1, N_STEPS + 1))
+    t = i / N_STEPS
     eps = rng.standard_normal(batch.x0.shape)
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
+    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
     # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = _forward_backward(params, batch, x_t, t, eps)
         updated = {name: arr - lr * grads[name] for name, arr in params.weights.items()}
-    # a finite loss can still drive a weight past what a checkpoint can store; stop at that step
+    # a finite loss can still drive a weight past what decode's float32 copy can hold; stop at that step
     for name, arr in updated.items():
         if not np.abs(arr).max() <= _F32_MAX:
             raise NonFiniteLoss(f"parameter {name} left the float32 range")
     return replace(params, weights=updated), loss
 
 
-def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
-              pairs: list[tuple[float, np.ndarray]]) -> float:
+def eval_loss(params: DecoderParams, batch: TrainBatch, pairs: list[tuple[float, np.ndarray]]) -> float:
     """Mean noise loss over fixed (t, eps) pairs; deterministic validation."""
     total = 0.0
     for t, eps in pairs:
-        x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
+        x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
         cond, _ = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
         total += noise_loss(predict_noise(x_t, cond, params), eps)
     return total / len(pairs)
@@ -194,7 +181,7 @@ def eval_loss(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
 
 # -- sampling -----------------------------------------------------------------------
 
-def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule) -> np.ndarray:
+def reverse_sample(prior: np.ndarray, denoise_fn) -> np.ndarray:
     """Deterministic denoising from the prior over the schedule grid.
 
     denoise_fn(x_t, t) must return the estimated noise for state x_t at
@@ -203,29 +190,28 @@ def reverse_sample(prior: np.ndarray, denoise_fn, sched: NoiseSchedule) -> np.nd
     step returns the x0 estimate.  A step that leaves the state non-finite
     raises NonFiniteSample naming that step.
     """
-    grid = sched.grid
     x = prior
     # an overflow shows up as a non-finite state, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(sched.n_steps, 0, -1):
-            t = float(grid[i])
-            a = sched.alpha(t)
+        for i in range(N_STEPS, 0, -1):
+            t = float(GRID[i])
+            a = alpha(t)
             eps_hat = denoise_fn(x, t)
             if np.shape(eps_hat) != x.shape:
                 raise ShapeMismatch(f"denoiser returned {np.shape(eps_hat)}, expected {x.shape}")
             x0_hat = (x - (1.0 - a) * prior - math.sqrt(max(1.0 - a * a, 0.0)) * eps_hat) / a
-            a_next = sched.alpha(float(grid[i - 1]))
+            a_next = alpha(float(GRID[i - 1]))
             x = a_next * x0_hat + (1.0 - a_next) * prior
             if not np.isfinite(x).all():
                 raise NonFiniteSample(f"decoder state is non-finite after step "
-                                      f"{sched.n_steps - i + 1} of {sched.n_steps} (t={t:g})")
+                                      f"{N_STEPS - i + 1} of {N_STEPS} (t={t:g})")
     return x
 
 
 # -- verification --------------------------------------------------------------------
 
-def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedule,
-                   h: float = 1e-4, t: float = 0.5, seed: int = 0) -> float:
+def gradient_check(params: DecoderParams, batch: TrainBatch, h: float = 1e-4, t: float = 0.5,
+                   seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Evaluates the full decoder+conditioning stack at a fixed (t, eps), so
@@ -233,7 +219,7 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
     """
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(batch.x0.shape)
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
+    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
     _, grads = _forward_backward(params, batch, x_t, t, eps)
     pair = [(t, eps)]
     worst = 0.0
@@ -244,9 +230,9 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, sched: NoiseSchedul
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            up = eval_loss(probe, batch, sched, pair)
+            up = eval_loss(probe, batch, pair)
             flat[idx] = orig - h
-            down = eval_loss(probe, batch, sched, pair)
+            down = eval_loss(probe, batch, pair)
             flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             denom = max(abs(g[idx]) + abs(fd), 1e-8)

@@ -80,10 +80,6 @@ class BadDim(ProsoVCError):
     exit_code = 6
 
 
-class BadSchedule(ProsoVCError):
-    exit_code = 6
-
-
 class ShapeMismatch(ProsoVCError):
     exit_code = 6
 

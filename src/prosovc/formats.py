@@ -5,9 +5,10 @@ rows u32, cols u32, then f32 little-endian row-major payload.  Prosody
 tracks store three consecutive row-major blocks: log_f0, voiced as 0/1,
 log_energy.
 
-PFCK ("PFCK"): magic, version u32, then named parameter blocks: name
-length u16, utf-8 name bytes, rank u8, dims u32 each, f32 little-endian
-row-major data.
+PFCK ("PFCK") version 2: magic, version u32, then named parameter blocks:
+name length u16, utf-8 name bytes, rank u8, dims u32 each, f64
+little-endian row-major data. Every float64 is stored exactly, so a block
+reads back bit for bit; a file of any other version is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ FTB_VECTOR = 1
 FTB_PROSODY = 2
 
 PFCK_MAGIC = b"PFCK"
-PFCK_VERSION = 1
+PFCK_VERSION = 2
 
 
 def _f32_bytes(path, what: str, arr: np.ndarray) -> bytes:
@@ -74,7 +75,7 @@ def read_ftb(path):
     expected = 13 + 4 * n * (3 if kind == FTB_PROSODY else 1)
     if len(blob) != expected:
         raise UnreadableFile(f"{path}: payload is {len(blob) - 13} bytes, expected {expected - 13}")
-    # a signalling NaN sets the invalid flag when cast, as in read_pfck
+    # a signalling NaN sets the invalid flag when cast from float32
     with np.errstate(invalid="ignore"):
         data = np.frombuffer(blob, dtype="<f4", offset=13).astype(np.float64)
     if kind == FTB_MATRIX:
@@ -93,17 +94,13 @@ def read_ftb(path):
 # -- PFCK checkpoints ---------------------------------------------------------------
 
 def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
-    """Write named float arrays in insertion order.
-
-    The whole file is built before it is opened, so a block holding a finite
-    value that float32 cannot represent is refused with no file written.
-    """
+    """Write named float arrays in insertion order, as float64."""
     parts = [PFCK_MAGIC, struct.pack("<I", PFCK_VERSION)]
     for name, arr in blocks.items():
         arr = np.asarray(arr)
         encoded = name.encode("utf-8")
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
-                  struct.pack(f"<{arr.ndim}I", *arr.shape), _f32_bytes(path, f"block {name}", arr)]
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     with open_file(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -129,13 +126,11 @@ def read_pfck(path) -> dict[str, np.ndarray]:
             shape = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
             count = math.prod(shape)
-            if 4 * count > len(blob) - offset:
+            if 8 * count > len(blob) - offset:
                 raise UnreadableFile(f"{path}: truncated parameter block {name}")
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-            offset += 4 * count
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
+            offset += 8 * count
         except (struct.error, ValueError, UnicodeDecodeError) as exc:
             raise UnreadableFile(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-        # a signalling NaN sets the invalid flag when cast; the caller's finiteness check reports it
-        with np.errstate(invalid="ignore"):
-            blocks[name] = arr.astype(np.float64)
+        blocks[name] = arr.astype(np.float64)
     return blocks

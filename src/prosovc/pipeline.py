@@ -14,7 +14,9 @@ once for all its levels, and in rate mode decodes each pair once.
 decode runs the decoder network (style, condition and noise predictor) in
 float32 on float32 copies of the bundle's weights; the sampler draws no
 noise, and its state and the decoded mel stay float64. Training and the
-checkpoint keep float64 parameters.
+checkpoint keep float64 parameters, so load_bundle(save_bundle(b)) holds
+b's weights and configs bit for bit. The noise schedule is diffusion's
+fixed one, not part of the bundle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .conditioning import ModelDims, build_condition, build_style
 from .diffusion import (
     DecoderParams,
-    NoiseSchedule,
     TrainBatch,
     init_decoder_params,
     param_shapes,
@@ -37,7 +38,7 @@ from .diffusion import (
     train_step,
 )
 from .encoders import Alignment, average_mel_target, speaker_embedding
-from .errors import BadSchedule, InsufficientData, NonFiniteLoss, UnreadableFile
+from .errors import InsufficientData, NonFiniteLoss, UnreadableFile
 from .formats import read_pfck, write_pfck
 from .prosody import (
     Codebook,
@@ -80,7 +81,6 @@ class ModelBundle:
     """Everything a conversion run needs: weights, codebook, and configs."""
 
     params: DecoderParams
-    sched: NoiseSchedule
     mel_cfg: MelConfig
     f0_cfg: F0Config
     codebook: Codebook
@@ -94,7 +94,6 @@ class ModelBundle:
 # holds the class's fields in declaration order, as float64.
 _META = {
     "meta.dims": ("dims", ModelDims),
-    "meta.schedule": ("sched", NoiseSchedule),
     "meta.melcfg": ("mel_cfg", MelConfig),
     "meta.f0cfg": ("f0_cfg", F0Config),
 }
@@ -134,7 +133,7 @@ def _unpack(blocks: dict, name: str, cls):
     values = _block(blocks, name, (len(cls_fields),))
     try:
         return cls(**{f.name: _cast(f, v) for f, v in zip(cls_fields, values)})
-    except (ValueError, OverflowError, BadSchedule) as exc:
+    except (ValueError, OverflowError) as exc:
         raise UnreadableFile(f"checkpoint block {name} is invalid: {exc}") from exc
 
 
@@ -258,7 +257,7 @@ def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle) ->
         cond = build_condition(requested, style, weights)
         return predict_noise(x_t.astype(np.float32), cond, params)
 
-    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched)
+    sampled = reverse_sample(plan.prior.values, denoise)
     return MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
                           bundle.mel_cfg)
 
@@ -297,7 +296,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     if epochs < 1:
         raise InsufficientData("need at least one epoch")
 
-    f0_cfg, sched = F0Config(), NoiseSchedule()
+    f0_cfg = F0Config()
     mels, tracks, priors = [], [], []
     for item in items:
         mel, track = extract_features(item.wave, mel_cfg, f0_cfg)
@@ -333,7 +332,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
                 speaker=spk_embeddings[spk_idx],
             )
             try:
-                params, loss = train_step(batch, params, lr, rng, sched)
+                params, loss = train_step(batch, params, lr, rng)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"{exc} at epoch {epoch + 1}/{epochs}, "
                                     f"step {step}/{len(order)}") from exc
@@ -342,5 +341,5 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
         if log is not None:
             log(f"epoch {epoch + 1}/{epochs} loss {epoch_losses[-1]:.6f}")
 
-    bundle = ModelBundle(params, sched, mel_cfg, f0_cfg, codebook)
+    bundle = ModelBundle(params, mel_cfg, f0_cfg, codebook)
     return bundle, epoch_losses

@@ -15,8 +15,8 @@ from conftest import init_cond_weights, make_track, sawtooth_wave, silence
 from prosovc.cli import main
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
-    NoiseSchedule,
     TrainBatch,
+    alpha,
     eval_loss,
     forward_diffuse,
     gradient_check,
@@ -118,31 +118,29 @@ def test_criterion_04_filter_response():
 
 def test_criterion_05_schedule_identities():
     started = time.perf_counter()
-    sched = NoiseSchedule(30, 0.05, 20.0)
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((8, 5))
     prior = rng.standard_normal((8, 5))
-    assert np.max(np.abs(forward_diffuse(x0, prior, 0.0, np.zeros_like(x0), sched) - x0)) < 1e-9
-    assert abs(sched.alpha(1.0) - math.exp(-(0.05 + 19.95 / 2) / 2)) < 1e-9
-    assert sched.alpha(1.0) == pytest.approx(0.00665, abs=5e-5)
+    assert np.max(np.abs(forward_diffuse(x0, prior, 0.0, np.zeros_like(x0)) - x0)) < 1e-9
+    assert abs(alpha(1.0) - math.exp(-(0.05 + 19.95 / 2) / 2)) < 1e-9
+    assert alpha(1.0) == pytest.approx(0.00665, abs=5e-5)
 
     n = 10_000
     prior_mc = rng.standard_normal(n)
     x0_mc = prior_mc + rng.standard_normal(n)
     for t in (0.25, 0.5, 0.75):
-        a = sched.alpha(t)
-        x_t = forward_diffuse(x0_mc, prior_mc, t, rng.standard_normal(n), sched)
+        a = alpha(t)
+        x_t = forward_diffuse(x0_mc, prior_mc, t, rng.standard_normal(n))
         var = float(np.var(x_t - prior_mc))
         expected = a * a + (1 - a * a)
         assert abs(var - expected) / expected < 0.05
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
-    ok(5, f"t=0 identity, alpha(1)={sched.alpha(1.0):.5f}, MC variance within 5% ({elapsed:.2f}s)")
+    ok(5, f"t=0 identity, alpha(1)={alpha(1.0):.5f}, MC variance within 5% ({elapsed:.2f}s)")
 
 
 def test_criterion_06_gradient_check(tiny_dims):
     started = time.perf_counter()
-    sched = NoiseSchedule(30, 0.05, 20.0)
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
     n_params = sum(a.size for a in params.weights.values())
@@ -153,7 +151,7 @@ def test_criterion_06_gradient_check(tiny_dims):
         prosody=make_track(rng, n_frames=6),
         speaker=rng.standard_normal(tiny_dims.speaker_dim),
     )
-    err = gradient_check(params, batch, sched, h=1e-4)
+    err = gradient_check(params, batch, h=1e-4)
     assert err < 1e-3
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -162,7 +160,6 @@ def test_criterion_06_gradient_check(tiny_dims):
 
 def test_criterion_07_toy_training(demo_corpus, tmp_path):
     started = time.perf_counter()
-    sched = NoiseSchedule(30, 0.05, 20.0)
     dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
                      cond_hidden=24, dec_hidden=24)
     rng = np.random.default_rng(11)
@@ -175,10 +172,10 @@ def test_criterion_07_toy_training(demo_corpus, tmp_path):
     )
     val_rng = np.random.default_rng(99)
     pairs = [((i % 30 + 1) / 30, val_rng.standard_normal(batch.x0.shape)) for i in range(16)]
-    before = eval_loss(params, batch, sched, pairs)
+    before = eval_loss(params, batch, pairs)
     for _ in range(200):
-        params, _ = train_step(batch, params, 1e-3, rng, sched)
-    after = eval_loss(params, batch, sched, pairs)
+        params, _ = train_step(batch, params, 1e-3, rng)
+    after = eval_loss(params, batch, pairs)
     assert after <= 0.5 * before
 
     root, _ = demo_corpus

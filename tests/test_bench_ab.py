@@ -92,6 +92,37 @@ def test_summary_reports_a_changed_fingerprint_and_higher_is_better(bench_ab):
     assert "fingerprints sweep changed" in bench_ab.summary_lines(summary)
 
 
+def test_gate_marks_a_metric_worse_than_its_bound_and_passes_one_within(bench_ab):
+    # rtf_cal_p50 is 30 % worse against a 25 % bound; spectral_convergence 0.5 % worse against 1 %
+    runs = []
+    for seed, (b, c) in enumerate([(0.100, 0.131), (0.101, 0.130), (0.099, 0.129)], start=1):
+        for side, rtf, sc in (("base", b, 0.300), ("change", c, 0.3015)):
+            runs.append({"seed": seed, "side": side,
+                         "parsed": bench_ab.parse_run(run_output("convert_short", "f", rtf, sc=sc), "convert_short")})
+    specs = {"rtf_cal_p50": {"better": "lower", "bound": 0.25},
+             "spectral_convergence": {"better": "lower", "bound": 0.01}}
+    summary = bench_ab.summarise(runs, {name: spec["better"] for name, spec in specs.items()})
+    summary["gate"] = bench_ab.gate(summary["metrics"], specs)
+    assert summary["gate"] == {"pass": False, "breaches": ["convert_short.rtf_cal_p50"],
+                               "workloads": ["convert_short"]}
+    lines = bench_ab.summary_lines(summary)
+    marked = [line.split()[1] for line in lines if line.startswith("metric ") and line.endswith("; BREACH")]
+    assert marked == ["convert_short.rtf_cal_p50"]
+    assert lines[-1] == "gate fail: 1 breach(es) in convert_short: convert_short.rtf_cal_p50"
+
+    within = specs | {"rtf_cal_p50": {"better": "lower", "bound": 0.35}}
+    assert bench_ab.gate(summary["metrics"], within) == {"pass": True, "breaches": [], "workloads": []}
+
+
+def test_gate_reads_bounds_from_benchmark_json_without_writing_it(bench_ab):
+    path = SCRIPT.parents[1] / "BENCHMARK.json"
+    before = path.read_bytes()
+    specs = bench_ab.end_to_end_specs(path.parent)
+    assert specs == {m["name"]: {"better": m["better"], "bound": m["bound"]}
+                     for m in json.loads(before)["end_to_end"]}
+    assert path.read_bytes() == before
+
+
 def test_malloc_env_keeps_only_malloc_variables(bench_ab):
     environ = {"PATH": "/usr/bin", "MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_ARENA_MAX": "2",
                "OMP_NUM_THREADS": "1", "GLIBC_MALLOC": "x"}

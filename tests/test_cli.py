@@ -327,28 +327,28 @@ def test_convert_non_integral_step_count_exit_2(ckpt, pair_files, tmp_path, caps
     from prosovc.formats import read_pfck, write_pfck
 
     blocks = read_pfck(ckpt)
-    blocks["meta.schedule"][0] = 30.5
+    blocks["meta.melcfg"][2] = 256.5
     bad = tmp_path / "bad.pfck"
     write_pfck(bad, blocks)
     rc = main(convert_args(bad, pair_files, tmp_path / "o.wav"))
     assert rc == 2
-    assert capsys.readouterr().err == ("UnreadableFile: checkpoint block meta.schedule is invalid: "
-                                       "n_steps 30.5 is not an integer\n")
+    assert capsys.readouterr().err == ("UnreadableFile: checkpoint block meta.melcfg is invalid: "
+                                       "hop 256.5 is not an integer\n")
     assert not (tmp_path / "o.wav").exists()
 
 
 def test_convert_signalling_nan_param_block_is_one_line(ckpt, pair_files, tmp_path):
-    # a float32 signalling NaN sets the invalid flag when widened to float64; no warning may be printed
+    # a float64 signalling NaN must be reported as non-finite, with no warning printed
     from prosovc.formats import read_pfck, write_pfck
 
     blocks = read_pfck(ckpt)
-    marker = np.float32(1234.5).tobytes()
+    marker = np.float64(1234.5).tobytes()
     blocks["param.dec.w2"][0, 0, 0] = 1234.5
     bad = tmp_path / "snan.pfck"
     write_pfck(bad, blocks)
     blob = bad.read_bytes()
     assert blob.count(marker) == 1
-    bad.write_bytes(blob.replace(marker, np.uint32(0x7F800001).astype("<u4").tobytes()))
+    bad.write_bytes(blob.replace(marker, np.uint64(0x7FF0000000000001).astype("<u8").tobytes()))
     out = tmp_path / "o.wav"
     proc = subprocess.run(CLI + convert_args(bad, pair_files, out) + ["--gl-iters", "0"],
                           capture_output=True, text=True)
@@ -570,6 +570,7 @@ def test_convert_report_into_missing_directory_exit_2(ckpt, pair_files, tmp_path
     rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--gl-iters", "0", "--report", str(report)])
     err = assert_one_error_line(capsys, rc, "UnwritableFile", 2)
     assert err.startswith(f"UnwritableFile: {report}: ")
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_sweep_out_into_missing_directory_exit_2(ckpt, pair_files, tmp_path, capsys):

@@ -16,8 +16,10 @@ from conftest import (
 from prosovc import diffusion
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
-    NoiseSchedule,
+    GRID,
+    N_STEPS,
     TrainBatch,
+    alpha,
     eval_loss,
     forward_diffuse,
     gradient_check,
@@ -28,13 +30,8 @@ from prosovc.diffusion import (
     reverse_sample,
     train_step,
 )
-from prosovc.errors import BadSchedule, NonFiniteLoss, NonFiniteSample, ShapeMismatch
+from prosovc.errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from prosovc.nn import affine, affine_backward, conv1d_backward, relu_backward
-
-
-@pytest.fixture(scope="module")
-def sched():
-    return NoiseSchedule(30, 0.05, 20.0)
 
 
 def make_batch(rng, dims, n_frames=12):
@@ -48,77 +45,67 @@ def make_batch(rng, dims, n_frames=12):
 
 # -- schedule ------------------------------------------------------------------
 
-def test_alpha_boundaries(sched):
-    assert sched.alpha(0.0) == 1.0
+def test_alpha_boundaries():
+    assert alpha(0.0) == 1.0
     expected = math.exp(-(0.05 + 19.95 / 2) / 2)
-    assert abs(sched.alpha(1.0) - expected) < 1e-9
+    assert abs(alpha(1.0) - expected) < 1e-9
     assert expected == pytest.approx(0.00665, abs=5e-5)
+    assert alpha(1.0) <= 0.01  # the noise is strong enough to reach the prior
 
 
-def test_alpha_midpoint(sched):
+def test_alpha_midpoint():
     expected = math.exp(-(0.025 + 2.49375) / 2)
-    assert sched.alpha(0.5) == pytest.approx(expected, abs=1e-12)
+    assert alpha(0.5) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.2839, abs=1e-4)
 
 
-def test_alpha_strictly_decreasing(sched):
-    alphas = [sched.alpha(t) for t in sched.grid]
+def test_alpha_strictly_decreasing():
+    alphas = [alpha(t) for t in GRID]
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
     assert alphas[-1] <= 0.01
 
 
-def test_bad_schedules():
-    with pytest.raises(BadSchedule):
-        NoiseSchedule(0, 0.05, 20.0)
-    with pytest.raises(BadSchedule):
-        NoiseSchedule(30, 20.0, 0.05)
-    with pytest.raises(BadSchedule):
-        NoiseSchedule(30, 0.0, 20.0)
-    with pytest.raises(BadSchedule):
-        NoiseSchedule(30, 0.01, 0.1)  # terminal alpha would stay near 1
-
-
 # -- forward diffusion -----------------------------------------------------------
 
-def test_forward_identity_at_t0(sched):
+def test_forward_identity_at_t0():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((6, 4))
     prior = rng.standard_normal((6, 4))
-    out = forward_diffuse(x0, prior, 0.0, np.zeros_like(x0), sched)
+    out = forward_diffuse(x0, prior, 0.0, np.zeros_like(x0))
     assert np.allclose(out, x0, atol=1e-9)
 
 
-def test_forward_terminal_reaches_prior(sched):
+def test_forward_terminal_reaches_prior():
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal((6, 4))
     prior = rng.standard_normal((6, 4))
-    out = forward_diffuse(x0, prior, 1.0, np.zeros_like(x0), sched)
+    out = forward_diffuse(x0, prior, 1.0, np.zeros_like(x0))
     gap = np.linalg.norm(x0 - prior)
     assert np.linalg.norm(out - prior) <= 0.007 * gap
 
 
-def test_forward_midpoint_closed_form(sched):
+def test_forward_midpoint_closed_form():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((3, 5))
     prior = rng.standard_normal((3, 5))
     a = math.exp(-(0.025 + 2.49375) / 2)
-    out = forward_diffuse(x0, prior, 0.5, np.zeros_like(x0), sched)
+    out = forward_diffuse(x0, prior, 0.5, np.zeros_like(x0))
     assert np.allclose(out, a * x0 + (1 - a) * prior, atol=1e-12)
 
 
-def test_forward_shape_mismatch(sched):
+def test_forward_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        forward_diffuse(np.zeros((3, 4)), np.zeros((4, 3)), 0.5, np.zeros((3, 4)), sched)
+        forward_diffuse(np.zeros((3, 4)), np.zeros((4, 3)), 0.5, np.zeros((3, 4)))
 
 
-def test_variance_preservation_monte_carlo(sched):
+def test_variance_preservation_monte_carlo():
     rng = np.random.default_rng(3)
     n = 10_000
     prior = rng.standard_normal(n)
     x0 = prior + rng.standard_normal(n)  # unit variance around the prior
     for t in (0.2, 0.5, 0.9):
-        a = sched.alpha(t)
-        x_t = forward_diffuse(x0, prior, t, rng.standard_normal(n), sched)
+        a = alpha(t)
+        x_t = forward_diffuse(x0, prior, t, rng.standard_normal(n))
         var = np.var(x_t - prior)
         expected = a * a + (1 - a * a)
         assert abs(var - expected) / expected < 0.05
@@ -198,85 +185,85 @@ def test_predict_noise_sensitive_to_condition(tiny_dims):
 
 # -- training ----------------------------------------------------------------------------
 
-def test_train_step_zero_lr_is_identity(tiny_dims, sched):
+def test_train_step_zero_lr_is_identity(tiny_dims):
     rng = np.random.default_rng(6)
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims)
-    updated, loss = train_step(batch, params, 0.0, np.random.default_rng(0), sched)
+    updated, loss = train_step(batch, params, 0.0, np.random.default_rng(0))
     assert math.isfinite(loss)
     for name, arr in params.weights.items():
         assert np.array_equal(updated.weights[name], arr)
 
 
-def test_train_step_deterministic(tiny_dims, sched):
+def test_train_step_deterministic(tiny_dims):
     rng = np.random.default_rng(7)
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims)
-    out1, loss1 = train_step(batch, params, 1e-3, np.random.default_rng(11), sched)
-    out2, loss2 = train_step(batch, params, 1e-3, np.random.default_rng(11), sched)
+    out1, loss1 = train_step(batch, params, 1e-3, np.random.default_rng(11))
+    out2, loss2 = train_step(batch, params, 1e-3, np.random.default_rng(11))
     assert loss1 == loss2
     for name in out1.weights:
         assert np.array_equal(out1.weights[name], out2.weights[name])
 
 
-def test_train_step_does_not_mutate_input(tiny_dims, sched):
+def test_train_step_does_not_mutate_input(tiny_dims):
     rng = np.random.default_rng(8)
     params = init_decoder_params(tiny_dims, rng)
     before = {k: v.copy() for k, v in params.weights.items()}
     batch = make_batch(rng, tiny_dims)
-    train_step(batch, params, 1e-2, np.random.default_rng(0), sched)
+    train_step(batch, params, 1e-2, np.random.default_rng(0))
     for name, arr in params.weights.items():
         assert np.array_equal(arr, before[name])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_step_rejects_nonfinite(tiny_dims, sched):
+def test_train_step_rejects_nonfinite(tiny_dims):
     rng = np.random.default_rng(9)
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims)
     batch.x0[0, 0] = np.inf
     with pytest.raises((NonFiniteLoss, ShapeMismatch, FloatingPointError)):
-        train_step(batch, params, 1e-3, np.random.default_rng(0), sched)
+        train_step(batch, params, 1e-3, np.random.default_rng(0))
 
 
-def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims, sched):
+def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims):
     rng = np.random.default_rng(12)
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims)
     f32_max = float(np.finfo(np.float32).max)
     params.weights["dec.b3"][0] = f32_max  # the loss stays finite in float64
-    train_step(batch, params, 0.0, np.random.default_rng(0), sched)
+    train_step(batch, params, 0.0, np.random.default_rng(0))
     params.weights["dec.b3"][0] = np.nextafter(f32_max, np.inf)
     with pytest.raises(NonFiniteLoss, match=r"^parameter dec\.b3 left the float32 range$"):
-        train_step(batch, params, 0.0, np.random.default_rng(0), sched)
+        train_step(batch, params, 0.0, np.random.default_rng(0))
 
 
-def test_single_sample_overfit_halves_loss(sched):
+def test_single_sample_overfit_halves_loss():
     dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
                      cond_hidden=24, dec_hidden=24)
     rng = np.random.default_rng(11)
     params = init_decoder_params(dims, rng)
     batch = make_batch(rng, dims, n_frames=24)
     val_rng = np.random.default_rng(99)
-    pairs = [((i % sched.n_steps + 1) / sched.n_steps,
+    pairs = [((i % N_STEPS + 1) / N_STEPS,
               val_rng.standard_normal(batch.x0.shape)) for i in range(16)]
-    before = eval_loss(params, batch, sched, pairs)
+    before = eval_loss(params, batch, pairs)
     for _ in range(200):
-        params, _ = train_step(batch, params, 1e-3, rng, sched)
-    after = eval_loss(params, batch, sched, pairs)
+        params, _ = train_step(batch, params, 1e-3, rng)
+    after = eval_loss(params, batch, pairs)
     assert after <= 0.5 * before
 
 
 # -- reverse sampling ---------------------------------------------------------------------
 
 def test_reverse_single_step_zero_denoiser_returns_prior():
-    sched1 = NoiseSchedule(1, 0.05, 20.0)
+    # a zero denoiser leaves the state at the prior after every step
     prior = np.random.default_rng(0).standard_normal((7, 3))
-    out = reverse_sample(prior, lambda x, t: np.zeros_like(x), sched1)
+    out = reverse_sample(prior, lambda x, t: np.zeros_like(x))
     assert np.allclose(out, prior, atol=1e-9)
 
 
-def test_reverse_output_shape(sched, tiny_dims):
+def test_reverse_output_shape(tiny_dims):
     params = init_decoder_params(tiny_dims, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     track = make_track(rng, n_frames=15)
@@ -287,11 +274,11 @@ def test_reverse_output_shape(sched, tiny_dims):
         cond = build_condition(track, build_style(spk, t, params.weights), params.weights)
         return predict_noise(x, cond, params)
 
-    out = reverse_sample(prior, denoise, sched)
+    out = reverse_sample(prior, denoise)
     assert out.shape == prior.shape
 
 
-def test_reverse_analytic_posterior_oracle(sched):
+def test_reverse_analytic_posterior_oracle():
     # data are x0 = prior + constant offset; the exact noise predictor is
     # eps = (x - prior - alpha * offset) / sqrt(1 - alpha^2), so the first step's
     # x0 estimate is x0 itself and every later step keeps it
@@ -301,24 +288,24 @@ def test_reverse_analytic_posterior_oracle(sched):
     x0_true = prior + offset
 
     def oracle(x, t):
-        a = sched.alpha(t)
+        a = alpha(t)
         return (x - prior - a * offset) / math.sqrt(1 - a * a)
 
-    out = reverse_sample(prior, oracle, sched)
+    out = reverse_sample(prior, oracle)
     # rounding only: at most 4.4e-16 measured over 50 seeded priors
     assert np.max(np.abs(out - x0_true)) < 1e-13
 
 
-def test_reverse_rejects_bad_denoiser_shape(sched):
+def test_reverse_rejects_bad_denoiser_shape():
     prior = np.zeros((4, 4))
     with pytest.raises(ShapeMismatch):
-        reverse_sample(prior, lambda x, t: np.zeros((2, 2)), sched)
+        reverse_sample(prior, lambda x, t: np.zeros((2, 2)))
 
 
 # the sampler draws no noise; rng only draws a non-zero prior, so the step is
 # named the same way from a zero prior and from a random one
 @pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
-def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
+def test_reverse_names_the_step_that_turns_non_finite(rng):
     prior = np.zeros((4, 4)) if rng is None else rng.standard_normal((4, 4))
     calls = []
 
@@ -332,31 +319,31 @@ def test_reverse_names_the_step_that_turns_non_finite(sched, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteSample, match=r"after step 7 of 30 \(t="):
-            reverse_sample(prior, denoise, sched)
+            reverse_sample(prior, denoise)
     assert len(calls) == 7
 
 
 # -- gradient verification ---------------------------------------------------------------
 
-def test_gradient_check_tiny_stack(tiny_dims, sched):
+def test_gradient_check_tiny_stack(tiny_dims):
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
     n_params = sum(a.size for a in params.weights.values())
     assert n_params <= 2000
     batch = make_batch(rng, tiny_dims, n_frames=6)
-    assert gradient_check(params, batch, sched, h=1e-4) < 1e-3
+    assert gradient_check(params, batch, h=1e-4) < 1e-3
 
 
-def test_training_and_the_gradient_check_run_the_network_in_float64(sched, monkeypatch):
+def test_training_and_the_gradient_check_run_the_network_in_float64(monkeypatch):
     seen = record_network_dtypes(monkeypatch, diffusion)
     dims = ModelDims(n_mels=2, speaker_dim=2, t_embed_dim=2, style_dim=2, cond_hidden=2, dec_hidden=2)
     rng = np.random.default_rng(8)
     params = init_decoder_params(dims, rng)
     batch = make_batch(rng, dims, n_frames=4)
-    train_step(batch, params, 1e-3, rng, sched)
+    train_step(batch, params, 1e-3, rng)
     assert seen == {np.dtype(np.float64)}
     seen.clear()
-    gradient_check(params, batch, sched)
+    gradient_check(params, batch)
     assert seen == {np.dtype(np.float64)}
 
 
@@ -380,14 +367,14 @@ def oracle_forward_backward(params, batch, x_t, t, eps):
 @settings(max_examples=30, deadline=None)
 @given(n_frames=st.sampled_from([1, 2, 3, 40]), n_mels=st.integers(1, 4), style_dim=st.integers(1, 4),
        hidden=st.integers(1, 4), t=st.sampled_from([1 / 30, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_gradients_equal_full_input_gradient_oracle(sched, n_frames, n_mels, style_dim, hidden, t, seed):
+def test_gradients_equal_full_input_gradient_oracle(n_frames, n_mels, style_dim, hidden, t, seed):
     dims = ModelDims(n_mels=n_mels, speaker_dim=3, t_embed_dim=2, style_dim=style_dim,
                      cond_hidden=hidden, dec_hidden=hidden)
     rng = np.random.default_rng(seed)
     params = init_decoder_params(dims, rng, input_shift=0.1, input_scale=1.5)
     batch = make_batch(rng, dims, n_frames=n_frames)
     eps = rng.standard_normal(batch.x0.shape)
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps, sched)
+    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
 
     oracle_cond, oracle_loss, oracle_grads = oracle_forward_backward(params, batch, x_t, t, eps)
     cond, _ = diffusion.cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
@@ -422,7 +409,7 @@ def test_affine_gradient_closed_form():
     assert np.allclose(db, dout)
 
 
-def test_gradient_check_detects_corruption(tiny_dims, sched, monkeypatch):
+def test_gradient_check_detects_corruption(tiny_dims, monkeypatch):
     rng = np.random.default_rng(3)
     params = init_decoder_params(tiny_dims, rng)
     batch = make_batch(rng, tiny_dims, n_frames=6)
@@ -434,4 +421,4 @@ def test_gradient_check_detects_corruption(tiny_dims, sched, monkeypatch):
         return loss, grads
 
     monkeypatch.setattr(diffusion, "_forward_backward", corrupted)
-    assert gradient_check(params, batch, sched, h=1e-4) > 1e-1
+    assert gradient_check(params, batch, h=1e-4) > 1e-1

@@ -1,8 +1,8 @@
 """Every writer in the package produces the exact bytes pinned here.
 
 The digests pin the formats as the writers produced them before they
-shared signal_core.open_file, so a change to any format shows up as a
-changed digest. Inputs cover odd and even lengths, and WAV files two
+shared signal_core.open_file, and PFCK as of version 2 (float64 blocks),
+so a change to any format shows up as a changed digest. Inputs cover odd and even lengths, and WAV files two
 sample rates.
 """
 
@@ -30,12 +30,12 @@ EXPECTED = {
     "ftb_matrix_7": "98f3736951ea7f879200e89b1762b24fc926d3aedad805f17a7aa3c99422df68",
     "ftb_vector_7": "89e7e0a6b10762dc50d83b9469cbac2f1cacb7423c3a66cb11e5af2c4fb9b84d",
     "ftb_prosody_7": "3fb72306120f5d7bea43550b77ec1344abe5e84c0c07e681ee744dad929faa96",
-    "pfck_7": "cdf369514df4b0aaa56dad403cb59f54d07f1e3c8a04fa219b36b519c69da4cd",
+    "pfck_7": "3de63dc4bd913a17c7ae333d174a37a150f409747f515ae10aaa9db617c9b3bd",
     "sweep_csv_7": "d91dca3ef3ca9d01ed616290c631f46245bcc7dce6e731e698527b3e35c349f0",
     "ftb_matrix_8": "9abd364e9f5fe0df397c0f9dcc3e1597ed5cf66f2a06dcaba0b0ab711691c745",
     "ftb_vector_8": "e5b89fa9ff6900ef3976fd4cd5f8727798faea935a078e5232eda375159d406a",
     "ftb_prosody_8": "5fd00a49afb54ef0a5b845da9cfbb7af19cba31e9f138de5dbe13d36304596e8",
-    "pfck_8": "d2638b0eccbe82bd22c37ace8c87594d6f330fc3b325bcaac567e5ab7eee2363",
+    "pfck_8": "ab4b1d0da1d00d637adc36992401f0b3dacfb79af7b1e011c3bdb7e57701567e",
     "sweep_csv_8": "a8b11f2e9cc298b177f51c1e33a6fce108feb1749c1656d819ba335b9289b671",
     "alignment": "9905bb9737db3ae8ed7121cd1016ca99ad925908a69b91783b5c81a72ec13ef7",
     "convert_report": "fe423c2c27a8683be2add22ed67af476181a9ee5459073f198d9b7a99aa59d7d",

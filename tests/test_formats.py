@@ -114,13 +114,6 @@ def test_pfck_roundtrip(tmp_path):
         assert np.allclose(back[name], blocks[name], atol=1e-6)
 
 
-def test_pfck_refuses_float32_overflow(tmp_path):
-    path = tmp_path / "c.pfck"
-    with pytest.raises(UnwritableFile, match="block big holds values beyond the float32 range"):
-        write_pfck(path, {"ok": np.zeros(2), "big": np.array([1.0, 1e39])})
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("write, value", [
     (write_ftb_matrix, [[1e300, 1.0]]),
     (write_ftb_vector, [1.0, 1e300]),
@@ -138,7 +131,16 @@ def test_pfck_magic_and_version(tmp_path):
     write_pfck(path, {"x": np.zeros(2)})
     blob = path.read_bytes()
     assert blob[:4] == b"PFCK"
-    assert int.from_bytes(blob[4:8], "little") == 1
+    assert int.from_bytes(blob[4:8], "little") == 2
+
+
+def test_pfck_refuses_version_1(tmp_path):
+    # a v1 file: one f4 block "x" of shape (2,)
+    path = tmp_path / "v1.pfck"
+    path.write_bytes(b"PFCK" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"x"
+                     + bytes([1]) + (2).to_bytes(4, "little") + np.zeros(2, "<f4").tobytes())
+    with pytest.raises(UnreadableFile, match=f"^{path}: unsupported checkpoint version 1$"):
+        read_pfck(path)
 
 
 def test_pfck_bad_file(tmp_path):

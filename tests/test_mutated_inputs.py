@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosovc.conditioning import ModelDims
-from prosovc.diffusion import NoiseSchedule, init_decoder_params
+from prosovc.diffusion import init_decoder_params
 from prosovc.encoders import load_alignment
 from prosovc.errors import ParseError, ProsoVCError, UnreadableFile
 from prosovc.formats import read_ftb, read_pfck, write_ftb_matrix, write_ftb_prosody, write_ftb_vector, write_pfck
@@ -36,7 +36,7 @@ def valid_dir(tmp_path_factory):
     write_alignment(align, root / "tsv")
     dims = ModelDims(n_mels=4, speaker_dim=6, t_embed_dim=6, style_dim=6, cond_hidden=6, dec_hidden=6)
     params = init_decoder_params(dims, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    save_bundle(root / "pfck", ModelBundle(params, NoiseSchedule(), MelConfig(n_mels=4), F0Config(),
+    save_bundle(root / "pfck", ModelBundle(params, MelConfig(n_mels=4), F0Config(),
                                            Codebook(np.arange(8.0).reshape(2, 4))))
     write_ftb_matrix(root / "ftb_matrix", np.arange(6.0).reshape(2, 3))
     write_ftb_vector(root / "ftb_vector", np.arange(4.0))

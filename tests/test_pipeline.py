@@ -7,8 +7,8 @@ import pytest
 from conftest import record_network_dtypes
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
+    N_STEPS,
     DecoderParams,
-    NoiseSchedule,
     init_decoder_params,
     param_shapes,
     predict_noise,
@@ -23,7 +23,7 @@ from prosovc.signal_core import MelConfig
 from prosovc.synth import toy_utterance
 from prosovc.transform import ModulationSpec
 
-# Non-default values that float32 storage represents exactly.
+# Non-default values of every config.
 DIMS = ModelDims(n_mels=40, speaker_dim=6, t_embed_dim=4, style_dim=5, cond_hidden=3, dec_hidden=7)
 MEL_CFG = MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400, n_mels=40,
                     fmin=62.5, fmax=7000.0, log_floor=2.0 ** -30)
@@ -34,7 +34,7 @@ CODEBOOK = Codebook(np.arange(80.0).reshape(2, 40) / 8.0)
 @pytest.fixture
 def ckpt_path(tmp_path):
     params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    bundle = ModelBundle(params, NoiseSchedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK)
+    bundle = ModelBundle(params, MEL_CFG, F0_CFG, CODEBOOK)
     path = tmp_path / "b.pfck"
     save_bundle(path, bundle)
     return path
@@ -42,8 +42,8 @@ def ckpt_path(tmp_path):
 
 def test_bundle_config_roundtrip(ckpt_path):
     loaded = load_bundle(ckpt_path)
-    expected = (DIMS, MEL_CFG, F0_CFG, NoiseSchedule(12, 0.125, 24.0))
-    for got, want in zip((loaded.dims, loaded.mel_cfg, loaded.f0_cfg, loaded.sched), expected):
+    expected = (DIMS, MEL_CFG, F0_CFG)
+    for got, want in zip((loaded.dims, loaded.mel_cfg, loaded.f0_cfg), expected):
         assert got == want
         # int fields come back as int, not numpy scalars
         assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
@@ -51,26 +51,40 @@ def test_bundle_config_roundtrip(ckpt_path):
 
 
 def test_bundle_params_roundtrip_bitwise(tmp_path):
-    # weights that float32 represents exactly come back bit for bit
+    # any float64 weights and configs come back bit for bit, float32-representable or not
     rng = np.random.default_rng(3)
-    named = {name: rng.standard_normal(shape).astype(np.float32).astype(np.float64)
+    named = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
              for name, shape in param_shapes(DIMS).items()}
-    params = DecoderParams(named, DIMS, input_shift=-4.5, input_scale=2.25)
+    params = DecoderParams(named, DIMS, input_shift=0.1, input_scale=1e300)
+    mel_cfg = replace(MEL_CFG, fmin=0.1, fmax=7000.3, log_floor=1e-10)
+    f0_cfg = F0Config(f0_min=60.1, f0_max=500.7, yin_threshold=0.1, rms_floor=1e-45)
+    codebook = Codebook(rng.standard_normal((3, 40)) / 3.0)
     path = tmp_path / "b.pfck"
-    save_bundle(path, ModelBundle(params, NoiseSchedule(12, 0.125, 24.0), MEL_CFG, F0_CFG, CODEBOOK))
-    loaded = load_bundle(path).params
-    reloaded = loaded.weights
+    save_bundle(path, ModelBundle(params, mel_cfg, f0_cfg, codebook))
+    loaded = load_bundle(path)
+    reloaded = loaded.params.weights
     assert list(reloaded) == list(named)
     for name, arr in named.items():
         assert reloaded[name].dtype == arr.dtype and reloaded[name].shape == arr.shape
         assert reloaded[name].tobytes() == arr.tobytes()
-    assert (loaded.input_shift, loaded.input_scale) == (-4.5, 2.25)
+    assert (loaded.params.input_shift, loaded.params.input_scale) == (0.1, 1e300)
+    assert (loaded.mel_cfg, loaded.f0_cfg) == (mel_cfg, f0_cfg)
+    assert loaded.codebook.centroids.tobytes() == codebook.centroids.tobytes()
+
+
+def test_a_reloaded_trained_bundle_converts_bit_for_bit(trained_bundle, conversion_pair, tmp_path):
+    path = tmp_path / "b.pfck"
+    save_bundle(path, trained_bundle)
+    src, src_align, trg = conversion_pair
+    results = [pipeline.convert(src, trg, src_align, bundle, gl_iters=2)
+               for bundle in (trained_bundle, load_bundle(path))]
+    assert results[0].wave.samples.tobytes() == results[1].wave.samples.tobytes()
+    assert results[0].mel.values.tobytes() == results[1].mel.values.tobytes()
 
 
 def test_meta_blocks_follow_field_order(ckpt_path):
     blocks = read_pfck(ckpt_path)
     assert blocks["meta.dims"].tolist() == [40, 6, 4, 5, 3, 7]
-    assert blocks["meta.schedule"].tolist() == [12, 0.125, 24.0]
     assert blocks["meta.melcfg"].tolist() == [16000, 512, 128, 400, 40, 62.5, 7000.0, 2.0 ** -30]
     assert blocks["meta.f0cfg"].tolist() == [62.5, 500.0, 0.125, 2.0 ** -12]
 
@@ -107,7 +121,6 @@ def _set_first(value):
     ("meta.input_norm", _drop),
     ("meta.f0cfg", _shorten),
     ("meta.dims", _set_first(0.0)),
-    ("meta.schedule", _set_first(0.0)),
     ("meta.melcfg", _set_first(np.nan)),
     ("meta.dims", _set_first(np.inf)),
     ("param.dec.w1", _drop),
@@ -118,7 +131,7 @@ def _set_first(value):
     ("codebook.centroids", _narrow),
     ("meta.input_norm", _zero_scale),
     ("codebook.centroids", _drop),
-], ids=["missing", "missing-norm", "wrong-length", "rejected-value", "rejected-schedule",
+], ids=["missing", "missing-norm", "wrong-length", "rejected-value",
         "nan-int", "inf-int", "missing-param", "misshaped-param", "nan-param",
         "1d-centroids", "nan-centroids", "narrow-centroids", "zero-scale", "missing-centroids"])
 def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
@@ -149,7 +162,7 @@ def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
     # the codebook matches meta.melcfg; only meta.dims holds the other band count
     params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
     path = tmp_path / "b.pfck"
-    save_bundle(path, ModelBundle(params, NoiseSchedule(), MelConfig(), F0_CFG,
+    save_bundle(path, ModelBundle(params, MelConfig(), F0_CFG,
                                   Codebook(np.zeros((2, MelConfig().n_mels)))))
     with pytest.raises(UnreadableFile, match="checkpoint block meta.dims has n_mels 40, meta.melcfg has 80"):
         load_bundle(path)
@@ -192,7 +205,7 @@ def float64_decode(plan, bundle):
         cond = build_condition(plan.requested[0], build_style(plan.speaker, t, params.weights), params.weights)
         return predict_noise(x_t, cond, params)
 
-    sampled = reverse_sample(plan.prior.values, denoise, bundle.sched)
+    sampled = reverse_sample(plan.prior.values, denoise)
     return np.clip(sampled, np.log(bundle.mel_cfg.log_floor), pipeline.MEL_LOG_CEIL)
 
 
@@ -240,7 +253,7 @@ def test_a_float32_only_overflow_ends_as_non_finite_sample_at_its_step(trained_b
                                                                "dec.b2": weights["dec.b2"] * 1e38,
                                                                "dec.w3": weights["dec.w3"] / 1e38})
     path = tmp_path / "scaled.pfck"
-    save_bundle(path, replace(trained_bundle, params=scaled))  # refuses weights beyond float32
+    save_bundle(path, replace(trained_bundle, params=scaled))
     bundle = load_bundle(path)
     assert np.isfinite(float64_decode(conversion_plan, bundle)).all()
 
@@ -257,4 +270,4 @@ def test_a_float32_only_overflow_ends_as_non_finite_sample_at_its_step(trained_b
         pipeline.decode(conversion_plan, conversion_plan.requested[0], bundle)
     step = finite_steps.index(False) + 1
     assert len(finite_steps) == step
-    assert f"after step {step} of {bundle.sched.n_steps} " in str(info.value)
+    assert f"after step {step} of {N_STEPS} " in str(info.value)
