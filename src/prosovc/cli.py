@@ -198,8 +198,7 @@ def cmd_sweep(args) -> int:
     pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
     rows = evaluate.modulation_sweep(pairs, bundle, levels=args.levels, mode=args.mode,
                                      seed=args.seed, gl_iters=args.gl_iters)
-    header = evaluate.F0_SWEEP_HEADER if args.mode == "f0" else evaluate.RATE_SWEEP_HEADER
-    evaluate.write_sweep_csv(args.out, rows, header)
+    evaluate.write_sweep_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

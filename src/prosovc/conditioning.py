@@ -3,8 +3,8 @@
 The speaker embedding and sinusoidal step embedding fuse into a style
 vector; the merge network is a two-layer time convolution over
 [logF0, log energy, broadcast style] emitting one condition channel per
-mel band.  Log energy is rescaled by fixed constants so its numeric range
-matches the other inputs.
+mel band (MelConfig.n_mels).  Log energy is rescaled by fixed constants
+so its numeric range matches the other inputs.
 
 The style rows repeat one column in every frame, so the first merge layer
 never builds them: it convolves the two prosody rows and adds, per kernel
@@ -49,9 +49,8 @@ ENERGY_SCALE = 10.0
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Channel sizes of the conditioning and decoder stacks."""
+    """Channel sizes of the conditioning and decoder stacks; the band count is MelConfig.n_mels."""
 
-    n_mels: int = 80
     speaker_dim: int = 64
     t_embed_dim: int = 64
     style_dim: int = 64
@@ -59,19 +58,19 @@ class ModelDims:
     dec_hidden: int = 64
 
     def __post_init__(self):
-        for name in ("n_mels", "speaker_dim", "t_embed_dim", "style_dim", "cond_hidden", "dec_hidden"):
+        for name in ("speaker_dim", "t_embed_dim", "style_dim", "cond_hidden", "dec_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.t_embed_dim % 2:
             raise ValueError("t_embed_dim must be even")
 
 
-def cond_shapes(dims: ModelDims) -> dict[str, tuple]:
+def cond_shapes(dims: ModelDims, n_mels: int) -> dict[str, tuple]:
     """Checkpoint name -> shape of the style projection and the two merge convolutions."""
     return {
         "cond.style_w": (dims.style_dim, dims.speaker_dim + dims.t_embed_dim), "cond.style_b": (dims.style_dim,),
         "cond.merge1_w": (dims.cond_hidden, 2 + dims.style_dim, 3), "cond.merge1_b": (dims.cond_hidden,),
-        "cond.merge2_w": (dims.n_mels, dims.cond_hidden, 3), "cond.merge2_b": (dims.n_mels,),
+        "cond.merge2_w": (n_mels, dims.cond_hidden, 3), "cond.merge2_b": (n_mels,),
     }
 
 

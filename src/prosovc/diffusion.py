@@ -7,9 +7,10 @@ to BETA_MAX over N_STEPS grid steps. Its integral has the closed form
 t*BETA_MIN + t^2*(BETA_MAX - BETA_MIN)/2, giving alpha(t) = exp(-integral/2)
 exactly.
 
-DecoderParams.weights holds every trainable array, keyed and ordered as
-param_shapes: the conv stack's dec.* arrays, then the conditioning's
-cond.* arrays.  Init, SGD, gradients and checkpoints all use that dict.
+DecoderParams holds the input norm and every trainable array, keyed and
+ordered as param_shapes(dims, MelConfig.n_mels): the conv stack's dec.*
+arrays, then the conditioning's cond.* arrays.  Init, SGD, gradients
+and checkpoints all use that dict.
 
 The noise predictor computes in the dtype of the weights it is given.
 Training, eval_loss and gradient_check pass float64 weights; the
@@ -47,30 +48,29 @@ def alpha(t: float) -> float:
 
 @dataclass
 class DecoderParams:
-    """Every trainable array by checkpoint name, in param_shapes(dims) order.
+    """Every trainable array by checkpoint name, in param_shapes order.
 
     input_shift/input_scale standardize the decoder's view of the mel state
     (set from corpus statistics at training time; they are not trained).
     """
 
     weights: dict[str, np.ndarray]
-    dims: ModelDims
     input_shift: float
     input_scale: float
 
 
-def param_shapes(dims: ModelDims) -> dict[str, tuple]:
+def param_shapes(dims: ModelDims, n_mels: int) -> dict[str, tuple]:
     """Checkpoint name -> shape of every trainable array: the one table of the parameter set."""
     return {
-        "dec.w1": (dims.dec_hidden, 2 * dims.n_mels, 3), "dec.b1": (dims.dec_hidden,),
+        "dec.w1": (dims.dec_hidden, 2 * n_mels, 3), "dec.b1": (dims.dec_hidden,),
         "dec.w2": (dims.dec_hidden, dims.dec_hidden, 3), "dec.b2": (dims.dec_hidden,),
-        "dec.w3": (dims.n_mels, dims.dec_hidden, 3), "dec.b3": (dims.n_mels,),
-    } | cond_shapes(dims)
+        "dec.w3": (n_mels, dims.dec_hidden, 3), "dec.b3": (n_mels,),
+    } | cond_shapes(dims, n_mels)
 
 
-def init_decoder_params(dims: ModelDims, rng: np.random.Generator,
+def init_decoder_params(dims: ModelDims, n_mels: int, rng: np.random.Generator,
                         input_shift: float = 0.0, input_scale: float = 1.0) -> DecoderParams:
-    return DecoderParams(he_normal(param_shapes(dims), rng), dims, input_shift, input_scale)
+    return DecoderParams(he_normal(param_shapes(dims, n_mels), rng), input_shift, input_scale)
 
 
 # -- forward/reverse process ------------------------------------------------------
@@ -141,7 +141,7 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
     dpre1 = relu_backward(cache["pre1"], da1)
     # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
     dw1, db1 = conv1d_param_grads(w["dec.w1"], cache["d_in"], dpre1)
-    d_cond = conv1d_input_grad(w["dec.w1"][:, params.dims.n_mels:], dpre1).T
+    d_cond = conv1d_input_grad(w["dec.w1"][:, x_t.shape[1]:], dpre1).T
     grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
     return loss, grads | cond_backward(d_cond, ccache, w)
 

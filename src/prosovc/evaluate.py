@@ -26,6 +26,7 @@ F0_SWEEP_LEVELS = (-0.50, -0.25, 0.0, 0.25, 0.50)
 RATE_SWEEP_LEVELS = (0.66, 0.75, 1.0, 1.20, 1.33)
 DEFAULT_SWEEP_GL_ITERS = 30
 
+# modulation_sweep's row keys per mode, in order; write_sweep_csv reads them off the rows
 F0_SWEEP_HEADER = ["level", "requested_mean_hz", "achieved_mean_hz", "f0_rmse_hz", "out_frames"]
 RATE_SWEEP_HEADER = ["level", "requested_rate", "achieved_ratio", "sr_error", "out_frames"]
 
@@ -136,7 +137,8 @@ def _f0_row(wave, requested: ProsodyTrack, out_frames: int, bundle: ModelBundle)
     }
 
 
-def write_sweep_csv(path, rows: list[dict], header: list[str]) -> None:
+def write_sweep_csv(path, rows: list[dict]) -> None:
+    header = list(rows[0])
     with open_file(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -102,7 +102,7 @@ def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     with open_file(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
 
 
 def read_pfck(path) -> dict[str, np.ndarray]:

@@ -16,7 +16,8 @@ float32 on float32 copies of the bundle's weights; the sampler draws no
 noise, and its state and the decoded mel stay float64. Training and the
 checkpoint keep float64 parameters, so load_bundle(save_bundle(b)) holds
 b's weights and configs bit for bit. The noise schedule is diffusion's
-fixed one, not part of the bundle.
+fixed one, not part of the bundle, and the band count is mel_cfg.n_mels
+alone: the bundle's ModelDims hold none.
 """
 
 from __future__ import annotations
@@ -81,13 +82,10 @@ class ModelBundle:
     """Everything a conversion run needs: weights, codebook, and configs."""
 
     params: DecoderParams
+    dims: ModelDims
     mel_cfg: MelConfig
     f0_cfg: F0Config
     codebook: Codebook
-
-    @property
-    def dims(self) -> ModelDims:
-        return self.params.dims
 
 
 # Checkpoint block -> (ModelBundle attribute, config class), in file order. A block
@@ -140,15 +138,12 @@ def _unpack(blocks: dict, name: str, cls):
 def load_bundle(path) -> ModelBundle:
     blocks = read_pfck(path)
     meta = {attr: _unpack(blocks, name, cls) for name, (attr, cls) in _META.items()}
-    dims = meta.pop("dims")
-    if dims.n_mels != meta["mel_cfg"].n_mels:
-        raise UnreadableFile(f"checkpoint block meta.dims has n_mels {dims.n_mels}, "
-                             f"meta.melcfg has {meta['mel_cfg'].n_mels}")
     shift, scale = _block(blocks, "meta.input_norm", (2,))
     if not scale > 0:
         raise UnreadableFile(f"checkpoint block meta.input_norm has input scale {scale}, not > 0")
-    weights = {name: _block(blocks, f"param.{name}", shape) for name, shape in param_shapes(dims).items()}
-    params = DecoderParams(weights, dims, float(shift), float(scale))
+    shapes = param_shapes(meta["dims"], meta["mel_cfg"].n_mels)
+    weights = {name: _block(blocks, f"param.{name}", shape) for name, shape in shapes.items()}
+    params = DecoderParams(weights, float(shift), float(scale))
     if "codebook.centroids" not in blocks:
         raise UnreadableFile("checkpoint block codebook.centroids is missing")
     try:
@@ -315,7 +310,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     scale = float(max(all_values.std(), 1e-3))
 
     rng = np.random.default_rng(seed)
-    params = init_decoder_params(dims, rng, input_shift=shift, input_scale=scale)
+    params = init_decoder_params(dims, mel_cfg.n_mels, rng, input_shift=shift, input_scale=scale)
     spk_embeddings = [speaker_embedding(m, dims.speaker_dim) for m in mels]
 
     epoch_losses = []
@@ -341,5 +336,5 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
         if log is not None:
             log(f"epoch {epoch + 1}/{epochs} loss {epoch_losses[-1]:.6f}")
 
-    bundle = ModelBundle(params, mel_cfg, f0_cfg, codebook)
+    bundle = ModelBundle(params, dims, mel_cfg, f0_cfg, codebook)
     return bundle, epoch_losses

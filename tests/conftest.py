@@ -30,11 +30,14 @@ def mel_cfg():
     return MelConfig()
 
 
+# the band count that goes with tiny_dims
+TINY_N_MELS = 4
+
+
 @pytest.fixture(scope="session")
 def tiny_dims():
-    # small enough for exhaustive gradient checking (<2k parameters)
-    return ModelDims(n_mels=4, speaker_dim=6, t_embed_dim=6, style_dim=6,
-                     cond_hidden=6, dec_hidden=6)
+    # with TINY_N_MELS bands, small enough for exhaustive gradient checking (<2k parameters)
+    return ModelDims(speaker_dim=6, t_embed_dim=6, style_dim=6, cond_hidden=6, dec_hidden=6)
 
 
 # -- test signals and parameters -------------------------------------------------
@@ -58,8 +61,8 @@ def silence(duration: float, sample_rate: int = 22050) -> Waveform:
     return Waveform(np.zeros(int(round(duration * sample_rate))), sample_rate)
 
 
-def init_cond_weights(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    return he_normal(cond_shapes(dims), rng)
+def init_cond_weights(dims: ModelDims, n_mels: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return he_normal(cond_shapes(dims, n_mels), rng)
 
 
 def record_network_dtypes(monkeypatch, module) -> set:

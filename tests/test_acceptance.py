@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import init_cond_weights, make_track, sawtooth_wave, silence
+from conftest import TINY_N_MELS, init_cond_weights, make_track, sawtooth_wave, silence
 from prosovc.cli import main
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
@@ -142,12 +142,12 @@ def test_criterion_05_schedule_identities():
 def test_criterion_06_gradient_check(tiny_dims):
     started = time.perf_counter()
     rng = np.random.default_rng(3)
-    params = init_decoder_params(tiny_dims, rng)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
     n_params = sum(a.size for a in params.weights.values())
     assert n_params <= 2000
     batch = TrainBatch(
-        x0=rng.standard_normal((6, tiny_dims.n_mels)),
-        prior=0.3 * rng.standard_normal((6, tiny_dims.n_mels)),
+        x0=rng.standard_normal((6, TINY_N_MELS)),
+        prior=0.3 * rng.standard_normal((6, TINY_N_MELS)),
         prosody=make_track(rng, n_frames=6),
         speaker=rng.standard_normal(tiny_dims.speaker_dim),
     )
@@ -160,13 +160,13 @@ def test_criterion_06_gradient_check(tiny_dims):
 
 def test_criterion_07_toy_training(demo_corpus, tmp_path):
     started = time.perf_counter()
-    dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
-                     cond_hidden=24, dec_hidden=24)
+    dims = ModelDims(speaker_dim=16, t_embed_dim=16, style_dim=16, cond_hidden=24, dec_hidden=24)
+    n_mels = 20
     rng = np.random.default_rng(11)
-    params = init_decoder_params(dims, rng)
+    params = init_decoder_params(dims, n_mels, rng)
     batch = TrainBatch(
-        x0=rng.standard_normal((24, dims.n_mels)),
-        prior=0.3 * rng.standard_normal((24, dims.n_mels)),
+        x0=rng.standard_normal((24, n_mels)),
+        prior=0.3 * rng.standard_normal((24, n_mels)),
         prosody=make_track(rng, n_frames=24),
         speaker=rng.standard_normal(dims.speaker_dim),
     )
@@ -192,14 +192,14 @@ def test_criterion_07_toy_training(demo_corpus, tmp_path):
 
 def test_criterion_08_conditioning_shapes():
     started = time.perf_counter()
-    dims = ModelDims(n_mels=8, speaker_dim=6, t_embed_dim=6, style_dim=6,
-                     cond_hidden=10, dec_hidden=10)
-    params = init_cond_weights(dims, np.random.default_rng(7))
+    dims = ModelDims(speaker_dim=6, t_embed_dim=6, style_dim=6, cond_hidden=10, dec_hidden=10)
+    n_mels = 8
+    params = init_cond_weights(dims, n_mels, np.random.default_rng(7))
     spk = np.ones(dims.speaker_dim)
     style = build_style(spk, 0.5, params)
     for n_frames in (1, 7, 100):
         track = make_track(np.random.default_rng(n_frames), n_frames=n_frames)
-        assert build_condition(track, style, params).shape == (n_frames, dims.n_mels)
+        assert build_condition(track, style, params).shape == (n_frames, n_mels)
 
     const = ProsodyTrack(np.full(40, 5.3), np.ones(40, dtype=bool), np.full(40, -4.0))
     cond = build_condition(const, style, params)

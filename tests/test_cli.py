@@ -291,22 +291,25 @@ def test_convert_rate_control_without_codebook_block_exit_2(ckpt, pair_files, tm
     assert not out.exists()
 
 
-def test_convert_dims_melcfg_n_mels_mismatch_exit_2(ckpt, pair_files, tmp_path, capsys):
-    # meta.dims and meta.melcfg store n_mels twice; a checkpoint where they differ must not reach analysis
-    from dataclasses import replace
-
+def test_convert_dims_melcfg_n_mels_mismatch_exit_2(ckpt, pair_files, tmp_path, capsys, monkeypatch):
+    # weights shaped for another band count than meta.melcfg's must not reach analysis
+    from prosovc import pipeline
     from prosovc.diffusion import init_decoder_params
     from prosovc.pipeline import load_bundle, save_bundle
 
     bundle = load_bundle(ckpt)
-    dims = replace(bundle.dims, n_mels=bundle.mel_cfg.n_mels // 2)
-    bundle.params = init_decoder_params(dims, np.random.default_rng(0))
+    bundle.params = init_decoder_params(bundle.dims, bundle.mel_cfg.n_mels // 2, np.random.default_rng(0))
     bad = tmp_path / "bad.pfck"
     save_bundle(bad, bundle)
     out = tmp_path / "o.wav"
+
+    def analysis_reached(*args, **kwargs):
+        raise AssertionError("the inputs were analysed before the checkpoint was checked")
+
+    monkeypatch.setattr(pipeline, "mel_spectrogram", analysis_reached)
     rc = main(convert_args(bad, pair_files, out) + ["--gl-iters", "0"])
     err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
-    assert err.startswith("UnreadableFile: checkpoint block meta.dims has n_mels ")
+    assert err.startswith("UnreadableFile: checkpoint block param.")
     assert not out.exists()
 
 

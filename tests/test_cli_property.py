@@ -39,7 +39,7 @@ HUGE = [str(2**63), str(10**30)]
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_property")
     mel_cfg = MelConfig(n_mels=8)
-    dims = ModelDims(n_mels=8, speaker_dim=4, t_embed_dim=4, style_dim=4, cond_hidden=4, dec_hidden=4)
+    dims = ModelDims(speaker_dim=4, t_embed_dim=4, style_dim=4, cond_hidden=4, dec_hidden=4)
     corpus = root / "corpus"
     corpus.mkdir()
     items = []

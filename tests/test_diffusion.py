@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TINY_N_MELS,
     assert_close_to_oracle,
     make_track,
     oracle_build_condition,
@@ -32,12 +33,13 @@ from prosovc.diffusion import (
 )
 from prosovc.errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
 from prosovc.nn import affine, affine_backward, conv1d_backward, relu_backward
+from prosovc.signal_core import MelConfig
 
 
-def make_batch(rng, dims, n_frames=12):
+def make_batch(rng, dims, n_mels, n_frames=12):
     return TrainBatch(
-        x0=rng.standard_normal((n_frames, dims.n_mels)),
-        prior=0.3 * rng.standard_normal((n_frames, dims.n_mels)),
+        x0=rng.standard_normal((n_frames, n_mels)),
+        prior=0.3 * rng.standard_normal((n_frames, n_mels)),
         prosody=make_track(rng, n_frames=n_frames),
         speaker=rng.standard_normal(dims.speaker_dim),
     )
@@ -143,31 +145,31 @@ def test_noise_loss_shape_mismatch():
 
 @pytest.mark.parametrize("default_dims", [True, False], ids=["default-dims", "tiny-dims"])
 def test_param_shapes_lists_every_parameter_in_order(tiny_dims, default_dims):
-    dims = ModelDims() if default_dims else tiny_dims
-    weights = init_decoder_params(dims, np.random.default_rng(0)).weights
-    assert list(param_shapes(dims).items()) == [(name, arr.shape) for name, arr in weights.items()]
+    dims, n_mels = (ModelDims(), MelConfig().n_mels) if default_dims else (tiny_dims, TINY_N_MELS)
+    weights = init_decoder_params(dims, n_mels, np.random.default_rng(0)).weights
+    assert list(param_shapes(dims, n_mels).items()) == [(name, arr.shape) for name, arr in weights.items()]
 
 
 def test_predict_noise_zero_params(tiny_dims):
-    params = init_decoder_params(tiny_dims, np.random.default_rng(0))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, np.random.default_rng(0))
     for arr in params.weights.values():
         arr[...] = 0.0
-    x = np.random.default_rng(1).standard_normal((9, tiny_dims.n_mels))
+    x = np.random.default_rng(1).standard_normal((9, TINY_N_MELS))
     out = predict_noise(x, np.ones_like(x), params)
     assert np.array_equal(out, np.zeros_like(x))
 
 
 @pytest.mark.parametrize("n_frames", [1, 50])
 def test_predict_noise_shape(n_frames, tiny_dims):
-    params = init_decoder_params(tiny_dims, np.random.default_rng(2))
-    x = np.random.default_rng(3).standard_normal((n_frames, tiny_dims.n_mels))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, np.random.default_rng(2))
+    x = np.random.default_rng(3).standard_normal((n_frames, TINY_N_MELS))
     assert predict_noise(x, np.zeros_like(x), params).shape == x.shape
 
 
 def test_predict_noise_cache_does_not_change_output(tiny_dims):
-    params = init_decoder_params(tiny_dims, np.random.default_rng(6))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, np.random.default_rng(6))
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((10, tiny_dims.n_mels))
+    x = rng.standard_normal((10, TINY_N_MELS))
     c = rng.standard_normal(x.shape)
     cache = {}
     assert np.array_equal(predict_noise(x, c, params, cache), predict_noise(x, c, params))
@@ -175,9 +177,9 @@ def test_predict_noise_cache_does_not_change_output(tiny_dims):
 
 
 def test_predict_noise_sensitive_to_condition(tiny_dims):
-    params = init_decoder_params(tiny_dims, np.random.default_rng(4))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((8, tiny_dims.n_mels))
+    x = rng.standard_normal((8, TINY_N_MELS))
     c1 = rng.standard_normal(x.shape)
     c2 = c1 + 0.5
     assert np.linalg.norm(predict_noise(x, c1, params) - predict_noise(x, c2, params)) > 0
@@ -187,8 +189,8 @@ def test_predict_noise_sensitive_to_condition(tiny_dims):
 
 def test_train_step_zero_lr_is_identity(tiny_dims):
     rng = np.random.default_rng(6)
-    params = init_decoder_params(tiny_dims, rng)
-    batch = make_batch(rng, tiny_dims)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS)
     updated, loss = train_step(batch, params, 0.0, np.random.default_rng(0))
     assert math.isfinite(loss)
     for name, arr in params.weights.items():
@@ -197,8 +199,8 @@ def test_train_step_zero_lr_is_identity(tiny_dims):
 
 def test_train_step_deterministic(tiny_dims):
     rng = np.random.default_rng(7)
-    params = init_decoder_params(tiny_dims, rng)
-    batch = make_batch(rng, tiny_dims)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS)
     out1, loss1 = train_step(batch, params, 1e-3, np.random.default_rng(11))
     out2, loss2 = train_step(batch, params, 1e-3, np.random.default_rng(11))
     assert loss1 == loss2
@@ -208,9 +210,9 @@ def test_train_step_deterministic(tiny_dims):
 
 def test_train_step_does_not_mutate_input(tiny_dims):
     rng = np.random.default_rng(8)
-    params = init_decoder_params(tiny_dims, rng)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
     before = {k: v.copy() for k, v in params.weights.items()}
-    batch = make_batch(rng, tiny_dims)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS)
     train_step(batch, params, 1e-2, np.random.default_rng(0))
     for name, arr in params.weights.items():
         assert np.array_equal(arr, before[name])
@@ -219,8 +221,8 @@ def test_train_step_does_not_mutate_input(tiny_dims):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_step_rejects_nonfinite(tiny_dims):
     rng = np.random.default_rng(9)
-    params = init_decoder_params(tiny_dims, rng)
-    batch = make_batch(rng, tiny_dims)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS)
     batch.x0[0, 0] = np.inf
     with pytest.raises((NonFiniteLoss, ShapeMismatch, FloatingPointError)):
         train_step(batch, params, 1e-3, np.random.default_rng(0))
@@ -228,8 +230,8 @@ def test_train_step_rejects_nonfinite(tiny_dims):
 
 def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims):
     rng = np.random.default_rng(12)
-    params = init_decoder_params(tiny_dims, rng)
-    batch = make_batch(rng, tiny_dims)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS)
     f32_max = float(np.finfo(np.float32).max)
     params.weights["dec.b3"][0] = f32_max  # the loss stays finite in float64
     train_step(batch, params, 0.0, np.random.default_rng(0))
@@ -239,11 +241,10 @@ def test_train_step_stops_at_a_parameter_beyond_float32(tiny_dims):
 
 
 def test_single_sample_overfit_halves_loss():
-    dims = ModelDims(n_mels=20, speaker_dim=16, t_embed_dim=16, style_dim=16,
-                     cond_hidden=24, dec_hidden=24)
+    dims = ModelDims(speaker_dim=16, t_embed_dim=16, style_dim=16, cond_hidden=24, dec_hidden=24)
     rng = np.random.default_rng(11)
-    params = init_decoder_params(dims, rng)
-    batch = make_batch(rng, dims, n_frames=24)
+    params = init_decoder_params(dims, 20, rng)
+    batch = make_batch(rng, dims, 20, n_frames=24)
     val_rng = np.random.default_rng(99)
     pairs = [((i % N_STEPS + 1) / N_STEPS,
               val_rng.standard_normal(batch.x0.shape)) for i in range(16)]
@@ -264,11 +265,11 @@ def test_reverse_single_step_zero_denoiser_returns_prior():
 
 
 def test_reverse_output_shape(tiny_dims):
-    params = init_decoder_params(tiny_dims, np.random.default_rng(1))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     track = make_track(rng, n_frames=15)
     spk = rng.standard_normal(tiny_dims.speaker_dim)
-    prior = rng.standard_normal((15, tiny_dims.n_mels))
+    prior = rng.standard_normal((15, TINY_N_MELS))
 
     def denoise(x, t):
         cond = build_condition(track, build_style(spk, t, params.weights), params.weights)
@@ -327,19 +328,19 @@ def test_reverse_names_the_step_that_turns_non_finite(rng):
 
 def test_gradient_check_tiny_stack(tiny_dims):
     rng = np.random.default_rng(3)
-    params = init_decoder_params(tiny_dims, rng)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
     n_params = sum(a.size for a in params.weights.values())
     assert n_params <= 2000
-    batch = make_batch(rng, tiny_dims, n_frames=6)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS, n_frames=6)
     assert gradient_check(params, batch, h=1e-4) < 1e-3
 
 
 def test_training_and_the_gradient_check_run_the_network_in_float64(monkeypatch):
     seen = record_network_dtypes(monkeypatch, diffusion)
-    dims = ModelDims(n_mels=2, speaker_dim=2, t_embed_dim=2, style_dim=2, cond_hidden=2, dec_hidden=2)
+    dims = ModelDims(speaker_dim=2, t_embed_dim=2, style_dim=2, cond_hidden=2, dec_hidden=2)
     rng = np.random.default_rng(8)
-    params = init_decoder_params(dims, rng)
-    batch = make_batch(rng, dims, n_frames=4)
+    params = init_decoder_params(dims, 2, rng)
+    batch = make_batch(rng, dims, 2, n_frames=4)
     train_step(batch, params, 1e-3, rng)
     assert seen == {np.dtype(np.float64)}
     seen.clear()
@@ -360,7 +361,7 @@ def oracle_forward_backward(params, batch, x_t, t, eps):
     dpre1 = relu_backward(cache["pre1"], da1)
     dw1, db1, dd_in = conv1d_backward(w["dec.w1"], cache["d_in"], dpre1)
     grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
-    cgrads = oracle_cond_backward(dd_in[params.dims.n_mels:].T, ccache, w)
+    cgrads = oracle_cond_backward(dd_in[x_t.shape[1]:].T, ccache, w)
     return cond, float(np.mean(diff * diff)), grads | cgrads
 
 
@@ -368,11 +369,10 @@ def oracle_forward_backward(params, batch, x_t, t, eps):
 @given(n_frames=st.sampled_from([1, 2, 3, 40]), n_mels=st.integers(1, 4), style_dim=st.integers(1, 4),
        hidden=st.integers(1, 4), t=st.sampled_from([1 / 30, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_gradients_equal_full_input_gradient_oracle(n_frames, n_mels, style_dim, hidden, t, seed):
-    dims = ModelDims(n_mels=n_mels, speaker_dim=3, t_embed_dim=2, style_dim=style_dim,
-                     cond_hidden=hidden, dec_hidden=hidden)
+    dims = ModelDims(speaker_dim=3, t_embed_dim=2, style_dim=style_dim, cond_hidden=hidden, dec_hidden=hidden)
     rng = np.random.default_rng(seed)
-    params = init_decoder_params(dims, rng, input_shift=0.1, input_scale=1.5)
-    batch = make_batch(rng, dims, n_frames=n_frames)
+    params = init_decoder_params(dims, n_mels, rng, input_shift=0.1, input_scale=1.5)
+    batch = make_batch(rng, dims, n_mels, n_frames=n_frames)
     eps = rng.standard_normal(batch.x0.shape)
     x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
 
@@ -381,7 +381,7 @@ def test_gradients_equal_full_input_gradient_oracle(n_frames, n_mels, style_dim,
     assert_close_to_oracle(cond, oracle_cond)
     loss, grads = diffusion._forward_backward(params, batch, x_t, t, eps)
     assert loss == pytest.approx(oracle_loss, rel=1e-12)
-    assert grads.keys() == oracle_grads.keys() == param_shapes(dims).keys()
+    assert grads.keys() == oracle_grads.keys() == param_shapes(dims, n_mels).keys()
     for name, grad in grads.items():
         assert_close_to_oracle(grad, oracle_grads[name])
 
@@ -411,8 +411,8 @@ def test_affine_gradient_closed_form():
 
 def test_gradient_check_detects_corruption(tiny_dims, monkeypatch):
     rng = np.random.default_rng(3)
-    params = init_decoder_params(tiny_dims, rng)
-    batch = make_batch(rng, tiny_dims, n_frames=6)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS, n_frames=6)
     real = diffusion._forward_backward
 
     def corrupted(*args, **kwargs):

@@ -94,7 +94,7 @@ def sweep_rows(trained_bundle, conversion_pair, tmp_path_factory):
     src, src_align, trg = conversion_pair
     path = tmp_path_factory.mktemp("sweep") / "f0.csv"
     rows = modulation_sweep([(src, src_align, trg)], trained_bundle, mode="f0", seed=0, gl_iters=4)
-    write_sweep_csv(path, rows, F0_SWEEP_HEADER)
+    write_sweep_csv(path, rows)
     return rows, path
 
 
@@ -121,21 +121,22 @@ def test_f0_sweep_level_zero_is_transfer_mean(sweep_rows, trained_bundle, conver
 
 
 def test_f0_sweep_csv_format(sweep_rows):
-    _, path = sweep_rows
+    rows, path = sweep_rows
     text = path.read_text(encoding="utf-8")
     assert "\r" not in text
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
-    assert parsed[0] == F0_SWEEP_HEADER
+    assert parsed[0] == ["level", "requested_mean_hz", "achieved_mean_hz", "f0_rmse_hz", "out_frames"]
     assert len(parsed) == 6
     assert [float(row[0]) for row in parsed[1:]] == list(F0_SWEEP_LEVELS)
+    assert all(list(row) == F0_SWEEP_HEADER for row in rows)
 
 
 def test_rate_sweep_grid(trained_bundle, conversion_pair, tmp_path):
     src, src_align, trg = conversion_pair
     path = tmp_path / "rate.csv"
     rows = modulation_sweep([(src, src_align, trg)], trained_bundle, mode="rate", seed=0, gl_iters=4)
-    write_sweep_csv(path, rows, RATE_SWEEP_HEADER)
+    write_sweep_csv(path, rows)
     assert [row["level"] for row in rows] == list(RATE_SWEEP_LEVELS)
     src_frames = rows[2]["out_frames"]  # level 1.0 leaves length unchanged
     for row in rows:
@@ -144,7 +145,8 @@ def test_rate_sweep_grid(trained_bundle, conversion_pair, tmp_path):
         assert row["sr_error"] < 0.01
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
-    assert parsed[0] == RATE_SWEEP_HEADER
+    assert parsed[0] == ["level", "requested_rate", "achieved_ratio", "sr_error", "out_frames"]
+    assert all(list(row) == RATE_SWEEP_HEADER for row in rows)
 
 
 def test_sweep_deterministic(trained_bundle, conversion_pair):

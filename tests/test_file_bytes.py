@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from prosovc import cli
-from prosovc.evaluate import F0_SWEEP_HEADER, write_sweep_csv
+from prosovc.evaluate import write_sweep_csv
 from prosovc.formats import write_ftb_matrix, write_ftb_prosody, write_ftb_vector, write_pfck
 from prosovc.prosody import ProsodyTrack
 from prosovc.signal_core import Waveform, save_wav
@@ -71,7 +71,7 @@ def write_every_file(root):
         paths[f"sweep_csv_{n}"] = root / f"s{n}.csv"
         rows = [{"level": 0.25 * k, "requested_mean_hz": 100.0 + k / 3, "achieved_mean_hz": float("nan"),
                  "f0_rmse_hz": 1e-7 * k, "out_frames": 80.0 + k} for k in range(n)]
-        write_sweep_csv(paths[f"sweep_csv_{n}"], rows, F0_SWEEP_HEADER)
+        write_sweep_csv(paths[f"sweep_csv_{n}"], rows)
     _, align = toy_utterance(seed=3, duration=1.0)
     paths["alignment"] = root / "a.tsv"
     write_alignment(align, paths["alignment"])

@@ -34,9 +34,9 @@ def valid_dir(tmp_path_factory):
     wave, align = toy_utterance(seed=1, base_f0=150.0, duration=0.05, tilt=0.3, n_phones=3, pause_every=2)
     save_wav(wave, root / "wav")
     write_alignment(align, root / "tsv")
-    dims = ModelDims(n_mels=4, speaker_dim=6, t_embed_dim=6, style_dim=6, cond_hidden=6, dec_hidden=6)
-    params = init_decoder_params(dims, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    save_bundle(root / "pfck", ModelBundle(params, MelConfig(n_mels=4), F0Config(),
+    dims = ModelDims(speaker_dim=6, t_embed_dim=6, style_dim=6, cond_hidden=6, dec_hidden=6)
+    params = init_decoder_params(dims, 4, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
+    save_bundle(root / "pfck", ModelBundle(params, dims, MelConfig(n_mels=4), F0Config(),
                                            Codebook(np.arange(8.0).reshape(2, 4))))
     write_ftb_matrix(root / "ftb_matrix", np.arange(6.0).reshape(2, 3))
     write_ftb_vector(root / "ftb_vector", np.arange(4.0))

@@ -24,7 +24,7 @@ from prosovc.synth import toy_utterance
 from prosovc.transform import ModulationSpec
 
 # Non-default values of every config.
-DIMS = ModelDims(n_mels=40, speaker_dim=6, t_embed_dim=4, style_dim=5, cond_hidden=3, dec_hidden=7)
+DIMS = ModelDims(speaker_dim=6, t_embed_dim=4, style_dim=5, cond_hidden=3, dec_hidden=7)
 MEL_CFG = MelConfig(sample_rate=16000, fft_size=512, hop=128, window=400, n_mels=40,
                     fmin=62.5, fmax=7000.0, log_floor=2.0 ** -30)
 F0_CFG = F0Config(f0_min=62.5, f0_max=500.0, yin_threshold=0.125, rms_floor=2.0 ** -12)
@@ -33,8 +33,8 @@ CODEBOOK = Codebook(np.arange(80.0).reshape(2, 40) / 8.0)
 
 @pytest.fixture
 def ckpt_path(tmp_path):
-    params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
-    bundle = ModelBundle(params, MEL_CFG, F0_CFG, CODEBOOK)
+    params = init_decoder_params(DIMS, MEL_CFG.n_mels, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
+    bundle = ModelBundle(params, DIMS, MEL_CFG, F0_CFG, CODEBOOK)
     path = tmp_path / "b.pfck"
     save_bundle(path, bundle)
     return path
@@ -51,25 +51,28 @@ def test_bundle_config_roundtrip(ckpt_path):
 
 
 def test_bundle_params_roundtrip_bitwise(tmp_path):
-    # any float64 weights and configs come back bit for bit, float32-representable or not
+    # any float64 weights and configs come back bit for bit, float32-representable or not,
+    # at the 40 bands of MEL_CFG and at 8 bands with tiny dims
     rng = np.random.default_rng(3)
-    named = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-             for name, shape in param_shapes(DIMS).items()}
-    params = DecoderParams(named, DIMS, input_shift=0.1, input_scale=1e300)
-    mel_cfg = replace(MEL_CFG, fmin=0.1, fmax=7000.3, log_floor=1e-10)
-    f0_cfg = F0Config(f0_min=60.1, f0_max=500.7, yin_threshold=0.1, rms_floor=1e-45)
-    codebook = Codebook(rng.standard_normal((3, 40)) / 3.0)
-    path = tmp_path / "b.pfck"
-    save_bundle(path, ModelBundle(params, mel_cfg, f0_cfg, codebook))
-    loaded = load_bundle(path)
-    reloaded = loaded.params.weights
-    assert list(reloaded) == list(named)
-    for name, arr in named.items():
-        assert reloaded[name].dtype == arr.dtype and reloaded[name].shape == arr.shape
-        assert reloaded[name].tobytes() == arr.tobytes()
-    assert (loaded.params.input_shift, loaded.params.input_scale) == (0.1, 1e300)
-    assert (loaded.mel_cfg, loaded.f0_cfg) == (mel_cfg, f0_cfg)
-    assert loaded.codebook.centroids.tobytes() == codebook.centroids.tobytes()
+    tiny = ModelDims(speaker_dim=2, t_embed_dim=2, style_dim=3, cond_hidden=2, dec_hidden=3)
+    for dims, n_mels in ((DIMS, MEL_CFG.n_mels), (tiny, 8)):
+        named = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+                 for name, shape in param_shapes(dims, n_mels).items()}
+        params = DecoderParams(named, input_shift=0.1, input_scale=1e300)
+        mel_cfg = replace(MEL_CFG, n_mels=n_mels, fmin=0.1, fmax=7000.3, log_floor=1e-10)
+        f0_cfg = F0Config(f0_min=60.1, f0_max=500.7, yin_threshold=0.1, rms_floor=1e-45)
+        codebook = Codebook(rng.standard_normal((3, n_mels)) / 3.0)
+        path = tmp_path / f"b{n_mels}.pfck"
+        save_bundle(path, ModelBundle(params, dims, mel_cfg, f0_cfg, codebook))
+        loaded = load_bundle(path)
+        reloaded = loaded.params.weights
+        assert list(reloaded) == list(named)
+        for name, arr in named.items():
+            assert reloaded[name].dtype == arr.dtype and reloaded[name].shape == arr.shape
+            assert reloaded[name].tobytes() == arr.tobytes()
+        assert (loaded.params.input_shift, loaded.params.input_scale) == (0.1, 1e300)
+        assert (loaded.dims, loaded.mel_cfg, loaded.f0_cfg) == (dims, mel_cfg, f0_cfg)
+        assert loaded.codebook.centroids.tobytes() == codebook.centroids.tobytes()
 
 
 def test_a_reloaded_trained_bundle_converts_bit_for_bit(trained_bundle, conversion_pair, tmp_path):
@@ -84,7 +87,7 @@ def test_a_reloaded_trained_bundle_converts_bit_for_bit(trained_bundle, conversi
 
 def test_meta_blocks_follow_field_order(ckpt_path):
     blocks = read_pfck(ckpt_path)
-    assert blocks["meta.dims"].tolist() == [40, 6, 4, 5, 3, 7]
+    assert blocks["meta.dims"].tolist() == [6, 4, 5, 3, 7]
     assert blocks["meta.melcfg"].tolist() == [16000, 512, 128, 400, 40, 62.5, 7000.0, 2.0 ** -30]
     assert blocks["meta.f0cfg"].tolist() == [62.5, 500.0, 0.125, 2.0 ** -12]
 
@@ -105,6 +108,11 @@ def _narrow(blocks, name):
     blocks[name] = blocks[name][:, :-1]
 
 
+def _prepend_n_mels(blocks, name):
+    # the layout that stored n_mels first in meta.dims as well as in meta.melcfg
+    blocks[name] = np.concatenate([[MEL_CFG.n_mels], blocks[name]])
+
+
 def _zero_scale(blocks, name):
     blocks[name] = np.array([blocks[name][0], 0.0])
 
@@ -120,6 +128,7 @@ def _set_first(value):
     ("meta.melcfg", _drop),
     ("meta.input_norm", _drop),
     ("meta.f0cfg", _shorten),
+    ("meta.dims", _prepend_n_mels),
     ("meta.dims", _set_first(0.0)),
     ("meta.melcfg", _set_first(np.nan)),
     ("meta.dims", _set_first(np.inf)),
@@ -131,7 +140,7 @@ def _set_first(value):
     ("codebook.centroids", _narrow),
     ("meta.input_norm", _zero_scale),
     ("codebook.centroids", _drop),
-], ids=["missing", "missing-norm", "wrong-length", "rejected-value",
+], ids=["missing", "missing-norm", "wrong-length", "n_mels-in-dims", "rejected-value",
         "nan-int", "inf-int", "missing-param", "misshaped-param", "nan-param",
         "1d-centroids", "nan-centroids", "narrow-centroids", "zero-scale", "missing-centroids"])
 def test_malformed_meta_block_is_unreadable(ckpt_path, block, mutate):
@@ -159,13 +168,22 @@ def test_a_non_integral_int_field_is_unreadable(ckpt_path, block, index, field):
 
 
 def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
-    # the codebook matches meta.melcfg; only meta.dims holds the other band count
-    params = init_decoder_params(DIMS, np.random.default_rng(0), input_shift=-4.5, input_scale=2.25)
+    # the codebook matches meta.melcfg; only the weights are shaped for the other band count
+    mel_cfg = MelConfig()
+    params = init_decoder_params(DIMS, mel_cfg.n_mels // 2, np.random.default_rng(0),
+                                 input_shift=-4.5, input_scale=2.25)
     path = tmp_path / "b.pfck"
-    save_bundle(path, ModelBundle(params, MelConfig(), F0_CFG,
-                                  Codebook(np.zeros((2, MelConfig().n_mels)))))
-    with pytest.raises(UnreadableFile, match="checkpoint block meta.dims has n_mels 40, meta.melcfg has 80"):
+    save_bundle(path, ModelBundle(params, DIMS, mel_cfg, F0_CFG, Codebook(np.zeros((2, mel_cfg.n_mels)))))
+    with pytest.raises(UnreadableFile, match=r"^checkpoint block param\.dec\.w1 is missing or not of shape "
+                                             r"\(7, 160, 3\)$"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("block", pipeline._META)
+def test_every_meta_field_is_annotated_int_or_float(block):
+    # _cast reads a field annotated "float" as float and any other as int
+    _, cls = pipeline._META[block]
+    assert {f.name: f.type for f in fields(cls) if f.type not in ("int", "float")} == {}
 
 
 def analysis_reached(*args, **kwargs):
