@@ -14,6 +14,7 @@ reads back bit for bit; a file of any other version is refused.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -106,31 +107,30 @@ def write_pfck(path, blocks: dict[str, np.ndarray]) -> None:
 
 
 def read_pfck(path) -> dict[str, np.ndarray]:
+    """Each block is read straight into its own aligned, writable float64 array,
+    so the checkpoint is held once, never as the file's bytes beside the blocks."""
     with open_file(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != PFCK_MAGIC:
-        raise UnreadableFile(f"{path}: not a PFCK checkpoint")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != PFCK_VERSION:
-        raise UnreadableFile(f"{path}: unsupported checkpoint version {version}")
-    blocks: dict[str, np.ndarray] = {}
-    offset = 8
-    while offset < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            count = math.prod(shape)
-            if 8 * count > len(blob) - offset:
-                raise UnreadableFile(f"{path}: truncated parameter block {name}")
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-            offset += 8 * count
-        except (struct.error, ValueError, UnicodeDecodeError) as exc:
-            raise UnreadableFile(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-        blocks[name] = arr.astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != PFCK_MAGIC:
+            raise UnreadableFile(f"{path}: not a PFCK checkpoint")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != PFCK_VERSION:
+            raise UnreadableFile(f"{path}: unsupported checkpoint version {version}")
+        blocks: dict[str, np.ndarray] = {}
+        while fh.tell() < size:
+            try:
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                (rank,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+                count = math.prod(shape)
+                if 8 * count > size - fh.tell():
+                    raise UnreadableFile(f"{path}: truncated parameter block {name}")
+                arr = np.empty(shape, dtype="<f8")
+                if fh.readinto(arr) != 8 * count:
+                    raise UnreadableFile(f"{path}: truncated parameter block {name}")
+            except (struct.error, ValueError, UnicodeDecodeError) as exc:
+                raise UnreadableFile(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+            blocks[name] = arr
     return blocks

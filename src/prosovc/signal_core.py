@@ -184,46 +184,43 @@ BIQUAD_BLOCK = 128
 BIQUAD_RUN = 64 * BIQUAD_BLOCK
 
 
-@lru_cache(maxsize=8)
-def _pole_response(a, length: int):
+def _pole_response(a):
     """(upper, free) of the all-pole recursion y[n] = v[n] - a1*y[n-1] - a2*y[n-2]
-    over blocks of `length` samples, with h its impulse response.
+    over blocks of L = BIQUAD_BLOCK samples, with h its impulse response.
 
     `upper[j, i] = h[i - j]` for i >= j, so `v @ upper` is the zero-state
     response of each row of v. `free` holds the responses to the state
-    (y[-1], y[-2]): rows h[1:length + 1] and -a2 * h[:length].
+    (y[-1], y[-2]): rows h[1:L + 1] and -a2 * h[:L].
     """
     a1, a2 = a
     h = [1.0, -a1]
-    while len(h) <= length:
+    while len(h) <= BIQUAD_BLOCK:
         h.append(-a1 * h[-1] - a2 * h[-2])
     h = np.array(h)
-    upper = np.zeros((length, length))
-    for j in range(length):
-        upper[j, j:] = h[:length - j]
-    free = np.stack([h[1:], -a2 * h[:length]])
-    upper.flags.writeable = False  # every caller shares the cached arrays
-    free.flags.writeable = False
+    upper = np.zeros((BIQUAD_BLOCK, BIQUAD_BLOCK))
+    for j in range(BIQUAD_BLOCK):
+        upper[j, j:] = h[:BIQUAD_BLOCK - j]
+    free = np.stack([h[1:], -a2 * h[:BIQUAD_BLOCK]])
     return upper, free
 
 
-def _biquad(samples: np.ndarray, b, a) -> np.ndarray:
+def _biquad(samples: np.ndarray, b, pole) -> np.ndarray:
     """Direct-form-I biquad from zero state:
 
     y[n] = b0*x[n] + b1*x[n-1] + b2*x[n-2] - a1*y[n-1] - a2*y[n-2]
 
     The FIR part v[n] is one numpy expression. The all-pole part runs in
     blocks of BIQUAD_BLOCK samples: each block's zero-state response is one
-    product with the impulse-response matrix of `_pole_response`. A scalar
-    loop over blocks, in Python floats, carries the state (y[-1], y[-2]) into
-    each block as the previous block's last two outputs, and each block then
-    adds `state @ free`. Both parts work in runs of BIQUAD_RUN samples,
+    product with the impulse-response matrix of `pole`, the `_pole_response`
+    of (a1, a2). A scalar loop over blocks, in Python floats, carries the
+    state (y[-1], y[-2]) into each block as the previous block's last two
+    outputs, and each block then adds `state @ free`. Both parts work in runs of BIQUAD_RUN samples,
     written straight into the output. The sums run in another order than the
     per-sample loop, so the result equals that loop to rounding, not bit for
     bit.
     """
     b0, b1, b2 = b
-    upper, free = _pole_response(a, BIQUAD_BLOCK)
+    upper, free = pole
     (last1, last2), (prev1, prev2) = free[:, -1].tolist(), free[:, -2].tolist()
     out = np.empty_like(samples)
     history = np.zeros(2)  # x[start-2], x[start-1]
@@ -245,14 +242,23 @@ def _biquad(samples: np.ndarray, b, a) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _highpass_design(cutoff_hz: float, sample_rate: int):
+    """(b, pole response) of `highpass_filter`: every analysis at one rate shares them."""
+    b, a = _butterworth_hp_biquad(cutoff_hz, sample_rate)
+    pole = _pole_response(a)
+    for arr in pole:
+        arr.flags.writeable = False  # every caller shares the cached arrays
+    return b, pole
+
+
 def highpass_filter(wave: Waveform, cutoff_hz: float) -> Waveform:
     """Second-order Butterworth high-pass (-3 dB at cutoff_hz), preserving length."""
     if not 0 < cutoff_hz < wave.sample_rate / 2:
         raise InvalidCutoff(f"cutoff {cutoff_hz} Hz outside (0, {wave.sample_rate / 2})")
     if len(wave) == 0:
         raise TooShort("cannot filter an empty waveform")
-    b, a = _butterworth_hp_biquad(cutoff_hz, wave.sample_rate)
-    return Waveform(_biquad(wave.samples, b, a), wave.sample_rate)
+    return Waveform(_biquad(wave.samples, *_highpass_design(cutoff_hz, wave.sample_rate)), wave.sample_rate)
 
 
 def butterworth_hp_gain(cutoff_hz: float, sample_rate: int, freq_hz: float) -> float:

@@ -4,6 +4,8 @@ A toy utterance is a sequence of sawtooth "phones" with per-speaker base
 pitch and spectral coloring, separated by short silences, plus the
 matching phoneme alignment.  Good enough to exercise F0 tracking,
 voicing, unitization, and alignment-based averaging end to end.
+The coloring is a one-pole recursion run as `signal_core._biquad`'s block
+recursion, with no per-sample Python loop; it matches such a loop to rounding.
 """
 
 from __future__ import annotations
@@ -11,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoders import Alignment, AlignSegment
-from .signal_core import Waveform, open_file
-
-# Samples per chunk of the tilt's Python-float recursion: one float object per
-# sample of a chunk is all it holds at once, never one per sample of the utterance.
-RECURSION_CHUNK = 1024
+from .signal_core import Waveform, _biquad, _pole_response, open_file
 
 
 def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
@@ -59,16 +57,9 @@ def toy_utterance(seed: int, base_f0: float = 160.0, duration: float = 2.0,
         cursor += n / sample_rate
     out = np.concatenate(samples)
     if tilt > 0.0:
-        # One-pole recursion over Python floats, RECURSION_CHUNK samples at a time.
-        colored = np.empty_like(out)
-        prev = 0.0
-        for start in range(0, len(out), RECURSION_CHUNK):
-            ys = out[start:start + RECURSION_CHUNK].tolist()
-            for i, v in enumerate(ys):
-                prev = v + tilt * prev
-                ys[i] = prev
-            colored[start:start + len(ys)] = ys
-        out = colored * (1.0 - tilt)
+        # y[n] = x[n] + tilt * y[n-1] as the high-pass's block recursion; each
+        # tilt builds its own pole response, so none enters the high-pass's cache.
+        out = _biquad(out, (1.0, 0.0, 0.0), _pole_response((-tilt, 0.0))) * (1.0 - tilt)
     peak = np.abs(out).max()
     if peak > 0.95:
         out = out * (0.95 / peak)
