@@ -5,15 +5,24 @@ carried explicitly in :class:`MelConfig` so every downstream track (F0,
 energy, units) lands on the same frame grid. The high-pass runs its
 recursion as one matrix product per block of samples, so it matches a
 per-sample loop to rounding, not bit for bit.
+
+The overlap-add pass behind `istft` and every Griffin-Lim iteration cuts
+its frames into contiguous runs, one per CPU the process may use up to
+MAX_RUNS, and works each run on its own thread. Each signal row still
+sums its frames in increasing frame order, so the output is the same bit
+for bit for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import wave as _wave
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +49,8 @@ class Waveform:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("waveform must be 1-D mono")
-        if not np.all(np.isfinite(samples)):
+        # min and max propagate NaN, and need no whole-utterance bool mask
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise ValueError("waveform contains non-finite samples")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -337,8 +347,10 @@ def stft(samples: np.ndarray, cfg: MelConfig, pad_mode: str = "reflect") -> np.n
     return _windowed_rfft(frame_signal(samples, cfg.fft_size, cfg.hop, pad_mode), cfg)
 
 
-def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray) -> np.ndarray:
-    """Add frame i into the (n_frames + k - 1, hop) `blocks` from block i on.
+def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
+    """Add frame i into the (n_frames + k - 1, hop) `blocks` from block i on,
+    touching only blocks start..stop-1 (default: all of them).
 
     The frames are cut into k = ceil(width / hop) columns of hop samples, the
     last one possibly narrower; column j of every frame lands on block i + j.
@@ -347,28 +359,79 @@ def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray) -> np.ndarray
     bit. `frames` may be a broadcast view.
     """
     n_frames = frames.shape[0]
+    stop = blocks.shape[0] if stop is None else stop
     for j in range(blocks.shape[0] - n_frames, -1, -1):
-        cols = frames[:, j * hop:(j + 1) * hop]
-        blocks[j:j + n_frames, :cols.shape[1]] += cols
+        lo, hi = max(start - j, 0), min(stop - j, n_frames)
+        if lo < hi:
+            cols = frames[lo:hi, j * hop:(j + 1) * hop]
+            blocks[j + lo:j + hi, :cols.shape[1]] += cols
     return blocks
 
 
 # Frames per block of every blocked loop: overlap-add, mel power, log energy
 # and YIN. A block of frames and its spectrum (512 KiB each at fft_size 1024)
-# stay in a 2 MiB L2 cache, where whole-utterance frame arrays do not.
+# stay in a 2 MiB L2 cache, where whole-utterance frame arrays do not. The
+# runs of one overlap-add pass share one FRAME_BLOCK between them.
 FRAME_BLOCK = 64
 
 
-def frame_blocks(n_frames: int) -> list[tuple[int, int]]:
-    """(lo, hi) of ceil(n_frames / FRAME_BLOCK) near-equal runs covering frames 0..n_frames-1."""
-    count = -(-n_frames // FRAME_BLOCK)
-    return [(i * n_frames // count, (i + 1) * n_frames // count) for i in range(count)]
+def _split(n: int, count: int) -> list[tuple[int, int]]:
+    """(lo, hi) of `count` near-equal contiguous runs covering 0..n-1."""
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def frame_blocks(n_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
+    """(lo, hi) of ceil(n_frames / size) near-equal runs covering frames 0..n_frames-1."""
+    return _split(n_frames, -(-n_frames // size)) if n_frames else []
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux: the affinity mask, which taskset narrows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _columns(cfg: MelConfig) -> int:
+    """k = ceil(fft_size / hop): the hop-wide signal rows one frame spans."""
+    return -(-cfg.fft_size // cfg.hop)
+
+
+# The most runs of one overlap-add pass: the gain of 2 runs was measured on
+# 2-CPU hosts, and more runs have not been benchmarked on a host with more
+# CPUs. The short numpy calls around each block serialise on the GIL, so
+# more runs need not gain more.
+MAX_RUNS = 2
+
+
+def frame_runs(n_frames: int, k: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the near-equal contiguous frame runs of `_wola_pass`: at most
+    one per CPU this process may run on and MAX_RUNS in all, and none
+    shorter than k - 1 frames."""
+    count = min(_cpu_count(), MAX_RUNS, n_frames // max(k - 1, 1))
+    return _split(n_frames, max(count, 1))
+
+
+class _Run(NamedTuple):
+    """Frames lo..hi-1 of an overlap-add pass, worked on one thread.
+
+    `frames` holds one block of the run's frames at a time. `head` keeps the
+    run's first k - 1 windowed frames: their columns on the k - 1 signal rows
+    the run shares with the run before are added after the join. The first
+    run shares no rows and keeps no head.
+    """
+
+    lo: int
+    hi: int
+    frames: np.ndarray
+    head: np.ndarray
 
 
 def _wola_buffers(cfg: MelConfig, n_frames: int):
-    """(frames, blocks, divisor) for `_wola_pass` over n_frames frames.
+    """(runs, blocks, divisor) for `_wola_pass` over n_frames frames.
 
-    `frames` holds min(n_frames, FRAME_BLOCK) frames and `blocks` the
+    `runs` are the `_Run`s of `frame_runs`; their frame buffers hold about
+    one FRAME_BLOCK of frames between them. `blocks` holds the
     (n_frames + k - 1, hop) signal blocks, k = ceil(fft_size / hop). The
     divisor is the overlap-added squared window, with 1 wherever that sum is
     not above 1e-11. Every block from k - 1 to n_frames - 1 sums the same k
@@ -376,14 +439,17 @@ def _wola_buffers(cfg: MelConfig, n_frames: int):
     and k - 1 tail rows, taken from the overlap-add of min(n_frames, 2k - 1)
     frames.
     """
-    k = -(-cfg.fft_size // cfg.hop)
+    k = _columns(cfg)
     n = min(n_frames, 2 * k - 1)
     w = _padded_window(cfg.window, cfg.fft_size)
     norm = _overlap_add(np.broadcast_to(w * w, (n, cfg.fft_size)), cfg.hop, np.zeros((n + k - 1, cfg.hop)))
     norm = np.concatenate([norm[:k], norm[n:]])
-    frames = np.empty((min(n_frames, FRAME_BLOCK), cfg.fft_size))
+    spans = frame_runs(n_frames, k)
+    size = -(-FRAME_BLOCK // len(spans))
+    runs = [_Run(lo, hi, np.empty((min(hi - lo, size), cfg.fft_size)), np.empty((k - 1 if lo else 0, cfg.fft_size)))
+            for lo, hi in spans]
     blocks = np.empty((n_frames + k - 1, cfg.hop))
-    return frames, blocks, np.where(norm > 1e-11, norm, 1.0)
+    return runs, blocks, np.where(norm > 1e-11, norm, 1.0)
 
 
 def _normalise(blocks: np.ndarray, divisor: np.ndarray, n_frames: int) -> None:
@@ -395,29 +461,60 @@ def _normalise(blocks: np.ndarray, divisor: np.ndarray, n_frames: int) -> None:
     blocks[n_frames:] /= divisor[k:]
 
 
-def _wola_pass(rows, n_frames: int, cfg: MelConfig, frames: np.ndarray, blocks: np.ndarray,
-               divisor: np.ndarray) -> np.ndarray:
-    """Weighted overlap-add of n_frames spectrum rows, one frame block at a time.
+def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, blocks: np.ndarray) -> None:
+    """Overlap-add the frames of runs[r], one block at a time, into the signal
+    blocks it owns: every block its frames reach but the k - 1 it shares with
+    the run before. Its first k - 1 windowed frames are also kept in run.head.
 
-    `rows(lo, hi)` gives the rows of frames lo..hi-1 for each run of
-    `frame_blocks(n_frames)` in turn; they are inverse-FFT'd into `frames`,
-    windowed and added into `blocks`. The blocks are then divided by the
+    A worker thread runs this, so it calls nothing that the benchmark's span
+    tracer wraps: that tracer keeps one span stack for all threads.
+    """
+    k = _columns(cfg)
+    owned = run.lo + k - 1 if run.lo else 0
+    window = _padded_window(cfg.window, cfg.fft_size)
+    for lo, hi in frame_blocks(run.hi - run.lo, len(run.frames)):
+        lo, hi = run.lo + lo, run.lo + hi
+        block = np.fft.irfft(rows(r, lo, hi), n=cfg.fft_size, axis=1, out=run.frames[:hi - lo])
+        block *= window
+        # zero the signal blocks no earlier frame of this run reached
+        blocks[lo + k - 1 if lo else 0:hi + k - 1] = 0.0
+        _overlap_add(block, cfg.hop, blocks[lo:hi + k - 1], start=owned - lo)
+        n_head = min(hi, run.lo + len(run.head)) - lo
+        if n_head > 0:
+            run.head[lo - run.lo:lo - run.lo + n_head] = block[:n_head]
+
+
+def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divisor: np.ndarray,
+               pool: ThreadPoolExecutor) -> np.ndarray:
+    """Weighted overlap-add of the spectrum rows of the frames of `runs`.
+
+    The calling thread works the first run and `pool`, of len(runs) - 1
+    workers, the others, each with `_wola_run` (a one-run pass submits
+    nothing, so the pool starts no thread): `rows(r, lo, hi)` gives the
+    rows of frames lo..hi-1 of runs[r], one block of them at a time, and
+    must use only run r's buffers. They are inverse-FFT'd into the run's frame buffer, windowed
+    and added into `blocks`. After the join, each run's head columns are
+    added to the k - 1 rows it shares with the run before, so every row sums
+    its frames in increasing frame order and the result is the same bit for
+    bit for any number of runs. The blocks are then divided by the
     normaliser and their two half-frame margins zeroed, so they hold the
     zero-padded signal `stft(..., pad_mode="constant")` would frame.
     Returns the (T - 1) * hop samples between the margins, a view of `blocks`.
     """
-    hop, k = cfg.hop, blocks.shape[0] - n_frames + 1
-    half = cfg.fft_size // 2
-    end = (n_frames - 1) * hop + cfg.fft_size
-    flat = blocks.reshape(-1)
-    window = _padded_window(cfg.window, cfg.fft_size)
-    for lo, hi in frame_blocks(n_frames):
-        block = np.fft.irfft(rows(lo, hi), n=cfg.fft_size, axis=1, out=frames[:hi - lo])
-        block *= window
-        # zero the signal blocks no earlier frame of this pass reached
-        blocks[lo + k - 1 if lo else 0:hi + k - 1] = 0.0
-        _overlap_add(block, hop, blocks[lo:hi + k - 1])
+    n_frames, k = runs[-1].hi, _columns(cfg)
+    futures = [pool.submit(_wola_run, rows, r, run, cfg, blocks) for r, run in enumerate(runs) if r]
+    try:
+        _wola_run(rows, 0, runs[0], cfg, blocks)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    for run in runs[1:]:
+        _overlap_add(run.head, cfg.hop, blocks[run.lo:run.lo + 2 * (k - 1)], stop=k - 1)
     _normalise(blocks, divisor, n_frames)
+    half = cfg.fft_size // 2
+    end = (n_frames - 1) * cfg.hop + cfg.fft_size
+    flat = blocks.reshape(-1)
     flat[:half] = 0.0
     flat[end - half:] = 0.0
     return flat[half:end - half]
@@ -428,8 +525,9 @@ def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
 
     Output length is (T - 1) * hop.
     """
-    n_frames = spec.shape[0]
-    return _wola_pass(lambda lo, hi: spec[lo:hi], n_frames, cfg, *_wola_buffers(cfg, n_frames))
+    runs, blocks, divisor = _wola_buffers(cfg, spec.shape[0])
+    with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
+        return _wola_pass(lambda r, lo, hi: spec[lo:hi], runs, cfg, blocks, divisor, pool)
 
 
 def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:

@@ -8,17 +8,23 @@ estimated by iterative STFT projections.
 `griffin_lim` iterates from signal to signal (Griffin & Lim, 1984): an
 iteration needs only the previous signal. Two (T + k - 1, hop) signal-block
 buffers, k = ceil(fft_size / hop), take turns as source and target of
-`signal_core._wola_pass`, the overlap-add pass of `istft`. For each frame
-block it windows and FFTs the source frames, gives them the target
-magnitude (`_project`) and overlap-adds their windowed inverse FFT into the
-target. The start signal is the same pass over random-phase rows, drawn
-block by block from one seeded stream. Only the two buffers grow with T; no
-(T, n_bins) spectrum exists. The output equals alternating `istft` and
-`stft` calls bit for bit.
+`signal_core._wola_pass`, the overlap-add pass of `istft`. The pass cuts
+the frames into contiguous runs, one per CPU the process may use (at
+most `signal_core.MAX_RUNS`), and works each run on its own thread, whose
+buffers for frames, spectrum rows, magnitudes and zero mask hold one
+block of the run's frames. For each block it windows and FFTs the source
+frames, gives them the target magnitude (`_project`) and overlap-adds
+their windowed inverse FFT into the target. The start signal is the same
+pass over random-phase rows as one run on the calling thread, drawn block
+by block from one seeded stream. The worker threads live for one call.
+Only the two buffers grow with T; no (T, n_bins) spectrum exists. The
+output equals alternating `istft` and `stft` calls bit for bit, for any
+number of CPUs.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -82,27 +88,30 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     n_frames = mag.shape[0]
-    frames, blocks, divisor = _wola_buffers(cfg, n_frames)
-    spec = np.empty((len(frames), cfg.n_bins), dtype=complex)
-    amp = np.empty(spec.shape)
-    zero = np.empty(spec.shape, dtype=bool)
+    runs, blocks, divisor = _wola_buffers(cfg, n_frames)
+    spec = [np.empty((len(run.frames), cfg.n_bins), dtype=complex) for run in runs]
+    amp = [np.empty(rows.shape) for rows in spec]
+    zero = [np.empty(rows.shape, dtype=bool) for rows in spec]
     rng = np.random.default_rng(seed)
 
-    def random_phase(lo: int, hi: int) -> np.ndarray:
-        rows = spec[:hi - lo]
+    def random_phase(r: int, lo: int, hi: int) -> np.ndarray:
+        rows = spec[r][:hi - lo]
         np.multiply(1j, rng.uniform(0.0, 2.0 * np.pi, rows.shape), out=rows)
         np.exp(rows, out=rows)
         rows *= mag[lo:hi]
         return rows
 
-    def projected(lo: int, hi: int) -> np.ndarray:
-        rows = _windowed_rfft(source[lo:hi], cfg, frames[:hi - lo], spec[:hi - lo])
-        return _project(rows, mag[lo:hi], amp[:hi - lo], zero[:hi - lo])
+    def projected(r: int, lo: int, hi: int) -> np.ndarray:
+        n = hi - lo
+        rows = _windowed_rfft(source[lo:hi], cfg, runs[r].frames[:n], spec[r][:n])
+        return _project(rows, mag[lo:hi], amp[r][:n], zero[r][:n])
 
-    signal = _wola_pass(random_phase, n_frames, cfg, frames, blocks, divisor)
-    previous = np.empty_like(blocks)
-    for _ in range(n_iters):
-        blocks, previous = previous, blocks
-        source = _frame_view(previous.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
-        signal = _wola_pass(projected, n_frames, cfg, frames, blocks, divisor)
+    with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
+        # one run over all frames, so the phases come from one stream in block order
+        signal = _wola_pass(random_phase, [runs[0]._replace(hi=n_frames)], cfg, blocks, divisor, pool)
+        previous = np.empty_like(blocks)
+        for _ in range(n_iters):
+            blocks, previous = previous, blocks
+            source = _frame_view(previous.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
+            signal = _wola_pass(projected, runs, cfg, blocks, divisor, pool)
     return Waveform(signal, cfg.sample_rate)

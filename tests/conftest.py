@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prosovc import signal_core
 from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims, cond_shapes, he_normal
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
@@ -41,6 +42,13 @@ def tiny_dims():
 
 
 # -- test signals and parameters -------------------------------------------------
+
+def force_runs(monkeypatch, count: int) -> None:
+    """Make `_wola_pass` cut its frames into `count` runs where they are long
+    enough, past MAX_RUNS too, so the split is tested for more runs than it uses."""
+    monkeypatch.setattr(signal_core, "_cpu_count", lambda: count)
+    monkeypatch.setattr(signal_core, "MAX_RUNS", count)
+
 
 def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:
     t = np.arange(int(round(duration * sample_rate))) / sample_rate

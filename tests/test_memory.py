@@ -13,7 +13,7 @@ from prosovc.conditioning import ModelDims
 from prosovc.diffusion import init_decoder_params
 from prosovc.pipeline import ModelBundle, convert, load_bundle, save_bundle
 from prosovc.prosody import Codebook, F0Config, extract_f0, extract_prosody
-from prosovc.signal_core import MelSpectrogram, highpass_filter, mel_spectrogram
+from prosovc.signal_core import MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
 from prosovc.synth import toy_utterance
 from prosovc.vocoder import griffin_lim, mel_to_linear
 
@@ -35,9 +35,16 @@ def traced_peak(fn, *args):
 
 def test_highpass_filter_peak_on_20s():
     wave, _ = toy_utterance(seed=3, duration=20.0)
-    # measured 3.9 MiB: the output (3.4 MiB), the finiteness mask of its Waveform
-    # (0.4 MiB) and one run's temporaries; a whole-utterance temporary adds 3.4 MiB
+    # measured 3.9 MiB: the output (3.4 MiB) and one run's temporaries; a
+    # whole-utterance temporary adds 3.4 MiB
     assert traced_peak(highpass_filter, wave, 50.0) < 4.2 * MIB
+
+
+def test_waveform_check_peak_on_20s():
+    samples = np.random.default_rng(0).standard_normal(20 * 22050)
+    # the finiteness check keeps no whole-utterance temporary; np.isfinite's
+    # bool mask was samples.nbytes / 8
+    assert traced_peak(Waveform, samples, 22050) < samples.nbytes / 16
 
 
 def test_extract_f0_peak_on_20s(mel_cfg):

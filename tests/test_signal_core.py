@@ -1,14 +1,16 @@
 import math
+import os
 import re
 import struct
 import wave as wavemod
 
 import numpy as np
 import pytest
-from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, wide_hop_noise
+from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, force_runs, wide_hop_noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosovc import signal_core
 from prosovc.cli import _load_pair_list, load_modulation_file
 from prosovc.encoders import _speaker_projection, load_alignment
 from prosovc.errors import ConfigMismatch, InvalidCutoff, ParseError, TooShort, UnreadableFile, UnsupportedFormat
@@ -16,6 +18,7 @@ from prosovc.signal_core import (
     BIQUAD_BLOCK,
     BIQUAD_RUN,
     FRAME_BLOCK,
+    MAX_RUNS,
     MelConfig,
     MelSpectrogram,
     Waveform,
@@ -24,6 +27,7 @@ from prosovc.signal_core import (
     _padded_window,
     butterworth_hp_gain,
     frame_blocks,
+    frame_runs,
     highpass_filter,
     istft,
     load_wav,
@@ -319,6 +323,33 @@ def test_frame_blocks_are_near_equal_and_cover_every_frame():
         assert all(0 < size <= FRAME_BLOCK for size in sizes)
         assert max(sizes, default=0) - min(sizes, default=0) <= 1
     assert [hi - lo for lo, hi in frame_blocks(130)] == [43, 43, 44]
+    assert [hi - lo for lo, hi in frame_blocks(130, 32)] == [26, 26, 26, 26, 26]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_frame_runs_are_one_per_cpu_and_never_shorter_than_the_shared_rows(monkeypatch, cpus, k):
+    monkeypatch.setattr(signal_core, "_cpu_count", lambda: cpus)
+    for n_frames in range(1, 80):
+        runs = frame_runs(n_frames, k)
+        assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n_frames))
+        assert len(runs) == max(1, min(cpus, MAX_RUNS, n_frames // max(k - 1, 1)))
+        if len(runs) > 1:
+            assert min(hi - lo for lo, hi in runs) >= k - 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
+def test_cpu_count_reads_the_affinity_mask():
+    assert signal_core._cpu_count() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_waveform_rejects_non_finite_samples(bad):
+    samples = np.zeros(1000)
+    samples[617] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Waveform(samples, SR)
+    assert len(Waveform(np.zeros(0), SR)) == 0
 
 
 @pytest.mark.parametrize("cached", ["window", "filterbank", "mel_pinv", "speaker_projection"])
@@ -389,6 +420,21 @@ def test_istft_equals_per_frame_loop(name, n_frames):
     ours = istft(spec, cfg)
     assert len(ours) == (n_frames - 1) * cfg.hop
     assert np.array_equal(ours, reference_istft(spec, cfg))
+
+
+# 5 frames make one run at k = 4; the others cross block and run edges
+@pytest.mark.parametrize("n_frames", [5, 64, 65, 173, 300])
+@pytest.mark.parametrize("name", sorted(ISTFT_CFGS))
+def test_istft_is_the_same_on_any_number_of_runs(monkeypatch, name, n_frames):
+    cfg = ISTFT_CFGS[name]
+    rng = np.random.default_rng(n_frames)
+    spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal((n_frames, cfg.n_bins))
+    outputs = {}
+    for count in (1, 2, 3):
+        force_runs(monkeypatch, count)
+        outputs[count] = istft(spec, cfg).tobytes()
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
 
 
 @pytest.mark.parametrize("name", ["default", "16k_window400"])

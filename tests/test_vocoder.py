@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import project_magnitude, sine_wave
+from conftest import force_runs, project_magnitude, sine_wave
+from prosovc import vocoder
 from prosovc.signal_core import (
     FRAME_BLOCK,
     MelConfig,
@@ -14,7 +18,7 @@ from prosovc.signal_core import (
     stft,
 )
 from prosovc.synth import toy_utterance
-from prosovc.vocoder import griffin_lim, mel_to_linear
+from prosovc.vocoder import _project, griffin_lim, mel_to_linear
 
 SR = 22050
 
@@ -205,3 +209,75 @@ def test_compact_normaliser_equals_per_frame_overlap_add(name):
         _normalise(blocks, divisor, n_frames)
         naive = per_frame_divisor(cfg, n_frames)
         assert np.array_equal(blocks.reshape(-1)[:len(naive)], signal.reshape(-1)[:len(naive)] / naive), n_frames
+
+
+# 5 frames make one run at k = 4; the others cross block and run edges
+@pytest.mark.parametrize("n_frames", [5, 64, 65, 173, 300])
+@pytest.mark.parametrize("name", sorted(GL_CFGS))
+def test_griffin_lim_is_the_same_on_any_number_of_runs(monkeypatch, name, n_frames):
+    cfg = GL_CFGS[name]
+    mag = banded_mag(n_frames, cfg)
+    outputs = {}
+    for count in (1, 2, 3):
+        force_runs(monkeypatch, count)
+        runs, _, _ = _wola_buffers(cfg, n_frames)
+        assert len(runs) == min(count, n_frames // (-(-cfg.fft_size // cfg.hop) - 1))
+        outputs[count] = [griffin_lim(mag, cfg, n_iters=n_iters, seed=5).samples.tobytes() for n_iters in (0, 1, 5)]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def traced_project(monkeypatch, fail_off_main=False):
+    """Replace vocoder._project with one that records the threads calling it and,
+    if asked, raises on every thread but the main one: the frames of later runs."""
+    threads = set()
+
+    def project(rows, *args):
+        threads.add(threading.current_thread())
+        if fail_off_main and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("a later run failed")
+        return _project(rows, *args)
+
+    monkeypatch.setattr(vocoder, "_project", project)
+    return threads
+
+
+def test_no_worker_thread_outlives_griffin_lim_or_istft(monkeypatch, mel_cfg):
+    force_runs(monkeypatch, 3)
+    threads = traced_project(monkeypatch)
+    mag = banded_mag(173, mel_cfg)
+    before = threading.active_count()
+    griffin_lim(mag, mel_cfg, n_iters=2, seed=0)
+    assert threading.active_count() == before
+    istft(mag.astype(complex), mel_cfg)
+    assert threading.active_count() == before
+    assert len(threads) == 3  # the calling thread and two workers
+    assert not any(thread.is_alive() for thread in threads if thread is not threading.main_thread())
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, mel_cfg):
+    force_runs(monkeypatch, 2)
+    threads = traced_project(monkeypatch, fail_off_main=True)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="a later run failed"):
+        griffin_lim(banded_mag(173, mel_cfg), mel_cfg, n_iters=3, seed=0)
+    assert threading.active_count() == before
+    assert len(threads) == 2
+    assert not any(thread.is_alive() for thread in threads if thread is not threading.main_thread())
+
+
+def test_four_runs_under_fast_thread_switching_match_one_run(monkeypatch, mel_cfg):
+    # more runs than MAX_RUNS and than the 2 cores the tests were measured on, switched every
+    # microsecond: a write outside a run's own rows, or a shared row summed out of order, shows here
+    mag = banded_mag(300, mel_cfg)
+    force_runs(monkeypatch, 1)
+    one_run = griffin_lim(mag, mel_cfg, n_iters=4, seed=2).samples.tobytes()
+    force_runs(monkeypatch, 4)
+    assert len(_wola_buffers(mel_cfg, 300)[0]) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert griffin_lim(mag, mel_cfg, n_iters=4, seed=2).samples.tobytes() == one_run
+    finally:
+        sys.setswitchinterval(interval)
