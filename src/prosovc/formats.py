@@ -1,14 +1,16 @@
 """Binary feature and checkpoint file formats.
 
 FTB ("FTB1"): magic, kind u8 (0 matrix, 1 vector, 2 prosody triplet),
-rows u32, cols u32, then f32 little-endian row-major payload.  Prosody
-tracks store three consecutive row-major blocks: log_f0, voiced as 0/1,
-log_energy.
+rows u32, cols u32, then f32 little-endian row-major payload.  A vector or
+prosody file has rows 1, and a file of either kind with any other rows is
+refused.  Prosody tracks store three consecutive row-major blocks: log_f0,
+voiced as 0/1, log_energy.
 
 PFCK ("PFCK") version 2: magic, version u32, then named parameter blocks:
 name length u16, utf-8 name bytes, rank u8, dims u32 each, f64
 little-endian row-major data. Every float64 is stored exactly, so a block
-reads back bit for bit; a file of any other version is refused.
+reads back bit for bit; a file of any other version, or one that repeats a
+block name, is refused.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ def read_ftb(path):
     if len(blob) < 13 or blob[:4] != FTB_MAGIC:
         raise UnreadableFile(f"{path}: not an FTB file")
     kind, rows, cols = struct.unpack_from("<BII", blob, 4)
+    if kind in (FTB_VECTOR, FTB_PROSODY) and rows != 1:
+        raise UnreadableFile(f"{path}: rows is {rows}, expected 1 for FTB kind {kind}")
     n = rows * cols
     expected = 13 + 4 * n * (3 if kind == FTB_PROSODY else 1)
     if len(blob) != expected:
@@ -122,6 +126,8 @@ def read_pfck(path) -> dict[str, np.ndarray]:
             try:
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")
+                if name in blocks:
+                    raise UnreadableFile(f"{path}: repeated block {name}")
                 (rank,) = struct.unpack("<B", fh.read(1))
                 shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
                 count = math.prod(shape)

@@ -7,10 +7,10 @@ recursion as one matrix product per block of samples, so it matches a
 per-sample loop to rounding, not bit for bit.
 
 The overlap-add pass behind `istft` and every Griffin-Lim iteration cuts
-its frames into contiguous runs, one per CPU the process may use up to
-MAX_RUNS, and works each run on its own thread. Each signal row still
-sums its frames in increasing frame order, so the output is the same bit
-for bit for any CPU count.
+its signal rows into contiguous runs, one per CPU the process may use up
+to MAX_RUNS. Each run's thread works every frame that reaches its rows and
+writes those rows alone, summing each row's frames in increasing frame
+order, so the output is the same bit for bit for any CPU count.
 """
 
 from __future__ import annotations
@@ -405,26 +405,23 @@ MAX_RUNS = 2
 
 
 def frame_runs(n_frames: int, k: int) -> list[tuple[int, int]]:
-    """(lo, hi) of the near-equal contiguous frame runs of `_wola_pass`: at most
-    one per CPU this process may run on and MAX_RUNS in all, and none
-    shorter than k - 1 frames."""
+    """(lo, hi) of the near-equal contiguous runs of the n_frames + k - 1
+    signal rows of `_wola_pass`: at most one per CPU this process may run on
+    and MAX_RUNS in all, and none shorter than the k - 1 frames before it
+    that a run also works."""
     count = min(_cpu_count(), MAX_RUNS, n_frames // max(k - 1, 1))
-    return _split(n_frames, max(count, 1))
+    return _split(n_frames + k - 1, max(count, 1))
 
 
 class _Run(NamedTuple):
-    """Frames lo..hi-1 of an overlap-add pass, worked on one thread.
+    """Signal rows lo..hi-1 of an overlap-add pass, worked on one thread.
 
-    `frames` holds one block of the run's frames at a time. `head` keeps the
-    run's first k - 1 windowed frames: their columns on the k - 1 signal rows
-    the run shares with the run before are added after the join. The first
-    run shares no rows and keeps no head.
+    `frames` holds one block of the frames that reach those rows at a time.
     """
 
     lo: int
     hi: int
     frames: np.ndarray
-    head: np.ndarray
 
 
 def _wola_buffers(cfg: MelConfig, n_frames: int):
@@ -446,8 +443,8 @@ def _wola_buffers(cfg: MelConfig, n_frames: int):
     norm = np.concatenate([norm[:k], norm[n:]])
     spans = frame_runs(n_frames, k)
     size = -(-FRAME_BLOCK // len(spans))
-    runs = [_Run(lo, hi, np.empty((min(hi - lo, size), cfg.fft_size)), np.empty((k - 1 if lo else 0, cfg.fft_size)))
-            for lo, hi in spans]
+    # a run works at most the k - 1 frames before its rows and one frame per row
+    runs = [_Run(lo, hi, np.empty((min(hi - lo + k - 1, size), cfg.fft_size))) for lo, hi in spans]
     blocks = np.empty((n_frames + k - 1, cfg.hop))
     return runs, blocks, np.where(norm > 1e-11, norm, 1.0)
 
@@ -462,46 +459,43 @@ def _normalise(blocks: np.ndarray, divisor: np.ndarray, n_frames: int) -> None:
 
 
 def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, blocks: np.ndarray) -> None:
-    """Overlap-add the frames of runs[r], one block at a time, into the signal
-    blocks it owns: every block its frames reach but the k - 1 it shares with
-    the run before. Its first k - 1 windowed frames are also kept in run.head.
+    """Overlap-add every frame that reaches the signal rows of runs[r], one
+    block at a time, into those rows and no others.
 
     A worker thread runs this, so it calls nothing that the benchmark's span
     tracer wraps: that tracer keeps one span stack for all threads.
     """
     k = _columns(cfg)
-    owned = run.lo + k - 1 if run.lo else 0
+    first, last = max(run.lo - k + 1, 0), min(run.hi, len(blocks) - k + 1)
     window = _padded_window(cfg.window, cfg.fft_size)
-    for lo, hi in frame_blocks(run.hi - run.lo, len(run.frames)):
-        lo, hi = run.lo + lo, run.lo + hi
+    for lo, hi in frame_blocks(last - first, len(run.frames)):
+        lo, hi = first + lo, first + hi
         block = np.fft.irfft(rows(r, lo, hi), n=cfg.fft_size, axis=1, out=run.frames[:hi - lo])
         block *= window
-        # zero the signal blocks no earlier frame of this run reached
-        blocks[lo + k - 1 if lo else 0:hi + k - 1] = 0.0
-        _overlap_add(block, cfg.hop, blocks[lo:hi + k - 1], start=owned - lo)
-        n_head = min(hi, run.lo + len(run.head)) - lo
-        if n_head > 0:
-            run.head[lo - run.lo:lo - run.lo + n_head] = block[:n_head]
+        # zero the rows of the run that no earlier frame of it reached
+        blocks[lo + k - 1 if lo > first else run.lo:min(hi + k - 1, run.hi)] = 0.0
+        _overlap_add(block, cfg.hop, blocks[lo:hi + k - 1], start=run.lo - lo, stop=run.hi - lo)
 
 
 def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divisor: np.ndarray,
                pool: ThreadPoolExecutor) -> np.ndarray:
-    """Weighted overlap-add of the spectrum rows of the frames of `runs`.
+    """Weighted overlap-add of the spectrum rows of all frames into `blocks`,
+    whose rows `runs` cut among them.
 
     The calling thread works the first run and `pool`, of len(runs) - 1
     workers, the others, each with `_wola_run` (a one-run pass submits
     nothing, so the pool starts no thread): `rows(r, lo, hi)` gives the
-    rows of frames lo..hi-1 of runs[r], one block of them at a time, and
-    must use only run r's buffers. They are inverse-FFT'd into the run's frame buffer, windowed
-    and added into `blocks`. After the join, each run's head columns are
-    added to the k - 1 rows it shares with the run before, so every row sums
-    its frames in increasing frame order and the result is the same bit for
-    bit for any number of runs. The blocks are then divided by the
-    normaliser and their two half-frame margins zeroed, so they hold the
-    zero-padded signal `stft(..., pad_mode="constant")` would frame.
-    Returns the (T - 1) * hop samples between the margins, a view of `blocks`.
+    rows of frames lo..hi-1 for runs[r], one block of them at a time, and
+    must use only run r's buffers. They are inverse-FFT'd into the run's
+    frame buffer, windowed and added into the run's own signal rows. Every
+    row sums its frames in increasing frame order on one thread, so the
+    result is the same bit for bit for any number of runs. The blocks are
+    then divided by the normaliser and their two half-frame margins zeroed,
+    so they hold the zero-padded signal `stft(..., pad_mode="constant")`
+    would frame. Returns the (T - 1) * hop samples between the margins, a
+    view of `blocks`.
     """
-    n_frames, k = runs[-1].hi, _columns(cfg)
+    n_frames = len(blocks) - _columns(cfg) + 1
     futures = [pool.submit(_wola_run, rows, r, run, cfg, blocks) for r, run in enumerate(runs) if r]
     try:
         _wola_run(rows, 0, runs[0], cfg, blocks)
@@ -509,8 +503,6 @@ def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divis
         wait(futures)
     for future in futures:
         future.result()
-    for run in runs[1:]:
-        _overlap_add(run.head, cfg.hop, blocks[run.lo:run.lo + 2 * (k - 1)], stop=k - 1)
     _normalise(blocks, divisor, n_frames)
     half = cfg.fft_size // 2
     end = (n_frames - 1) * cfg.hop + cfg.fft_size

@@ -9,17 +9,17 @@ estimated by iterative STFT projections.
 iteration needs only the previous signal. Two (T + k - 1, hop) signal-block
 buffers, k = ceil(fft_size / hop), take turns as source and target of
 `signal_core._wola_pass`, the overlap-add pass of `istft`. The pass cuts
-the frames into contiguous runs, one per CPU the process may use (at
-most `signal_core.MAX_RUNS`), and works each run on its own thread, whose
-buffers for frames, spectrum rows, magnitudes and zero mask hold one
-block of the run's frames. For each block it windows and FFTs the source
-frames, gives them the target magnitude (`_project`) and overlap-adds
-their windowed inverse FFT into the target. The start signal is the same
-pass over random-phase rows as one run on the calling thread, drawn block
-by block from one seeded stream. The worker threads live for one call.
-Only the two buffers grow with T; no (T, n_bins) spectrum exists. The
-output equals alternating `istft` and `stft` calls bit for bit, for any
-number of CPUs.
+the target's signal rows into contiguous runs, one per CPU the process may
+use (at most `signal_core.MAX_RUNS`), and works each run on its own
+thread, whose buffers for frames, spectrum rows, magnitudes and zero mask
+hold one block of the frames that reach the run's rows. For each block it
+windows and FFTs the source frames, gives them the target magnitude
+(`_project`) and overlap-adds their windowed inverse FFT into the run's
+rows. The start signal is the same pass over random-phase rows as one run
+on the calling thread, drawn block by block from one seeded stream. The
+worker threads live for one call. Only the two buffers grow with T; no
+(T, n_bins) spectrum exists. The output equals alternating `istft` and
+`stft` calls bit for bit, for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
         return _project(rows, mag[lo:hi], amp[r][:n], zero[r][:n])
 
     with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
-        # one run over all frames, so the phases come from one stream in block order
-        signal = _wola_pass(random_phase, [runs[0]._replace(hi=n_frames)], cfg, blocks, divisor, pool)
+        # one run over all rows, so the phases come from one stream in block order
+        signal = _wola_pass(random_phase, [runs[0]._replace(lo=0, hi=len(blocks))], cfg, blocks, divisor, pool)
         previous = np.empty_like(blocks)
         for _ in range(n_iters):
             blocks, previous = previous, blocks

@@ -44,8 +44,8 @@ def tiny_dims():
 # -- test signals and parameters -------------------------------------------------
 
 def force_runs(monkeypatch, count: int) -> None:
-    """Make `_wola_pass` cut its frames into `count` runs where they are long
-    enough, past MAX_RUNS too, so the split is tested for more runs than it uses."""
+    """Make `_wola_pass` cut its signal rows into `count` runs where there are
+    frames enough, past MAX_RUNS too, so the split is tested for more runs than it uses."""
     monkeypatch.setattr(signal_core, "_cpu_count", lambda: count)
     monkeypatch.setattr(signal_core, "MAX_RUNS", count)
 

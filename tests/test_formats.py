@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_ftb_truncated(tmp_path):
         read_ftb(path)
 
 
+@pytest.mark.parametrize("kind", [FTB_VECTOR, FTB_PROSODY])
+def test_ftb_refuses_a_vector_or_prosody_file_of_more_than_one_row(tmp_path, kind):
+    # rows 2 and cols 2, with a payload of the length those fields imply
+    path = tmp_path / "rows.ftb"
+    n_values = 4 * (3 if kind == FTB_PROSODY else 1)
+    path.write_bytes(b"FTB1" + struct.pack("<BII", kind, 2, 2) + np.zeros(n_values, "<f4").tobytes())
+    with pytest.raises(UnreadableFile, match=f"^{re.escape(str(path))}: rows is 2, expected 1 for FTB kind {kind}$"):
+        read_ftb(path)
+
+
 def test_ftb_missing(tmp_path):
     with pytest.raises(UnreadableFile):
         read_ftb(tmp_path / "none.ftb")
@@ -142,6 +153,15 @@ def test_pfck_refuses_version_1(tmp_path):
     path.write_bytes(b"PFCK" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"x"
                      + bytes([1]) + (2).to_bytes(4, "little") + np.zeros(2, "<f4").tobytes())
     with pytest.raises(UnreadableFile, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1$"):
+        read_pfck(path)
+
+
+def test_pfck_refuses_a_repeated_block_name(tmp_path):
+    path = tmp_path / "repeat.pfck"
+    block = (1).to_bytes(2, "little") + b"a" + bytes([1]) + (2).to_bytes(4, "little")
+    path.write_bytes(b"PFCK" + (2).to_bytes(4, "little") + block + np.array([1.0, 2.0], "<f8").tobytes()
+                     + block + np.array([3.0, 4.0], "<f8").tobytes())
+    with pytest.raises(UnreadableFile, match=f"^{re.escape(str(path))}: repeated block a$"):
         read_pfck(path)
 
 

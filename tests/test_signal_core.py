@@ -25,6 +25,8 @@ from prosovc.signal_core import (
     _butterworth_hp_biquad,
     _mel_edges,
     _padded_window,
+    _wola_buffers,
+    _wola_run,
     butterworth_hp_gain,
     frame_blocks,
     frame_runs,
@@ -329,13 +331,17 @@ def test_frame_blocks_are_near_equal_and_cover_every_frame():
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
 @pytest.mark.parametrize("k", [1, 2, 4, 6])
 def test_frame_runs_are_one_per_cpu_and_never_shorter_than_the_shared_rows(monkeypatch, cpus, k):
+    # the runs cut the n_frames + k - 1 signal rows; a run past the first also works
+    # the k - 1 frames before its rows, which is never more frames than it has rows
     monkeypatch.setattr(signal_core, "_cpu_count", lambda: cpus)
     for n_frames in range(1, 80):
         runs = frame_runs(n_frames, k)
-        assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n_frames))
+        assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n_frames + k - 1))
         assert len(runs) == max(1, min(cpus, MAX_RUNS, n_frames // max(k - 1, 1)))
+        sizes = [hi - lo for lo, hi in runs]
+        assert max(sizes) - min(sizes) <= 1
         if len(runs) > 1:
-            assert min(hi - lo for lo, hi in runs) >= k - 1
+            assert min(sizes) >= k - 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
@@ -435,6 +441,24 @@ def test_istft_is_the_same_on_any_number_of_runs(monkeypatch, name, n_frames):
         outputs[count] = istft(spec, cfg).tobytes()
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
+
+
+def test_each_run_writes_only_its_own_rows(monkeypatch):
+    cfg, n_frames = MelConfig(), 173
+    force_runs(monkeypatch, 3)
+    runs, blocks, _ = _wola_buffers(cfg, n_frames)
+    assert len(runs) == 3
+    rng = np.random.default_rng(0)
+    spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal((n_frames, cfg.n_bins))
+    # NaN shows an owned row left unzeroed; adding to NaN leaves NaN, so a
+    # finite fill shows an add into another run's row
+    for r, run in enumerate(runs):
+        for fill in (np.nan, 0.5):
+            blocks[:] = fill
+            _wola_run(lambda r, lo, hi: spec[lo:hi], r, run, cfg, blocks)
+            assert np.isfinite(blocks[run.lo:run.hi]).all(), (r, fill)
+            others = np.delete(blocks, np.s_[run.lo:run.hi], axis=0)
+            assert np.array_equal(others, np.full_like(others, fill), equal_nan=True), (r, fill)
 
 
 @pytest.mark.parametrize("name", ["default", "16k_window400"])
