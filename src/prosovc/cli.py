@@ -151,6 +151,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.report is not None and Path(args.report).resolve() == Path(args.out).resolve():
+        raise ParseError("--report names the same file as --out")
     src = load_wav(args.src)
     trg = load_wav(args.trg)
     align = load_alignment(args.src_align)
@@ -218,7 +220,7 @@ def _modulation_from_args(args) -> ModulationSpec:
 
 def load_modulation_file(path) -> dict:
     """Parse a flat key=value modulation file."""
-    out = {}
+    out, seen = {}, set()
     for lineno, line in read_text_lines(path):
         line = line.strip()
         if line.startswith("#"):
@@ -228,6 +230,9 @@ def load_modulation_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise UnreadableFile(f"{path}:{lineno}: repeated key {key!r}")
+        seen.add(key)
         if key in _MODULATION_FLAGS.values():
             try:
                 out[key] = float(value)

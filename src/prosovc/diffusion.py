@@ -12,6 +12,12 @@ ordered as param_shapes(dims, MelConfig.n_mels): the conv stack's dec.*
 arrays, then the conditioning's cond.* arrays.  Init, SGD, gradients
 and checkpoints all use that dict.
 
+A training example is a TrainBatch. train_step, eval_loss and
+gradient_check score it at (t, eps) through one forward pass, _forward:
+it noises x0 toward the prior, runs the conditioning and the noise
+predictor, and keeps their caches for _forward_backward's backprop.
+noise_loss is the one place the objective is written.
+
 The noise predictor computes in the dtype of the weights it is given.
 Training, eval_loss and gradient_check pass float64 weights; the
 pipeline's decode passes a float32 copy of the dict. reverse_sample draws
@@ -121,27 +127,30 @@ class TrainBatch:
     speaker: np.ndarray
 
 
-def _forward_backward(params: DecoderParams, batch: TrainBatch, x_t: np.ndarray,
-                      t: float, eps: np.ndarray):
-    """Loss and gradients of noise_loss w.r.t. every parameter."""
-    w = params.weights
-    cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, w)
+def _forward(params: DecoderParams, batch: TrainBatch, t: float, eps: np.ndarray):
+    """(noise_loss, eps_hat, decoder cache, conditioning cache) of batch noised by eps at time t."""
+    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
+    cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
     cache = {}
     eps_hat = predict_noise(x_t, cond, params, cache)
+    return noise_loss(eps_hat, eps), eps_hat, cache, ccache
 
-    diff = eps_hat - eps
-    loss = float(np.mean(diff * diff))
+
+def _forward_backward(params: DecoderParams, batch: TrainBatch, t: float, eps: np.ndarray):
+    """Loss and gradients of noise_loss w.r.t. every parameter."""
+    w = params.weights
+    loss, eps_hat, cache, ccache = _forward(params, batch, t, eps)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss became {loss}")
 
-    d_eps_hat = (2.0 / diff.size) * diff
+    d_eps_hat = (2.0 / eps.size) * (eps_hat - eps)
     dw3, db3, da2 = conv1d_backward(w["dec.w3"], cache["a2"], d_eps_hat.T)
     dpre2 = relu_backward(cache["pre2"], da2)
     dw2, db2, da1 = conv1d_backward(w["dec.w2"], cache["a1"], dpre2)
     dpre1 = relu_backward(cache["pre1"], da1)
     # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
     dw1, db1 = conv1d_param_grads(w["dec.w1"], cache["d_in"], dpre1)
-    d_cond = conv1d_input_grad(w["dec.w1"][:, x_t.shape[1]:], dpre1).T
+    d_cond = conv1d_input_grad(w["dec.w1"][:, eps.shape[1]:], dpre1).T
     grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
     return loss, grads | cond_backward(d_cond, ccache, w)
 
@@ -157,10 +166,9 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.rand
     i = int(rng.integers(1, N_STEPS + 1))
     t = i / N_STEPS
     eps = rng.standard_normal(batch.x0.shape)
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
     # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = _forward_backward(params, batch, x_t, t, eps)
+        loss, grads = _forward_backward(params, batch, t, eps)
         updated = {name: arr - lr * grads[name] for name, arr in params.weights.items()}
     # a finite loss can still drive a weight past what decode's float32 copy can hold; stop at that step
     for name, arr in updated.items():
@@ -171,12 +179,7 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.rand
 
 def eval_loss(params: DecoderParams, batch: TrainBatch, pairs: list[tuple[float, np.ndarray]]) -> float:
     """Mean noise loss over fixed (t, eps) pairs; deterministic validation."""
-    total = 0.0
-    for t, eps in pairs:
-        x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
-        cond, _ = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
-        total += noise_loss(predict_noise(x_t, cond, params), eps)
-    return total / len(pairs)
+    return sum(_forward(params, batch, t, eps)[0] for t, eps in pairs) / len(pairs)
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -219,8 +222,7 @@ def gradient_check(params: DecoderParams, batch: TrainBatch, h: float = 1e-4, t:
     """
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(batch.x0.shape)
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
-    _, grads = _forward_backward(params, batch, x_t, t, eps)
+    _, grads = _forward_backward(params, batch, t, eps)
     pair = [(t, eps)]
     worst = 0.0
     probe = replace(params, weights={name: arr.copy() for name, arr in params.weights.items()})

@@ -152,6 +152,10 @@ def load_bundle(path) -> ModelBundle:
             raise ValueError(f"{codebook.dim} columns for {meta['mel_cfg'].n_mels} mel bands")
     except ValueError as exc:
         raise UnreadableFile(f"checkpoint block codebook.centroids is invalid: {exc}") from exc
+    schema = {*_META, "meta.input_norm", "codebook.centroids"} | {f"param.{name}" for name in shapes}
+    for name in blocks:
+        if name not in schema:
+            raise UnreadableFile(f"checkpoint block {name} is not part of the schema")
     return ModelBundle(params, codebook=codebook, **meta)
 
 
@@ -280,9 +284,11 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
               kmeans_k: int = DEFAULT_KMEANS_K, log=None):
     """Deterministic toy training over a small same-speaker-paired corpus.
 
-    Returns (bundle, per-epoch mean losses).  The speaker embedding for
-    each step comes from a randomly chosen utterance of the same speaker,
-    the decoder input normalization from corpus mel statistics.
+    Returns (bundle, per-epoch mean losses).  Each utterance's example
+    (mel, prior, prosody and speaker vector) is built once; each step trains
+    on one with the speaker vector of a randomly chosen utterance of the
+    same speaker, itself included. The decoder input normalization comes
+    from corpus mel statistics.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
@@ -292,12 +298,12 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
         raise InsufficientData("need at least one epoch")
 
     f0_cfg = F0Config()
-    mels, tracks, priors = [], [], []
+    mels, examples = [], []
     for item in items:
         mel, track = extract_features(item.wave, mel_cfg, f0_cfg)
         mels.append(mel)
-        tracks.append(track)
-        priors.append(average_mel_target(mel, item.align))
+        examples.append(TrainBatch(x0=mel.values, prior=average_mel_target(mel, item.align).values,
+                                   prosody=track, speaker=speaker_embedding(mel, dims.speaker_dim)))
 
     codebook = train_unit_codebook(mels, kmeans_k, seed)
 
@@ -311,7 +317,6 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
 
     rng = np.random.default_rng(seed)
     params = init_decoder_params(dims, mel_cfg.n_mels, rng, input_shift=shift, input_scale=scale)
-    spk_embeddings = [speaker_embedding(m, dims.speaker_dim) for m in mels]
 
     epoch_losses = []
     for epoch in range(epochs):
@@ -319,15 +324,9 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
         losses = []
         for step, idx in enumerate(order, 1):
             mates = by_speaker[items[idx].speaker]
-            spk_idx = mates[int(rng.integers(len(mates)))]
-            batch = TrainBatch(
-                x0=mels[idx].values,
-                prior=priors[idx].values,
-                prosody=tracks[idx],
-                speaker=spk_embeddings[spk_idx],
-            )
+            mate = examples[mates[int(rng.integers(len(mates)))]]
             try:
-                params, loss = train_step(batch, params, lr, rng)
+                params, loss = train_step(replace(examples[idx], speaker=mate.speaker), params, lr, rng)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"{exc} at epoch {epoch + 1}/{epochs}, "
                                     f"step {step}/{len(order)}") from exc

@@ -245,14 +245,24 @@ def test_convert_bad_flag_value_exit_2(ckpt, pair_files, tmp_path, capsys, flags
     assert not (tmp_path / "o.wav").exists()
 
 
-@pytest.mark.parametrize("line, error", [("rate_multiplier = nan", "ParseError"),
-                                         ("octave_shift = high", "UnreadableFile")])
-def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, line, error):
-    mod_file = tmp_path / "mod.txt"
-    mod_file.write_text(line + "\n")
+@pytest.mark.parametrize("text, error, detail", [
+    pytest.param("rate_multiplier = nan", "ParseError", "", id="rate_multiplier = nan-ParseError"),
+    pytest.param("octave_shift = high", "UnreadableFile", "", id="octave_shift = high-UnreadableFile"),
+    # a repeated key is refused, not settled by its last value
+    pytest.param("octave_shift = 0.5\noctave_shift = -0.5", "UnreadableFile",
+                 "{mod_file}:2: repeated key 'octave_shift'\n", id="repeated-octave_shift"),
+    pytest.param("f0_curve = {curve}\n# again\nf0_curve = {curve}", "UnreadableFile",
+                 "{mod_file}:3: repeated key 'f0_curve'\n", id="repeated-f0_curve"),
+])
+def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, text, error, detail):
+    from prosovc.formats import write_ftb_vector
+
+    mod_file, curve = tmp_path / "mod.txt", tmp_path / "curve.ftb"
+    write_ftb_vector(curve, np.zeros(3))
+    mod_file.write_text(text.format(curve=curve) + "\n")
     rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--mod-file", str(mod_file)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert capsys.readouterr().err.startswith(f"{error}: " + detail.format(mod_file=mod_file))
 
 
 def test_convert_mod_file_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
@@ -574,6 +584,23 @@ def test_convert_report_into_missing_directory_exit_2(ckpt, pair_files, tmp_path
     err = assert_one_error_line(capsys, rc, "UnwritableFile", 2)
     assert err.startswith(f"UnwritableFile: {report}: ")
     assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_convert_report_naming_the_out_file_exit_2(ckpt, pair_files, tmp_path, capsys, monkeypatch, spelling):
+    # the report would overwrite the WAV and still exit 0; it is refused before the inputs are read
+    from prosovc import cli
+
+    def input_read(*args, **kwargs):
+        raise AssertionError("an input was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "load_wav", input_read)
+    out = tmp_path / "o.wav"
+    report = out if spelling == "same" else tmp_path / "." / "sub" / ".." / "o.wav"
+    rc = main(convert_args(ckpt, pair_files, out) + ["--report", str(report)])
+    err = assert_one_error_line(capsys, rc, "ParseError", 2)
+    assert err == "ParseError: --report names the same file as --out\n"
+    assert not out.exists()
 
 
 def test_sweep_out_into_missing_directory_exit_2(ckpt, pair_files, tmp_path, capsys):

@@ -379,11 +379,21 @@ def test_gradients_equal_full_input_gradient_oracle(n_frames, n_mels, style_dim,
     oracle_cond, oracle_loss, oracle_grads = oracle_forward_backward(params, batch, x_t, t, eps)
     cond, _ = diffusion.cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
     assert_close_to_oracle(cond, oracle_cond)
-    loss, grads = diffusion._forward_backward(params, batch, x_t, t, eps)
+    loss, grads = diffusion._forward_backward(params, batch, t, eps)
     assert loss == pytest.approx(oracle_loss, rel=1e-12)
     assert grads.keys() == oracle_grads.keys() == param_shapes(dims, n_mels).keys()
     for name, grad in grads.items():
         assert_close_to_oracle(grad, oracle_grads[name])
+
+
+@pytest.mark.parametrize("t", [1 / N_STEPS, 0.5, 1.0])
+def test_eval_loss_is_the_training_loss_bit_for_bit(tiny_dims, t):
+    # validation and training score an example through the same forward pass
+    rng = np.random.default_rng(21)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng, input_shift=0.1, input_scale=1.5)
+    batch = make_batch(rng, tiny_dims, TINY_N_MELS, n_frames=9)
+    eps = rng.standard_normal(batch.x0.shape)
+    assert eval_loss(params, batch, [(t, eps)]) == diffusion._forward_backward(params, batch, t, eps)[0]
 
 
 def test_affine_gradient_closed_form():

@@ -14,6 +14,7 @@ from prosovc.diffusion import (
     predict_noise,
     reverse_sample,
 )
+from prosovc.encoders import average_mel_target, speaker_embedding
 from prosovc.errors import NonFiniteSample, UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
 from prosovc import pipeline
@@ -179,6 +180,17 @@ def test_dims_and_melcfg_disagreeing_on_n_mels_is_unreadable(tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("extra", ["param.dec.w4", "meta.sigma"])
+def test_a_block_outside_the_schema_is_unreadable(ckpt_path, extra):
+    # save_bundle never writes one; a file of another schema must not load with the block ignored
+    blocks = read_pfck(ckpt_path)
+    blocks[extra] = np.ones(3)
+    write_pfck(ckpt_path, blocks)
+    with pytest.raises(UnreadableFile) as exc:
+        load_bundle(ckpt_path)
+    assert str(exc.value) == f"checkpoint block {extra} is not part of the schema"
+
+
 @pytest.mark.parametrize("block", pipeline._META)
 def test_every_meta_field_is_annotated_int_or_float(block):
     # _cast reads a field annotated "float" as float and any other as int
@@ -203,6 +215,40 @@ def test_train_toy_rejects_a_bad_lr_before_any_work(demo_corpus, lr, monkeypatch
     _, items = demo_corpus
     with pytest.raises(ValueError, match="lr must be finite and > 0"):
         pipeline.train_toy(items, epochs=1, seed=0, lr=lr)
+
+
+def test_train_toy_steps_on_each_utterance_with_a_same_speaker_vector(demo_corpus, monkeypatch):
+    # each step's example is its own utterance's mel, prior and prosody, with the speaker
+    # vector of an utterance by the same speaker, itself included
+    _, items = demo_corpus
+    mel_cfg, f0_cfg, speaker_dim = MelConfig(), F0Config(), ModelDims().speaker_dim
+    own = []
+    for item in items:
+        mel, track = pipeline.extract_features(item.wave, mel_cfg, f0_cfg)
+        own.append((mel.values, average_mel_target(mel, item.align).values, track,
+                    speaker_embedding(mel, speaker_dim)))
+    batches = []
+    real_step = pipeline.train_step
+
+    def recording(batch, *args):
+        batches.append(batch)
+        return real_step(batch, *args)
+
+    monkeypatch.setattr(pipeline, "train_step", recording)
+    epochs = 2
+    pipeline.train_toy(items, epochs=epochs, seed=4, kmeans_k=8)
+    assert len(batches) == epochs * len(items)
+    seen = []
+    for batch in batches:
+        [idx] = [i for i, (x0, *_) in enumerate(own) if np.array_equal(batch.x0, x0)]
+        seen.append(idx)
+        _, prior, track, _ = own[idx]
+        assert np.array_equal(batch.prior, prior)
+        for name in ("log_f0", "voiced", "log_energy"):
+            assert np.array_equal(getattr(batch.prosody, name), getattr(track, name))
+        mates = [i for i, item in enumerate(items) if item.speaker == items[idx].speaker]
+        assert any(np.array_equal(batch.speaker, own[i][3]) for i in mates)
+    assert sorted(seen) == sorted(list(range(len(items))) * epochs)
 
 
 # -- decoder precision: float32 network at inference, float64 in training -------------
