@@ -117,7 +117,8 @@ def _cast(field, value):
 
 
 def _block(blocks: dict, name: str, shape: tuple) -> np.ndarray:
-    values = blocks.get(name)
+    """Take block name out of blocks, refusing it unless finite and of shape."""
+    values = blocks.pop(name, None)
     if values is None or values.shape != shape:
         raise UnreadableFile(f"checkpoint block {name} is missing or not of shape {shape}")
     if not np.all(np.isfinite(values)):
@@ -144,18 +145,17 @@ def load_bundle(path) -> ModelBundle:
     shapes = param_shapes(meta["dims"], meta["mel_cfg"].n_mels)
     weights = {name: _block(blocks, f"param.{name}", shape) for name, shape in shapes.items()}
     params = DecoderParams(weights, float(shift), float(scale))
-    if "codebook.centroids" not in blocks:
+    centroids = blocks.pop("codebook.centroids", None)
+    if centroids is None:
         raise UnreadableFile("checkpoint block codebook.centroids is missing")
     try:
-        codebook = Codebook(blocks["codebook.centroids"])
+        codebook = Codebook(centroids)
         if codebook.dim != meta["mel_cfg"].n_mels:
             raise ValueError(f"{codebook.dim} columns for {meta['mel_cfg'].n_mels} mel bands")
     except ValueError as exc:
         raise UnreadableFile(f"checkpoint block codebook.centroids is invalid: {exc}") from exc
-    schema = {*_META, "meta.input_norm", "codebook.centroids"} | {f"param.{name}" for name in shapes}
-    for name in blocks:
-        if name not in schema:
-            raise UnreadableFile(f"checkpoint block {name} is not part of the schema")
+    if blocks:  # every block of the schema was taken out above; name the first other one
+        raise UnreadableFile(f"checkpoint block {next(iter(blocks))} is not part of the schema")
     return ModelBundle(params, codebook=codebook, **meta)
 
 

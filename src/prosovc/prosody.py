@@ -152,13 +152,12 @@ def _cmndf(frames: np.ndarray, tau_max: int):
     rms = np.sqrt(sq[:, -1] / seg_len)
     head_rms = np.sqrt(energy[:, 0] / w)
 
-    # The lag correlation of the first W samples with the frame. `head` is zero
-    # from W on and no lag exceeds tau_max, so every product it sums sits below
-    # W + tau_max = 2 * tau_max <= fft_n: the circular correlation never wraps.
+    # The lag correlation of the first W samples with the frame. rfft pads the
+    # head with zeros from W on and no lag exceeds tau_max, so every product it
+    # sums sits below W + tau_max = 2 * tau_max <= fft_n: the circular
+    # correlation never wraps.
     fft_n = 1 << int(math.ceil(math.log2(2 * tau_max)))
-    head = np.zeros_like(frames)
-    head[:, :w] = frames[:, :w]
-    corr = np.fft.irfft(np.conj(np.fft.rfft(head, fft_n)) * np.fft.rfft(frames, fft_n), fft_n)
+    corr = np.fft.irfft(np.conj(np.fft.rfft(frames[:, :w], fft_n)) * np.fft.rfft(frames, fft_n), fft_n)
     corr = corr[:, :tau_max + 1]
 
     diff = np.maximum(energy[:, :1] + energy - 2.0 * corr, 0.0)

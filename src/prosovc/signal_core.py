@@ -6,11 +6,12 @@ energy, units) lands on the same frame grid. The high-pass runs its
 recursion as one matrix product per block of samples, so it matches a
 per-sample loop to rounding, not bit for bit.
 
-The overlap-add pass behind `istft` and every Griffin-Lim iteration cuts
-its signal rows into contiguous runs, one per CPU the process may use up
-to MAX_RUNS. Each run's thread works every frame that reaches its rows and
-writes those rows alone, summing each row's frames in increasing frame
-order, so the output is the same bit for bit for any CPU count.
+The overlap-add pass behind every Griffin-Lim iteration cuts its signal
+rows into contiguous runs, one per CPU the process may use up to MAX_RUNS.
+Each run's thread works every frame that reaches its rows and writes those
+rows alone, summing each row's frames in increasing frame order, so the
+output is the same bit for bit for any CPU count. `istft` runs the same
+pass as one run on the calling thread.
 """
 
 from __future__ import annotations
@@ -146,8 +147,6 @@ def load_wav(path) -> Waveform:
                 raise UnsupportedFormat(f"{path}: expected mono, got {reader.getnchannels()} channels")
             if reader.getsampwidth() != 2:
                 raise UnsupportedFormat(f"{path}: expected 16-bit PCM, got {8 * reader.getsampwidth()}-bit")
-            if reader.getcomptype() != "NONE":
-                raise UnsupportedFormat(f"{path}: compressed WAV is not supported")
             sample_rate = reader.getframerate()
             raw = reader.readframes(reader.getnframes())
     except (_wave.Error, EOFError) as exc:
@@ -478,13 +477,13 @@ def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, blocks: np.ndarray) -> No
 
 
 def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divisor: np.ndarray,
-               pool: ThreadPoolExecutor) -> np.ndarray:
+               pool: ThreadPoolExecutor | None) -> np.ndarray:
     """Weighted overlap-add of the spectrum rows of all frames into `blocks`,
     whose rows `runs` cut among them.
 
     The calling thread works the first run and `pool`, of len(runs) - 1
     workers, the others, each with `_wola_run` (a one-run pass submits
-    nothing, so the pool starts no thread): `rows(r, lo, hi)` gives the
+    nothing, so its pool may be None): `rows(r, lo, hi)` gives the
     rows of frames lo..hi-1 for runs[r], one block of them at a time, and
     must use only run r's buffers. They are inverse-FFT'd into the run's
     frame buffer, windowed and added into the run's own signal rows. Every
@@ -518,8 +517,9 @@ def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
     Output length is (T - 1) * hop.
     """
     runs, blocks, divisor = _wola_buffers(cfg, spec.shape[0])
-    with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
-        return _wola_pass(lambda r, lo, hi: spec[lo:hi], runs, cfg, blocks, divisor, pool)
+    # one run over all rows, on the calling thread, as Griffin-Lim's start pass
+    return _wola_pass(lambda r, lo, hi: spec[lo:hi], [runs[0]._replace(lo=0, hi=len(blocks))],
+                      cfg, blocks, divisor, None)
 
 
 def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:

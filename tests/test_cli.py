@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 
@@ -96,6 +97,26 @@ def test_extract_segment_beyond_the_audio_writes_nothing(tmp_path, capsys):
                "--alignment", str(tmp_path / "bad.tsv")])
     assert_one_error_line(capsys, rc, "OutOfRange", 7)
     assert not list(tmp_path.rglob("feat.*"))
+
+
+def non_pcm_wav(tag: int) -> bytes:
+    """A mono 8 kHz RIFF/WAVE file of format tag `tag` (3 float, 7 mu-law) holding 4 zero samples."""
+    width = 4 if tag == 3 else 1
+    fmt = struct.pack("<HHIIHH", tag, 1, 8000, 8000 * width, width, 8 * width)
+    data = bytes(4 * width)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("tag", [3, 7], ids=["float", "mu-law"])
+def test_extract_non_pcm_wav_exit_2(tmp_path, capsys, tag):
+    # the wave module refuses every format tag but PCM's while it reads the header
+    path = tmp_path / "in.wav"
+    path.write_bytes(non_pcm_wav(tag))
+    rc = main(["extract", "--in", str(path), "--out", str(tmp_path / "feat")])
+    err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
+    assert err == f"UnreadableFile: {path}: not a readable RIFF/WAVE file (unknown format: {tag})\n"
+    assert not any(tmp_path.glob("feat*"))
 
 
 def test_extract_missing_file_exit_2(tmp_path):
@@ -253,6 +274,7 @@ def test_convert_bad_flag_value_exit_2(ckpt, pair_files, tmp_path, capsys, flags
                  "{mod_file}:2: repeated key 'octave_shift'\n", id="repeated-octave_shift"),
     pytest.param("f0_curve = {curve}\n# again\nf0_curve = {curve}", "UnreadableFile",
                  "{mod_file}:3: repeated key 'f0_curve'\n", id="repeated-f0_curve"),
+    pytest.param("foo=1", "UnreadableFile", "{mod_file}:1: unknown key 'foo'\n", id="unknown-key"),
 ])
 def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, text, error, detail):
     from prosovc.formats import write_ftb_vector
@@ -262,7 +284,32 @@ def test_convert_bad_mod_file_value_exit_2(ckpt, pair_files, tmp_path, capsys, t
     mod_file.write_text(text.format(curve=curve) + "\n")
     rc = main(convert_args(ckpt, pair_files, tmp_path / "o.wav") + ["--mod-file", str(mod_file)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"{error}: " + detail.format(mod_file=mod_file))
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: " + detail.format(mod_file=mod_file)) and err.count("\n") == 1, err
+    assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("kind, detail", [
+    pytest.param("prosody", "expected a vector or matrix FTB, got a prosody track", id="prosody"),
+    pytest.param("kind-3", "unknown FTB kind 3", id="kind-3"),
+])
+def test_convert_f0_curve_that_is_not_a_curve_exit_2(ckpt, pair_files, tmp_path, capsys, kind, detail):
+    from prosovc.formats import write_ftb_prosody, write_ftb_vector
+    from prosovc.prosody import ProsodyTrack
+
+    curve = tmp_path / "curve.ftb"
+    if kind == "prosody":
+        write_ftb_prosody(curve, ProsodyTrack(np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3)))
+    else:
+        write_ftb_vector(curve, np.zeros(3))
+        blob = bytearray(curve.read_bytes())
+        blob[4] = 3  # the kind byte, after the magic
+        curve.write_bytes(bytes(blob))
+    out = tmp_path / "o.wav"
+    rc = main(convert_args(ckpt, pair_files, out) + ["--f0-curve", str(curve)])
+    err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
+    assert err == f"UnreadableFile: {curve}: {detail}\n"
+    assert not out.exists()
 
 
 def test_convert_mod_file_not_utf8_exit_2(ckpt, pair_files, tmp_path, capsys):
@@ -445,6 +492,31 @@ def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
                         r"at epoch 1/1, step [12]/2\n", err), err
     assert not ckpt.exists()
 
+
+
+@pytest.mark.parametrize("case, error, exit_code", [
+    ("regular-file", "UnreadableFile", 2),
+    ("no-wav", "InsufficientData", 4),
+    ("zero-epochs", "InsufficientData", 4),
+])
+def test_train_toy_corpus_or_epochs_refused(demo_corpus, tmp_path, capsys, case, error, exit_code):
+    corpus, epochs = demo_corpus[0], "1"
+    if case == "regular-file":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("")
+        detail = f"{corpus}: not a directory"
+    elif case == "no-wav":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "spk0_utt0.tsv").write_text("")
+        detail = f"{corpus}: no wav files found"
+    else:
+        epochs, detail = "0", "need at least one epoch"
+    ckpt = tmp_path / "c.pfck"
+    rc = main(["train-toy", "--corpus", str(corpus), "--epochs", epochs, "--seed", "0", "--ckpt", str(ckpt)])
+    err = assert_one_error_line(capsys, rc, error, exit_code)
+    assert err == f"{error}: {detail}\n"
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("lr", ["1e4", "10"])

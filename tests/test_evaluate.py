@@ -20,7 +20,7 @@ from prosovc.evaluate import (
 from prosovc.prosody import ProsodyTrack
 from prosovc.signal_core import MelConfig, MelSpectrogram
 from prosovc.synth import toy_utterance
-from prosovc.transform import ModulationSpec, voiced_mean
+from prosovc.transform import ModulationSpec, modulate, voiced_mean
 
 
 def track_from_hz(f0, voiced):
@@ -130,6 +130,24 @@ def test_f0_sweep_csv_format(sweep_rows):
     assert len(parsed) == 6
     assert [float(row[0]) for row in parsed[1:]] == list(F0_SWEEP_LEVELS)
     assert all(list(row) == F0_SWEEP_HEADER for row in rows)
+
+
+def test_f0_row_measures_voiced_output(trained_bundle):
+    # every toy bundle decodes unvoiced audio, so the sweep's rows never reach f0_rmse;
+    # a voiced utterance scored against its own track, and that track a semitone up, does
+    wave, _ = toy_utterance(3, base_f0=150.0)
+    track = pipeline.analyse_prosody(wave, trained_bundle.mel_cfg, trained_bundle.f0_cfg)
+    row = evaluate._f0_row(wave, track, track.n_frames, trained_bundle)
+    assert row["f0_rmse_hz"] == 0.0
+    assert row["achieved_mean_hz"] == row["requested_mean_hz"] == voiced_mean(track)
+    assert row["achieved_mean_hz"] == pytest.approx(151.846, abs=1e-3)
+    up = modulate(track, ModulationSpec(semitone_shift=1.0))
+    row = evaluate._f0_row(wave, up, track.n_frames, trained_bundle)
+    # every common voiced frame is off by (2^(1/12) - 1) times its own F0
+    hz = np.exp(track.log_f0[track.voiced])
+    assert row["f0_rmse_hz"] == pytest.approx((2 ** (1 / 12) - 1) * np.sqrt(np.mean(hz * hz)), rel=1e-9)
+    assert row["f0_rmse_hz"] == pytest.approx(9.03, abs=0.01)
+    assert row["achieved_mean_hz"] == voiced_mean(track)
 
 
 def test_rate_sweep_grid(trained_bundle, conversion_pair, tmp_path):

@@ -2,7 +2,9 @@ import math
 import os
 import re
 import struct
+import threading
 import wave as wavemod
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from prosovc.signal_core import (
     _mel_edges,
     _padded_window,
     _wola_buffers,
+    _wola_pass,
     _wola_run,
     butterworth_hp_gain,
     frame_blocks,
@@ -432,15 +435,36 @@ def test_istft_equals_per_frame_loop(name, n_frames):
 @pytest.mark.parametrize("n_frames", [5, 64, 65, 173, 300])
 @pytest.mark.parametrize("name", sorted(ISTFT_CFGS))
 def test_istft_is_the_same_on_any_number_of_runs(monkeypatch, name, n_frames):
+    # istft works one run; the pass it shares with Griffin-Lim gives its output
+    # cut into any number of runs, on hop/fft shapes Griffin-Lim's tests do not use
     cfg = ISTFT_CFGS[name]
     rng = np.random.default_rng(n_frames)
     spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal((n_frames, cfg.n_bins))
-    outputs = {}
+    one_run = istft(spec, cfg).tobytes()
     for count in (1, 2, 3):
         force_runs(monkeypatch, count)
-        outputs[count] = istft(spec, cfg).tobytes()
-    assert outputs[2] == outputs[1]
-    assert outputs[3] == outputs[1]
+        runs, blocks, divisor = _wola_buffers(cfg, n_frames)
+        with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
+            ours = _wola_pass(lambda r, lo, hi: spec[lo:hi], runs, cfg, blocks, divisor, pool)
+        assert ours.tobytes() == one_run, count
+
+
+def test_istft_starts_no_thread(monkeypatch):
+    cfg, n_frames = MelConfig(), 173
+    force_runs(monkeypatch, 3)
+    assert len(_wola_buffers(cfg, n_frames)[0]) == 3
+    threads = []
+
+    def run(*args):
+        threads.append(threading.current_thread())
+        return _wola_run(*args)
+
+    monkeypatch.setattr(signal_core, "_wola_run", run)
+    before = threading.active_count()
+    spec = np.random.default_rng(0).standard_normal((n_frames, cfg.n_bins)).astype(complex)
+    istft(spec, cfg)
+    assert threads == [threading.main_thread()]
+    assert threading.active_count() == before
 
 
 def test_each_run_writes_only_its_own_rows(monkeypatch):
