@@ -25,8 +25,14 @@ never writes it): a metric breaches when its change median is worse than
 its base median by more than ``bound * |base median|``. Standard output gets
 one ``fingerprints <workload> unchanged|changed`` line per workload, one line
 per metric, with ``BREACH`` on each that breaches, and a last ``gate`` line.
+With ``--claim METRIC``, naming one of those end-to-end metrics, a last
+``claim`` line applies the rule for claiming a gain to that metric on each
+workload run: the change wins at least nine tenths of the pairs, ties
+counting for neither side, and its median is better than the base median by
+more than the base's interquartile range (q3 - q1). The record keeps the
+verdict under ``claim``.
 The exit status is 0 whenever every run printed a result, whether or not
-anything changed or breached.
+anything changed, breached or met its claim.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
 
-def parse_args(argv):
+def parse_args(argv, gated=()):
+    """The command line; `gated` names the end-to-end metrics that --claim may name."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the base side")
     parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
@@ -53,6 +60,8 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; each next pair adds 1")
     parser.add_argument("--seconds", type=float, default=12.0, help="run.py --seconds")
+    parser.add_argument("--claim", metavar="METRIC", choices=sorted(gated),
+                        help="an end-to-end metric of BENCHMARK.json: judge a claimed gain in it")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -154,6 +163,35 @@ def gate(metrics: dict, end_to_end: dict) -> dict:
     return {"pass": not breaches, "breaches": breaches, "workloads": workloads}
 
 
+def claim(metrics: dict, name: str) -> dict:
+    """Per workload, whether the change shows a gain in metric `name`.
+
+    metrics: summarise's "metrics". The gain holds when the change wins at
+    least 9/10 of the pairs (ties count for neither side) and its median is
+    better than the base median by more than the base quartile spread.
+    """
+    verdicts = {}
+    for key, m in metrics.items():
+        workload, metric = key.split(".", 1)
+        if metric != name:
+            continue
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        gap = sign * (m["base"]["median"] - m["change"]["median"])  # > 0: the change is better
+        spread = m["base"]["q3"] - m["base"]["q1"]
+        wins, pairs = m["wins"]["change"], sum(m["wins"].values())
+        verdicts[workload] = {"met": 10 * wins >= 9 * pairs and gap > spread, "wins": wins, "pairs": pairs,
+                              "gap": gap, "base_iqr": spread}
+    return verdicts
+
+
+def claim_line(name: str, verdicts: dict) -> str:
+    """One line: `claim`'s verdict on metric `name` for each workload."""
+    parts = [f"{workload} {'met' if v['met'] else 'not met'} (change better in {v['wins']}/{v['pairs']} pairs, "
+             f"9/10 needed; median gain {v['gap']:.6g} against base IQR {v['base_iqr']:.6g})"
+             for workload, v in verdicts.items()]
+    return f"claim {name}: " + ("; ".join(parts) or "no run measured it")
+
+
 def summary_lines(summary: dict) -> list[str]:
     """One line per fingerprint, side verdict and metric; a last gate line if summary has a gate."""
     breaches = summary.get("gate", {}).get("breaches", [])
@@ -225,7 +263,8 @@ def unpack_commit(commit: str, dest: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    specs = end_to_end_specs(ROOT)
+    args = parse_args(argv, specs)
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_commit = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -243,9 +282,10 @@ def main(argv=None) -> int:
                              "parsed": run_side(trees[side], args, seed)})
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
-    specs = end_to_end_specs(ROOT)
     summary = summarise(runs, {name: spec["better"] for name, spec in specs.items()})
     summary["gate"] = gate(summary["metrics"], specs)
+    if args.claim:
+        summary["claim"] = {"metric": args.claim, "workloads": claim(summary["metrics"], args.claim)}
     record = {
         "label": args.label,
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds} --trace 0",
@@ -263,6 +303,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for line in summary_lines(summary):
         print(line)
+    if args.claim:
+        print(claim_line(args.claim, summary["claim"]["workloads"]))
     print(f"written to {out.name}")
     return 0
 

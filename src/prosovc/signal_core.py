@@ -6,16 +6,24 @@ energy, units) lands on the same frame grid. The high-pass runs its
 recursion as one matrix product per block of samples, so it matches a
 per-sample loop to rounding, not bit for bit.
 
-The overlap-add pass behind every Griffin-Lim iteration cuts its signal
-rows into contiguous runs, one per CPU the process may use up to MAX_RUNS.
-Each run's thread works every frame that reaches its rows and writes those
-rows alone, summing each row's frames in increasing frame order, so the
-output is the same bit for bit for any CPU count. `istft` runs the same
-pass as one run on the calling thread.
+The analysis loops (mel power, log energy, YIN) work FRAME_BLOCK frames at
+a time. The overlap-add pass behind every Griffin-Lim iteration cuts its
+signal rows into contiguous runs, one per CPU the process may use up to
+MAX_RUNS. Each run's thread works every frame that reaches its rows,
+RUN_BLOCK frames at a time, and writes those rows alone: it sums each row's
+frames in increasing frame order, then divides the row by the normaliser and
+zeroes its margin samples, so the output is the same bit for bit for any CPU
+count and no serial work follows the runs. A pass may run in place, over
+the signal its frames read: the calling thread first copies each run's
+halos, the k - 1 old rows on either side that the neighbouring runs
+overwrite, and each run stages a block's old rows (k - 1 carried from its
+previous block) before it zeroes them. `istft` runs the pass as one run on
+the calling thread.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import wave as _wave
@@ -139,16 +147,43 @@ def read_text_lines(path, error=UnreadableFile) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
+# The format tag of WAVE_FORMAT_EXTENSIBLE, which the wave module reads from
+# Python 3.12 on and refuses before: load_wav refuses it on every version.
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+
+
+def _format_tag(fh) -> int | None:
+    """The format tag of the `fmt ` chunk of the RIFF/WAVE file open in `fh`,
+    or None if the chunks before it do not parse; leaves fh at its start."""
+    tag = None
+    head = fh.read(12)
+    if head[:4] == b"RIFF" and head[8:12] == b"WAVE":
+        while len(chunk := fh.read(8)) == 8:
+            size = int.from_bytes(chunk[4:], "little")
+            if chunk[:4] == b"fmt ":
+                data = fh.read(2)
+                tag = int.from_bytes(data, "little") if len(data) == 2 else None
+                break
+            fh.seek(size + size % 2, os.SEEK_CUR)  # chunks are padded to an even size
+    fh.seek(0)
+    return tag
+
+
 def load_wav(path) -> Waveform:
     """Read a mono PCM16 RIFF/WAVE file, normalizing samples by 32768."""
     try:
-        with open_file(path, "rb") as fh, _wave.open(fh, "rb") as reader:
-            if reader.getnchannels() != 1:
-                raise UnsupportedFormat(f"{path}: expected mono, got {reader.getnchannels()} channels")
-            if reader.getsampwidth() != 2:
-                raise UnsupportedFormat(f"{path}: expected 16-bit PCM, got {8 * reader.getsampwidth()}-bit")
-            sample_rate = reader.getframerate()
-            raw = reader.readframes(reader.getnframes())
+        with open_file(path, "rb") as fh:
+            # the format tag is read ahead, so a pipe's bytes are kept to read again
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            if _format_tag(source) == WAVE_FORMAT_EXTENSIBLE:  # the wave module's own refusal before 3.12
+                raise _wave.Error(f"unknown format: {WAVE_FORMAT_EXTENSIBLE}")
+            with _wave.open(source, "rb") as reader:
+                if reader.getnchannels() != 1:
+                    raise UnsupportedFormat(f"{path}: expected mono, got {reader.getnchannels()} channels")
+                if reader.getsampwidth() != 2:
+                    raise UnsupportedFormat(f"{path}: expected 16-bit PCM, got {8 * reader.getsampwidth()}-bit")
+                sample_rate = reader.getframerate()
+                raw = reader.readframes(reader.getnframes())
     except (_wave.Error, EOFError) as exc:
         raise UnreadableFile(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     except RuntimeError as exc:  # the wave module's seek past a chunk's declared size
@@ -367,11 +402,17 @@ def _overlap_add(frames: np.ndarray, hop: int, blocks: np.ndarray, start: int = 
     return blocks
 
 
-# Frames per block of every blocked loop: overlap-add, mel power, log energy
-# and YIN. A block of frames and its spectrum (512 KiB each at fft_size 1024)
-# stay in a 2 MiB L2 cache, where whole-utterance frame arrays do not. The
-# runs of one overlap-add pass share one FRAME_BLOCK between them.
+# Frames per block of the blocked analysis loops: mel power, log energy and
+# YIN. A block of frames and its spectrum (512 KiB each at fft_size 1024)
+# stay in a 2 MiB L2 cache, where whole-utterance frame arrays do not; at
+# 128, YIN's 20 s traced peak no longer fits its 7.1 MiB bound.
 FRAME_BLOCK = 64
+
+# Frames per block of each run of an overlap-add pass. Every run has buffers
+# of its own, so at 2 s (88 signal rows per run on 2 CPUs) a run works its
+# frames as one block: fewer, larger numpy calls, which serialise less on
+# the GIL than many short ones.
+RUN_BLOCK = 96
 
 
 def _split(n: int, count: int) -> list[tuple[int, int]]:
@@ -415,22 +456,31 @@ def frame_runs(n_frames: int, k: int) -> list[tuple[int, int]]:
 class _Run(NamedTuple):
     """Signal rows lo..hi-1 of an overlap-add pass, worked on one thread.
 
-    `frames` holds one block of the frames that reach those rows at a time.
+    The run works frames first..last-1, every frame that reaches its rows,
+    one block of at most len(frames) frames at a time, and holds a block's
+    frames in `frames`. An in-place pass gives a block's frames the old
+    signal rows they read in `stage`, block + k - 1 rows, and keeps in `upper`
+    the old rows from hi on, which the next run overwrites: k - 1 of them,
+    or fewer at the signal's end.
     """
 
     lo: int
     hi: int
+    first: int
+    last: int
     frames: np.ndarray
+    stage: np.ndarray
+    upper: np.ndarray
 
 
-def _wola_buffers(cfg: MelConfig, n_frames: int):
-    """(runs, blocks, divisor) for `_wola_pass` over n_frames frames.
+def _wola_buffers(cfg: MelConfig, n_frames: int, spans: list[tuple[int, int]] | None = None):
+    """(runs, signal, divisor) for `_wola_pass` over n_frames frames.
 
-    `runs` are the `_Run`s of `frame_runs`; their frame buffers hold about
-    one FRAME_BLOCK of frames between them. `blocks` holds the
-    (n_frames + k - 1, hop) signal blocks, k = ceil(fft_size / hop). The
+    `runs` are the `_Run`s of the row `spans` (default: `frame_runs`), each
+    with buffers for a block of at most RUN_BLOCK frames. `signal` holds the
+    (n_frames + k - 1, hop) signal rows, k = ceil(fft_size / hop). The
     divisor is the overlap-added squared window, with 1 wherever that sum is
-    not above 1e-11. Every block from k - 1 to n_frames - 1 sums the same k
+    not above 1e-11. Every row from k - 1 to n_frames - 1 sums the same k
     frame columns, so it is kept compact: k - 1 head rows, one interior row
     and k - 1 tail rows, taken from the overlap-add of min(n_frames, 2k - 1)
     frames.
@@ -440,45 +490,79 @@ def _wola_buffers(cfg: MelConfig, n_frames: int):
     w = _padded_window(cfg.window, cfg.fft_size)
     norm = _overlap_add(np.broadcast_to(w * w, (n, cfg.fft_size)), cfg.hop, np.zeros((n + k - 1, cfg.hop)))
     norm = np.concatenate([norm[:k], norm[n:]])
-    spans = frame_runs(n_frames, k)
-    size = -(-FRAME_BLOCK // len(spans))
-    # a run works at most the k - 1 frames before its rows and one frame per row
-    runs = [_Run(lo, hi, np.empty((min(hi - lo + k - 1, size), cfg.fft_size))) for lo, hi in spans]
-    blocks = np.empty((n_frames + k - 1, cfg.hop))
-    return runs, blocks, np.where(norm > 1e-11, norm, 1.0)
+    runs = []
+    for lo, hi in spans or frame_runs(n_frames, k):
+        first, last = max(lo - k + 1, 0), min(hi, n_frames)
+        size = min(last - first, RUN_BLOCK)
+        runs.append(_Run(lo, hi, first, last, np.empty((size, cfg.fft_size)), np.empty((size + k - 1, cfg.hop)),
+                         np.empty((min(k - 1, n_frames + k - 1 - hi), cfg.hop))))
+    signal = np.empty((n_frames + k - 1, cfg.hop))
+    return runs, signal, np.where(norm > 1e-11, norm, 1.0)
 
 
-def _normalise(blocks: np.ndarray, divisor: np.ndarray, n_frames: int) -> None:
-    """Divide the signal blocks of n_frames frames by their rows of the compact divisor."""
+def _normalise(signal: np.ndarray, divisor: np.ndarray, n_frames: int, lo: int, hi: int) -> None:
+    """Divide rows lo..hi-1 of the signal of n_frames frames by their rows of the compact divisor."""
     k = (len(divisor) + 1) // 2
-    head = min(k - 1, n_frames)
-    blocks[:head] /= divisor[:head]
-    blocks[head:n_frames] /= divisor[k - 1]
-    blocks[n_frames:] /= divisor[k:]
+    head, tail = min(k - 1, n_frames), max(lo, n_frames)
+    if lo < min(hi, head):
+        signal[lo:min(hi, head)] /= divisor[lo:min(hi, head)]
+    if max(lo, head) < min(hi, n_frames):
+        signal[max(lo, head):min(hi, n_frames)] /= divisor[k - 1]
+    if tail < hi:
+        signal[tail:hi] /= divisor[k + tail - n_frames:k + hi - n_frames]
 
 
-def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, blocks: np.ndarray) -> None:
+def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, signal: np.ndarray, divisor: np.ndarray,
+              in_place: bool = False) -> None:
     """Overlap-add every frame that reaches the signal rows of runs[r], one
-    block at a time, into those rows and no others.
+    block at a time, into those rows and no others, and finish each row as
+    soon as all its frames are in: divide it by the normaliser and zero the
+    samples of the two half-frame margins in it.
+
+    In place, each block first stages in `run.stage` the old rows its
+    frames read: the k - 1 rows the previous block also read carry over
+    (before the first block `_wola_pass` put the lower halo there), the
+    run's own rows are copied before the run zeroes them, and rows from
+    run.hi on come from `run.upper`.
 
     A worker thread runs this, so it calls nothing that the benchmark's span
     tracer wraps: that tracer keeps one span stack for all threads.
     """
     k = _columns(cfg)
-    first, last = max(run.lo - k + 1, 0), min(run.hi, len(blocks) - k + 1)
+    n_frames = len(signal) - k + 1
+    half, end = cfg.fft_size // 2, (n_frames - 1) * cfg.hop + cfg.fft_size
+    flat = signal.reshape(-1)
     window = _padded_window(cfg.window, cfg.fft_size)
-    for lo, hi in frame_blocks(last - first, len(run.frames)):
-        lo, hi = first + lo, first + hi
-        block = np.fft.irfft(rows(r, lo, hi), n=cfg.fft_size, axis=1, out=run.frames[:hi - lo])
+    done = run.lo  # the rows of the run below it are finished
+    n = 0  # frames in the previous block
+    for lo, hi in frame_blocks(run.last - run.first, len(run.frames)):
+        lo, hi = run.first + lo, run.first + hi
+        top = hi + k - 1  # the block's frames reach rows lo..top-1
+        # the run's rows fresh..stop-1 are the ones no earlier frame of it reached
+        fresh, stop = lo + k - 1 if n else run.lo, min(top, run.hi)
+        if in_place:
+            if n:
+                run.stage[:k - 1] = run.stage[n:n + k - 1]
+            run.stage[fresh - lo:stop - lo] = signal[fresh:stop]
+            above = max(fresh, run.hi)
+            if above < top:
+                run.stage[above - lo:top - lo] = run.upper[above - run.hi:top - run.hi]
+        n = hi - lo
+        block = np.fft.irfft(rows(r, lo, hi), n=cfg.fft_size, axis=1, out=run.frames[:n])
         block *= window
-        # zero the rows of the run that no earlier frame of it reached
-        blocks[lo + k - 1 if lo > first else run.lo:min(hi + k - 1, run.hi)] = 0.0
-        _overlap_add(block, cfg.hop, blocks[lo:hi + k - 1], start=run.lo - lo, stop=run.hi - lo)
+        signal[fresh:stop] = 0.0
+        _overlap_add(block, cfg.hop, signal[lo:top], start=run.lo - lo, stop=run.hi - lo)
+        # rows below hi have all their frames in, and after the last block every row has
+        finished = run.hi if hi == run.last else max(hi, done)
+        _normalise(signal, divisor, n_frames, done, finished)
+        flat[done * cfg.hop:min(finished * cfg.hop, half)] = 0.0
+        flat[max(done * cfg.hop, end - half):finished * cfg.hop] = 0.0
+        done = finished
 
 
-def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divisor: np.ndarray,
-               pool: ThreadPoolExecutor | None) -> np.ndarray:
-    """Weighted overlap-add of the spectrum rows of all frames into `blocks`,
+def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, signal: np.ndarray, divisor: np.ndarray,
+               pool: ThreadPoolExecutor | None, in_place: bool = False) -> np.ndarray:
+    """Weighted overlap-add of the spectrum rows of all frames into `signal`,
     whose rows `runs` cut among them.
 
     The calling thread works the first run and `pool`, of len(runs) - 1
@@ -486,29 +570,35 @@ def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, blocks: np.ndarray, divis
     nothing, so its pool may be None): `rows(r, lo, hi)` gives the
     rows of frames lo..hi-1 for runs[r], one block of them at a time, and
     must use only run r's buffers. They are inverse-FFT'd into the run's
-    frame buffer, windowed and added into the run's own signal rows. Every
-    row sums its frames in increasing frame order on one thread, so the
-    result is the same bit for bit for any number of runs. The blocks are
-    then divided by the normaliser and their two half-frame margins zeroed,
-    so they hold the zero-padded signal `stft(..., pad_mode="constant")`
-    would frame. Returns the (T - 1) * hop samples between the margins, a
-    view of `blocks`.
+    frame buffer, windowed and added into the run's own signal rows; each
+    row is then divided by the normaliser and its margin samples zeroed, so
+    the rows hold the zero-padded signal `stft(..., pad_mode="constant")`
+    would frame. Every row sums its frames in increasing frame order on one
+    thread, so the result is the same bit for bit for any number of runs.
+
+    With `in_place`, the pass overwrites the signal its frames read: `rows`
+    reads the old rows of frames lo..hi-1 from `runs[r].stage`. Before any
+    run starts, the calling thread copies each run's halos, the k - 1 old
+    rows below its first row (into the head of its stage) and from its last
+    (into `upper`), which the neighbouring runs overwrite. Returns the
+    (T - 1) * hop samples between the margins, a view of `signal`.
     """
-    n_frames = len(blocks) - _columns(cfg) + 1
-    futures = [pool.submit(_wola_run, rows, r, run, cfg, blocks) for r, run in enumerate(runs) if r]
+    k = _columns(cfg)
+    if in_place:
+        for run in runs:
+            run.stage[:run.lo - run.first] = signal[run.first:run.lo]
+            run.upper[:] = signal[run.hi:run.hi + len(run.upper)]
+    futures = [pool.submit(_wola_run, rows, r, run, cfg, signal, divisor, in_place)
+               for r, run in enumerate(runs) if r]
     try:
-        _wola_run(rows, 0, runs[0], cfg, blocks)
+        _wola_run(rows, 0, runs[0], cfg, signal, divisor, in_place)
     finally:
         wait(futures)
     for future in futures:
         future.result()
-    _normalise(blocks, divisor, n_frames)
     half = cfg.fft_size // 2
-    end = (n_frames - 1) * cfg.hop + cfg.fft_size
-    flat = blocks.reshape(-1)
-    flat[:half] = 0.0
-    flat[end - half:] = 0.0
-    return flat[half:end - half]
+    end = (len(signal) - k) * cfg.hop + cfg.fft_size
+    return signal.reshape(-1)[half:end - half]
 
 
 def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
@@ -516,10 +606,10 @@ def istft(spec: np.ndarray, cfg: MelConfig) -> np.ndarray:
 
     Output length is (T - 1) * hop.
     """
-    runs, blocks, divisor = _wola_buffers(cfg, spec.shape[0])
-    # one run over all rows, on the calling thread, as Griffin-Lim's start pass
-    return _wola_pass(lambda r, lo, hi: spec[lo:hi], [runs[0]._replace(lo=0, hi=len(blocks))],
-                      cfg, blocks, divisor, None)
+    n_frames = spec.shape[0]
+    # one run over all rows, on the calling thread
+    runs, signal, divisor = _wola_buffers(cfg, n_frames, [(0, n_frames + _columns(cfg) - 1)])
+    return _wola_pass(lambda r, lo, hi: spec[lo:hi], runs, cfg, signal, divisor, None)
 
 
 def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:

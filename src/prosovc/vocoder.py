@@ -6,20 +6,27 @@ is exponentiated, mapped through the pseudo-inverse of the mel filterbank
 estimated by iterative STFT projections.
 
 `griffin_lim` iterates from signal to signal (Griffin & Lim, 1984): an
-iteration needs only the previous signal. Two (T + k - 1, hop) signal-block
-buffers, k = ceil(fft_size / hop), take turns as source and target of
-`signal_core._wola_pass`, the overlap-add pass of `istft`. The pass cuts
-the target's signal rows into contiguous runs, one per CPU the process may
-use (at most `signal_core.MAX_RUNS`), and works each run on its own
-thread, whose buffers for frames, spectrum rows, magnitudes and zero mask
-hold one block of the frames that reach the run's rows. For each block it
-windows and FFTs the source frames, gives them the target magnitude
-(`_project`) and overlap-adds their windowed inverse FFT into the run's
-rows. The start signal is the same pass over random-phase rows as one run
-on the calling thread, drawn block by block from one seeded stream. The
-worker threads live for one call. Only the two buffers grow with T; no
-(T, n_bins) spectrum exists. The output equals alternating `istft` and
-`stft` calls bit for bit, for any number of CPUs.
+iteration needs only the previous signal, and overwrites it. One
+(T + k - 1, hop) signal buffer, k = ceil(fft_size / hop), holds it, and
+`signal_core._wola_pass`, the overlap-add pass of `istft`, runs every pass.
+The pass cuts the signal rows into contiguous runs, one per CPU the process
+may use (at most `signal_core.MAX_RUNS`), and works each run on its own
+thread. A run's buffers hold one block of at most `signal_core.RUN_BLOCK`
+frames: frames, spectrum rows, magnitudes and the old signal rows those
+frames read. Before each iteration's pass the calling thread copies every
+run's halos, the k - 1 old rows on either side of it that its neighbours
+overwrite. A block's frames read the old rows from the run's staging copy:
+k - 1 rows carry over from the previous block, and the rest are copied
+before the run zeroes them. For each block the run windows and FFTs those
+frames, gives them the target magnitude (`_project`), overlap-adds their
+windowed inverse FFT into its own rows, and divides each row by the
+normaliser once its last frame is in. The start pass splits over the same
+runs: each run draws its random phases from `default_rng(seed)`'s PCG64
+advanced to its first frame (`_phase_stream`), so every frame gets its rows
+of one seeded (T, n_bins) uniform draw. The worker threads live for one
+call. Only the signal buffer grows with T; no (T, n_bins) spectrum exists.
+The output equals alternating `istft` and `stft` calls bit for bit, for any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -61,20 +68,28 @@ def mel_to_linear(mel: MelSpectrogram) -> np.ndarray:
     return np.sqrt(np.maximum(linear, 0.0, out=linear), out=linear)
 
 
-def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray, zero: np.ndarray) -> np.ndarray:
+def _project(rebuilt: np.ndarray, mag: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """Give `mag` the phase of `rebuilt`, in place on `rebuilt`, and return it.
 
     Computes rebuilt * (mag / |rebuilt|), which is mag * exp(1j * angle(rebuilt))
-    without atan2, cos and sin. Exact-zero bins take phase 0, as angle(0) == 0.
-    `amp` and `zero` are buffers for |rebuilt| and its zero mask.
+    without atan2, cos and sin. Exact-zero bins take phase 0, as angle(0) == 0;
+    their mask is built only when |rebuilt| has one. `amp` is a buffer for
+    |rebuilt|.
     """
     np.abs(rebuilt, out=amp)
-    np.equal(amp, 0.0, out=zero)
-    np.copyto(rebuilt, 1.0, where=zero)
-    np.copyto(amp, 1.0, where=zero)
+    if not amp.all():
+        zero = amp == 0.0
+        np.copyto(rebuilt, 1.0, where=zero)
+        np.copyto(amp, 1.0, where=zero)
     np.divide(mag, amp, out=amp)
     rebuilt *= amp
     return rebuilt
+
+
+def _phase_stream(seed: int, first: int, n_bins: int) -> np.random.Generator:
+    """default_rng(seed)'s PCG64 advanced by first * n_bins draws: its random()
+    values times 2 pi are rows first.. of default_rng(seed).uniform(0, 2 pi, (T, n_bins))."""
+    return np.random.Generator(np.random.default_rng(seed).bit_generator.advance(first * n_bins))
 
 
 def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) -> Waveform:
@@ -88,30 +103,28 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     n_frames = mag.shape[0]
-    runs, blocks, divisor = _wola_buffers(cfg, n_frames)
+    runs, signal, divisor = _wola_buffers(cfg, n_frames)
     spec = [np.empty((len(run.frames), cfg.n_bins), dtype=complex) for run in runs]
     amp = [np.empty(rows.shape) for rows in spec]
-    zero = [np.empty(rows.shape, dtype=bool) for rows in spec]
-    rng = np.random.default_rng(seed)
+    old = [_frame_view(run.stage.reshape(-1), cfg.fft_size, cfg.hop, len(run.frames)) for run in runs]
+    streams = [_phase_stream(seed, run.first, cfg.n_bins) for run in runs]
 
     def random_phase(r: int, lo: int, hi: int) -> np.ndarray:
-        rows = spec[r][:hi - lo]
-        np.multiply(1j, rng.uniform(0.0, 2.0 * np.pi, rows.shape), out=rows)
+        n = hi - lo
+        phase = streams[r].random(out=amp[r][:n])
+        phase *= 2.0 * np.pi  # uniform(0, 2 pi) bit for bit
+        rows = np.multiply(1j, phase, out=spec[r][:n])
         np.exp(rows, out=rows)
         rows *= mag[lo:hi]
         return rows
 
     def projected(r: int, lo: int, hi: int) -> np.ndarray:
         n = hi - lo
-        rows = _windowed_rfft(source[lo:hi], cfg, runs[r].frames[:n], spec[r][:n])
-        return _project(rows, mag[lo:hi], amp[r][:n], zero[r][:n])
+        rows = _windowed_rfft(old[r][:n], cfg, runs[r].frames[:n], spec[r][:n])
+        return _project(rows, mag[lo:hi], amp[r][:n])
 
     with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
-        # one run over all rows, so the phases come from one stream in block order
-        signal = _wola_pass(random_phase, [runs[0]._replace(lo=0, hi=len(blocks))], cfg, blocks, divisor, pool)
-        previous = np.empty_like(blocks)
+        out = _wola_pass(random_phase, runs, cfg, signal, divisor, pool)
         for _ in range(n_iters):
-            blocks, previous = previous, blocks
-            source = _frame_view(previous.reshape(-1), cfg.fft_size, cfg.hop, n_frames)
-            signal = _wola_pass(projected, runs, cfg, blocks, divisor, pool)
-    return Waveform(signal, cfg.sample_rate)
+            out = _wola_pass(projected, runs, cfg, signal, divisor, pool, in_place=True)
+    return Waveform(out, cfg.sample_rate)

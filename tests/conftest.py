@@ -88,7 +88,7 @@ def record_network_dtypes(monkeypatch, module) -> set:
 
 def project_magnitude(rebuilt: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """vocoder._project with fresh buffers."""
-    return _project(rebuilt, mag, np.empty(rebuilt.shape), np.empty(rebuilt.shape, dtype=bool))
+    return _project(rebuilt, mag, np.empty(rebuilt.shape))
 
 
 def make_track(rng, n_frames=32, base_log_f0=5.3, voiced_prob=0.7):

@@ -164,3 +164,53 @@ def test_tree_hash_covers_edits_and_untracked_files_but_not_ignored_ones(bench_a
     git("add", "--all")
     git("commit", "-q", "-m", "add b")
     assert git("rev-parse", "HEAD^{tree}") == untracked
+
+
+def paired_runs(bench_ab, base_rtf, change_rtf, workload="convert_short", better="lower"):
+    runs = []
+    for seed, (b, c) in enumerate(zip(base_rtf, change_rtf), start=1):
+        for side, rtf in (("base", b), ("change", c)):
+            runs.append({"seed": seed, "side": side,
+                         "parsed": bench_ab.parse_run(run_output(workload, "f", rtf), workload)})
+    return bench_ab.summarise(runs, {"rtf_cal_p50": better, "spectral_convergence": "lower"})["metrics"]
+
+
+BASE_RTF = [0.090, 0.091, 0.092, 0.093, 0.094, 0.095, 0.096, 0.097, 0.098, 0.099]  # IQR 0.0045
+
+
+def test_claim_is_met_by_9_of_10_wins_and_a_gap_past_the_base_iqr(bench_ab):
+    change = [b - 0.008 for b in BASE_RTF]
+    change[9] = BASE_RTF[9]  # a tie counts for neither side
+    verdict = bench_ab.claim(paired_runs(bench_ab, BASE_RTF, change), "rtf_cal_p50")["convert_short"]
+    assert (verdict["met"], verdict["wins"], verdict["pairs"]) == (True, 9, 10)
+    assert verdict["gap"] == pytest.approx(0.008) and verdict["base_iqr"] == pytest.approx(0.0045)
+    line = bench_ab.claim_line("rtf_cal_p50", {"convert_short": verdict})
+    assert line.startswith("claim rtf_cal_p50: convert_short met (change better in 9/10 pairs, 9/10 needed; ")
+
+
+def test_claim_is_not_met_by_8_of_10_wins(bench_ab):
+    change = [b - 0.008 for b in BASE_RTF]
+    change[0] = change[9] = 0.1  # two losses, though the median gap stays past the IQR
+    verdict = bench_ab.claim(paired_runs(bench_ab, BASE_RTF, change), "rtf_cal_p50")["convert_short"]
+    assert (verdict["met"], verdict["wins"]) == (False, 8)
+    assert verdict["gap"] > verdict["base_iqr"]
+    assert bench_ab.claim_line("rtf_cal_p50", {"convert_short": verdict}).startswith(
+        "claim rtf_cal_p50: convert_short not met (change better in 8/10 pairs")
+
+
+def test_claim_is_not_met_by_a_gap_inside_the_base_iqr(bench_ab):
+    change = [b - 0.002 for b in BASE_RTF]  # wins every pair, by less than the base spread
+    verdicts = bench_ab.claim(paired_runs(bench_ab, BASE_RTF, change), "rtf_cal_p50")
+    assert list(verdicts) == ["convert_short"]
+    assert (verdicts["convert_short"]["met"], verdicts["convert_short"]["wins"]) == (False, 10)
+
+
+def test_claim_reads_better_and_names_only_gated_metrics(bench_ab):
+    # higher is better: a higher change median wins
+    metrics = paired_runs(bench_ab, BASE_RTF, [b + 0.008 for b in BASE_RTF], workload="sweep", better="higher")
+    assert bench_ab.claim(metrics, "rtf_cal_p50")["sweep"]["met"]
+    specs = bench_ab.end_to_end_specs(SCRIPT.parents[1])
+    assert bench_ab.parse_args(["--base", "HEAD", "--label", "x", "--claim", "rtf_cal_p50"], specs).claim == \
+        "rtf_cal_p50"
+    with pytest.raises(SystemExit):
+        bench_ab.parse_args(["--base", "HEAD", "--label", "x", "--claim", "vocoder.griffin_lim.self_s"], specs)

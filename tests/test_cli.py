@@ -1,8 +1,10 @@
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from conftest import sawtooth_wave, silence
 from prosovc.cli import main
 from prosovc.formats import FTB_PROSODY, read_ftb
-from prosovc.signal_core import load_wav, save_wav
+from prosovc.errors import UnreadableFile
+from prosovc.signal_core import Waveform, load_wav, save_wav
 from prosovc.synth import toy_utterance, write_alignment
 
 CLI = [sys.executable, "-m", "prosovc"]
@@ -117,6 +120,46 @@ def test_extract_non_pcm_wav_exit_2(tmp_path, capsys, tag):
     err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
     assert err == f"UnreadableFile: {path}: not a readable RIFF/WAVE file (unknown format: {tag})\n"
     assert not any(tmp_path.glob("feat*"))
+
+
+def extensible_pcm16_wav() -> bytes:
+    """A mono 8 kHz WAVE_FORMAT_EXTENSIBLE file of PCM16 subformat holding 4 zero samples."""
+    pcm_subformat = bytes.fromhex("0100000000001000800000aa00389b71")  # KSDATAFORMAT_SUBTYPE_PCM
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 8000, 16000, 2, 16, 22, 16, 0x4) + pcm_subformat
+    data = bytes(8)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_extract_extensible_wav_exit_2(tmp_path, capsys):
+    # refused by its format tag on every Python version: the wave module reads it from 3.12 on
+    path = tmp_path / "in.wav"
+    path.write_bytes(extensible_pcm16_wav())
+    rc = main(["extract", "--in", str(path), "--out", str(tmp_path / "feat")])
+    err = assert_one_error_line(capsys, rc, "UnreadableFile", 2)
+    assert err == f"UnreadableFile: {path}: not a readable RIFF/WAVE file (unknown format: 65534)\n"
+    assert not any(tmp_path.glob("feat*"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("extensible", [False, True], ids=["pcm16", "extensible"])
+def test_load_wav_reads_a_pipe_as_a_file(tmp_path, extensible):
+    # a pipe cannot seek back after the format tag is read; --in <(...) gives one
+    save_wav(Waveform(np.linspace(-0.5, 0.5, 64), 8000), tmp_path / "file.wav")
+    data = extensible_pcm16_wav() if extensible else (tmp_path / "file.wav").read_bytes()
+    pipe = tmp_path / "in.wav"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+    writer.start()
+    try:
+        if extensible:
+            with pytest.raises(UnreadableFile, match=r"\(unknown format: 65534\)$"):
+                load_wav(pipe)
+        else:
+            assert np.array_equal(load_wav(pipe).samples, load_wav(tmp_path / "file.wav").samples)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_extract_missing_file_exit_2(tmp_path):

@@ -70,16 +70,18 @@ def test_mel_spectrogram_peak_on_20s(mel_cfg):
 
 def test_griffin_lim_peak_on_20s(mel_cfg):
     mag = np.random.default_rng(0).random((N_FRAMES, mel_cfg.n_bins))
-    # measured 8.6 MiB: two signal-block buffers (3.4 MiB each) and one block of
-    # frames and spectrum rows; a whole (1723, 513) spectrum took 18.1 MiB
-    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 9 * MIB
+    # measured 7.9 MiB on 2 CPUs: the one signal buffer (3.4 MiB) and each run's
+    # buffers for 96 frames; two signal buffers and 32-frame runs took 8.4 MiB,
+    # and a whole (1723, 513) spectrum 18.1 MiB
+    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 8.3 * MIB
 
 
 def test_convert_peak_on_20s(trained_bundle):
     src, src_align = toy_utterance(seed=5, base_f0=150.0, duration=20.0)
     trg, _ = toy_utterance(seed=6, base_f0=220.0, duration=20.0)
-    # measured 18.8 MiB, set inside mel_spectrogram; 31.4 MiB with whole-utterance analysis
-    assert traced_peak(lambda: convert(src, trg, src_align, trained_bundle, gl_iters=1)) < 19.7 * MIB
+    # measured 17.1 MiB on 2 CPUs, set inside griffin_lim (17.6 MiB with two signal
+    # buffers); 31.4 MiB with whole-utterance analysis
+    assert traced_peak(lambda: convert(src, trg, src_align, trained_bundle, gl_iters=1)) < 17.9 * MIB
 
 
 def test_mel_to_linear_peak_on_20s(mel_cfg):

@@ -470,7 +470,7 @@ def test_istft_starts_no_thread(monkeypatch):
 def test_each_run_writes_only_its_own_rows(monkeypatch):
     cfg, n_frames = MelConfig(), 173
     force_runs(monkeypatch, 3)
-    runs, blocks, _ = _wola_buffers(cfg, n_frames)
+    runs, blocks, divisor = _wola_buffers(cfg, n_frames)
     assert len(runs) == 3
     rng = np.random.default_rng(0)
     spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal((n_frames, cfg.n_bins))
@@ -479,7 +479,7 @@ def test_each_run_writes_only_its_own_rows(monkeypatch):
     for r, run in enumerate(runs):
         for fill in (np.nan, 0.5):
             blocks[:] = fill
-            _wola_run(lambda r, lo, hi: spec[lo:hi], r, run, cfg, blocks)
+            _wola_run(lambda r, lo, hi: spec[lo:hi], r, run, cfg, blocks, divisor)
             assert np.isfinite(blocks[run.lo:run.hi]).all(), (r, fill)
             others = np.delete(blocks, np.s_[run.lo:run.hi], axis=0)
             assert np.array_equal(others, np.full_like(others, fill), equal_nan=True), (r, fill)

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from conftest import force_runs, project_magnitude, sine_wave
-from prosovc import vocoder
+from prosovc import signal_core, vocoder
 from prosovc.signal_core import (
     FRAME_BLOCK,
+    RUN_BLOCK,
     MelConfig,
     MelSpectrogram,
     _normalise,
     _padded_window,
     _wola_buffers,
+    frame_blocks,
     istft,
     mel_spectrogram,
     stft,
 )
 from prosovc.synth import toy_utterance
-from prosovc.vocoder import _project, griffin_lim, mel_to_linear
+from prosovc.vocoder import _phase_stream, _project, griffin_lim, mel_to_linear
 
 SR = 22050
 
@@ -206,7 +208,11 @@ def test_compact_normaliser_equals_per_frame_overlap_add(name):
         _, blocks, divisor = _wola_buffers(cfg, n_frames)
         signal = np.random.default_rng(n_frames).random(blocks.shape)
         blocks[:] = signal
-        _normalise(blocks, divisor, n_frames)
+        # in pieces cut at the head, interior and tail edges, as runs finish their rows
+        cuts = np.unique(np.clip([0, 1, k - 1, k, n_frames - 1, n_frames, n_frames + 1, len(blocks)],
+                                 0, len(blocks)))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            _normalise(blocks, divisor, n_frames, lo, hi)
         naive = per_frame_divisor(cfg, n_frames)
         assert np.array_equal(blocks.reshape(-1)[:len(naive)], signal.reshape(-1)[:len(naive)] / naive), n_frames
 
@@ -278,3 +284,70 @@ def test_four_runs_under_fast_thread_switching_match_one_run(monkeypatch, mel_cf
             assert griffin_lim(mag, mel_cfg, n_iters=4, seed=2).samples.tobytes() == one_run
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- Griffin-Lim in place: halos, carried rows and the split start pass -------------
+
+# GL_CFGS and a hop equal to fft_size: k = 1, no halo and no carried rows
+IN_PLACE_CFGS = {**GL_CFGS, "512_512_512": MelConfig(fft_size=512, window=512, hop=512)}
+
+
+def block_sizes(k):
+    """Run blocks of one frame, of k - 2 to k frames (fewer, as many and more
+    than the k - 1 rows carried), and of RUN_BLOCK."""
+    return sorted({max(size, 1) for size in (1, k - 2, k - 1, k, RUN_BLOCK)})
+
+
+def assert_in_place_equals_unbuffered(monkeypatch, cfg, n_frames, n_iters=2):
+    mag = banded_mag(n_frames, cfg)
+    expected = unbuffered_griffin_lim(mag, cfg, n_iters, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size in block_sizes(signal_core._columns(cfg)):
+            monkeypatch.setattr(signal_core, "RUN_BLOCK", size)
+            wave = griffin_lim(mag, cfg, n_iters=n_iters, seed=7)
+            assert np.array_equal(wave.samples, expected), (n_frames, size)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(IN_PLACE_CFGS))
+def test_in_place_runs_and_blocks_equal_unbuffered_loop(monkeypatch, name, count):
+    # a halo captured after a neighbour wrote it, or a carry that overlaps its
+    # source and is copied wrongly, shows here; threads switch every microsecond
+    cfg = IN_PLACE_CFGS[name]
+    k = signal_core._columns(cfg)
+    force_runs(monkeypatch, count)
+    shortest = count * max(k - 1, 1)  # the fewest frames that make `count` runs: halos span most of a run
+    for n_frames in (shortest, shortest + 1, 2 * RUN_BLOCK + 5):
+        assert len(_wola_buffers(cfg, n_frames)[0]) == count
+        assert_in_place_equals_unbuffered(monkeypatch, cfg, n_frames)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 13])
+@pytest.mark.parametrize("name", sorted(GL_CFGS))  # every k > 1
+def test_upper_halo_reaching_the_last_signal_row_equals_unbuffered_loop(monkeypatch, name, n_frames):
+    # the last run holds only the k - 1 rows past the last frame's first row,
+    # so the upper halo of the run before it ends at the last signal row
+    cfg = GL_CFGS[name]
+    k = signal_core._columns(cfg)
+    spans = [(0, n_frames), (n_frames, n_frames + k - 1)]
+    monkeypatch.setattr(signal_core, "frame_runs", lambda n, k: spans)
+    runs, signal, _ = _wola_buffers(cfg, n_frames)
+    assert runs[0].hi + len(runs[0].upper) == len(signal)
+    assert_in_place_equals_unbuffered(monkeypatch, cfg, n_frames)
+
+
+@pytest.mark.parametrize("n_bins", [1, 513])
+@pytest.mark.parametrize("first", [0, 1, 5, 85])
+def test_a_runs_phase_stream_continues_one_uniform_draw(first, n_bins):
+    n_frames, seed = 97, 11
+    expected = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_frames, n_bins))
+    stream = _phase_stream(seed, first, n_bins)
+    phases = np.empty((n_frames - first, n_bins))
+    for lo, hi in frame_blocks(n_frames - first, 5):  # blocks, as a run draws them
+        stream.random(out=phases[lo:hi])
+    phases *= 2.0 * np.pi
+    assert np.array_equal(phases, expected[first:])
