@@ -13,12 +13,12 @@ MAX_RUNS. Each run's thread works every frame that reaches its rows,
 RUN_BLOCK frames at a time, and writes those rows alone: it sums each row's
 frames in increasing frame order, then divides the row by the normaliser and
 zeroes its margin samples, so the output is the same bit for bit for any CPU
-count and no serial work follows the runs. A pass may run in place, over
-the signal its frames read: the calling thread first copies each run's
-halos, the k - 1 old rows on either side that the neighbouring runs
-overwrite, and each run stages a block's old rows (k - 1 carried from its
-previous block) before it zeroes them. `istft` runs the pass as one run on
-the calling thread.
+count and no serial work follows the runs. A pass runs in place, over the
+signal its frames read: the calling thread first copies each run's halos,
+the k - 1 old rows on either side that the neighbouring runs overwrite, and
+each run stages a block's old rows (k - 1 carried from its previous block)
+before it zeroes them. `istft` runs the pass as one run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -458,8 +458,8 @@ class _Run(NamedTuple):
 
     The run works frames first..last-1, every frame that reaches its rows,
     one block of at most len(frames) frames at a time, and holds a block's
-    frames in `frames`. An in-place pass gives a block's frames the old
-    signal rows they read in `stage`, block + k - 1 rows, and keeps in `upper`
+    frames in `frames`. A pass gives a block's frames the old signal rows
+    they read in `stage`, block + k - 1 rows, and keeps in `upper`
     the old rows from hi on, which the next run overwrites: k - 1 of them,
     or fewer at the signal's end.
     """
@@ -512,14 +512,13 @@ def _normalise(signal: np.ndarray, divisor: np.ndarray, n_frames: int, lo: int, 
         signal[tail:hi] /= divisor[k + tail - n_frames:k + hi - n_frames]
 
 
-def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, signal: np.ndarray, divisor: np.ndarray,
-              in_place: bool = False) -> None:
+def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, signal: np.ndarray, divisor: np.ndarray) -> None:
     """Overlap-add every frame that reaches the signal rows of runs[r], one
     block at a time, into those rows and no others, and finish each row as
     soon as all its frames are in: divide it by the normaliser and zero the
     samples of the two half-frame margins in it.
 
-    In place, each block first stages in `run.stage` the old rows its
+    Each block first stages in `run.stage` the old rows its
     frames read: the k - 1 rows the previous block also read carry over
     (before the first block `_wola_pass` put the lower halo there), the
     run's own rows are copied before the run zeroes them, and rows from
@@ -540,13 +539,12 @@ def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, signal: np.ndarray, divis
         top = hi + k - 1  # the block's frames reach rows lo..top-1
         # the run's rows fresh..stop-1 are the ones no earlier frame of it reached
         fresh, stop = lo + k - 1 if n else run.lo, min(top, run.hi)
-        if in_place:
-            if n:
-                run.stage[:k - 1] = run.stage[n:n + k - 1]
-            run.stage[fresh - lo:stop - lo] = signal[fresh:stop]
-            above = max(fresh, run.hi)
-            if above < top:
-                run.stage[above - lo:top - lo] = run.upper[above - run.hi:top - run.hi]
+        if n:
+            run.stage[:k - 1] = run.stage[n:n + k - 1]
+        run.stage[fresh - lo:stop - lo] = signal[fresh:stop]
+        above = max(fresh, run.hi)
+        if above < top:
+            run.stage[above - lo:top - lo] = run.upper[above - run.hi:top - run.hi]
         n = hi - lo
         block = np.fft.irfft(rows(r, lo, hi), n=cfg.fft_size, axis=1, out=run.frames[:n])
         block *= window
@@ -561,7 +559,7 @@ def _wola_run(rows, r: int, run: _Run, cfg: MelConfig, signal: np.ndarray, divis
 
 
 def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, signal: np.ndarray, divisor: np.ndarray,
-               pool: ThreadPoolExecutor | None, in_place: bool = False) -> np.ndarray:
+               pool: ThreadPoolExecutor | None) -> np.ndarray:
     """Weighted overlap-add of the spectrum rows of all frames into `signal`,
     whose rows `runs` cut among them.
 
@@ -576,22 +574,20 @@ def _wola_pass(rows, runs: list[_Run], cfg: MelConfig, signal: np.ndarray, divis
     would frame. Every row sums its frames in increasing frame order on one
     thread, so the result is the same bit for bit for any number of runs.
 
-    With `in_place`, the pass overwrites the signal its frames read: `rows`
-    reads the old rows of frames lo..hi-1 from `runs[r].stage`. Before any
+    The pass overwrites the signal its frames read, so a `rows` that reads
+    the old rows of frames lo..hi-1 finds them in `runs[r].stage`. Before any
     run starts, the calling thread copies each run's halos, the k - 1 old
     rows below its first row (into the head of its stage) and from its last
     (into `upper`), which the neighbouring runs overwrite. Returns the
     (T - 1) * hop samples between the margins, a view of `signal`.
     """
     k = _columns(cfg)
-    if in_place:
-        for run in runs:
-            run.stage[:run.lo - run.first] = signal[run.first:run.lo]
-            run.upper[:] = signal[run.hi:run.hi + len(run.upper)]
-    futures = [pool.submit(_wola_run, rows, r, run, cfg, signal, divisor, in_place)
-               for r, run in enumerate(runs) if r]
+    for run in runs:
+        run.stage[:run.lo - run.first] = signal[run.first:run.lo]
+        run.upper[:] = signal[run.hi:run.hi + len(run.upper)]
+    futures = [pool.submit(_wola_run, rows, r, run, cfg, signal, divisor) for r, run in enumerate(runs) if r]
     try:
-        _wola_run(rows, 0, runs[0], cfg, signal, divisor, in_place)
+        _wola_run(rows, 0, runs[0], cfg, signal, divisor)
     finally:
         wait(futures)
     for future in futures:

@@ -12,8 +12,10 @@ iteration needs only the previous signal, and overwrites it. One
 The pass cuts the signal rows into contiguous runs, one per CPU the process
 may use (at most `signal_core.MAX_RUNS`), and works each run on its own
 thread. A run's buffers hold one block of at most `signal_core.RUN_BLOCK`
-frames: frames, spectrum rows, magnitudes and the old signal rows those
-frames read. Before each iteration's pass the calling thread copies every
+frames: frames, spectrum rows and the old signal rows those frames read.
+The block's magnitudes, and the start pass's phases, live in its frame
+buffer, which is free between the forward FFT and the inverse FFT that
+refills it. Before each iteration's pass the calling thread copies every
 run's halos, the k - 1 old rows on either side of it that its neighbours
 overwrite. A block's frames read the old rows from the run's staging copy:
 k - 1 rows carry over from the previous block, and the rest are copied
@@ -105,7 +107,8 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     n_frames = mag.shape[0]
     runs, signal, divisor = _wola_buffers(cfg, n_frames)
     spec = [np.empty((len(run.frames), cfg.n_bins), dtype=complex) for run in runs]
-    amp = [np.empty(rows.shape) for rows in spec]
+    # |spectrum| and the start phases fill the frame buffer between the rfft and the irfft
+    amp = [run.frames.reshape(-1)[:rows.size].reshape(rows.shape) for run, rows in zip(runs, spec)]
     old = [_frame_view(run.stage.reshape(-1), cfg.fft_size, cfg.hop, len(run.frames)) for run in runs]
     streams = [_phase_stream(seed, run.first, cfg.n_bins) for run in runs]
 
@@ -126,5 +129,5 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
         out = _wola_pass(random_phase, runs, cfg, signal, divisor, pool)
         for _ in range(n_iters):
-            out = _wola_pass(projected, runs, cfg, signal, divisor, pool, in_place=True)
+            out = _wola_pass(projected, runs, cfg, signal, divisor, pool)
     return Waveform(out, cfg.sample_rate)

@@ -70,18 +70,18 @@ def test_mel_spectrogram_peak_on_20s(mel_cfg):
 
 def test_griffin_lim_peak_on_20s(mel_cfg):
     mag = np.random.default_rng(0).random((N_FRAMES, mel_cfg.n_bins))
-    # measured 7.9 MiB on 2 CPUs: the one signal buffer (3.4 MiB) and each run's
-    # buffers for 96 frames; two signal buffers and 32-frame runs took 8.4 MiB,
-    # and a whole (1723, 513) spectrum 18.1 MiB
-    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 8.3 * MIB
+    # measured 7.2 MiB on 2 CPUs: the one signal buffer (3.4 MiB) and each run's
+    # buffers for 96 frames, magnitudes held in the frame buffer; two signal
+    # buffers and 32-frame runs took 8.4 MiB, and a whole (1723, 513) spectrum 18.1 MiB
+    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 7.5 * MIB
 
 
 def test_convert_peak_on_20s(trained_bundle):
     src, src_align = toy_utterance(seed=5, base_f0=150.0, duration=20.0)
     trg, _ = toy_utterance(seed=6, base_f0=220.0, duration=20.0)
-    # measured 17.1 MiB on 2 CPUs, set inside griffin_lim (17.6 MiB with two signal
+    # measured 16.3 MiB on 2 CPUs, set inside griffin_lim (17.6 MiB with two signal
     # buffers); 31.4 MiB with whole-utterance analysis
-    assert traced_peak(lambda: convert(src, trg, src_align, trained_bundle, gl_iters=1)) < 17.9 * MIB
+    assert traced_peak(lambda: convert(src, trg, src_align, trained_bundle, gl_iters=1)) < 17.1 * MIB
 
 
 def test_mel_to_linear_peak_on_20s(mel_cfg):
