@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prosovc import signal_core
+from prosovc import vocoder
 from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims, cond_shapes, he_normal
 from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
 from prosovc.pipeline import CorpusItem, train_toy
@@ -46,8 +46,8 @@ def tiny_dims():
 def force_runs(monkeypatch, count: int) -> None:
     """Make `_wola_pass` cut its signal rows into `count` runs where there are
     frames enough, past MAX_RUNS too, so the split is tested for more runs than it uses."""
-    monkeypatch.setattr(signal_core, "_cpu_count", lambda: count)
-    monkeypatch.setattr(signal_core, "MAX_RUNS", count)
+    monkeypatch.setattr(vocoder, "_cpu_count", lambda: count)
+    monkeypatch.setattr(vocoder, "MAX_RUNS", count)
 
 
 def sine_wave(freq: float, duration: float, sample_rate: int = 22050, amplitude: float = 0.5) -> Waveform:

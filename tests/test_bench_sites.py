@@ -5,8 +5,13 @@ refactor that renames or moves one of them would break ``--trace 1``.
 """
 
 import ast
+import functools
 import importlib.util
+import threading
 from pathlib import Path
+
+from conftest import force_runs
+from prosovc import pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -73,3 +78,23 @@ def test_every_public_package_name_is_referenced():
                     for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and node.name not in referenced]
     assert sorted(set(unreferenced) - TEST_ONLY_NAMES) == []
+
+
+def test_no_traced_site_runs_off_the_calling_thread(monkeypatch, conversion_pair, trained_bundle):
+    # the span tracer keeps one span stack for all threads, so a traced site that a
+    # Griffin-Lim worker thread calls would nest its span under whatever the main thread runs
+    threads = set()
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return call
+
+    for module, attr, _ in load_sites():
+        monkeypatch.setattr(module, attr, recorded(getattr(module, attr)))
+    force_runs(monkeypatch, 3)
+    src, src_align, trg = conversion_pair
+    pipeline.convert(src, trg, src_align, trained_bundle, rate_control=True, gl_iters=2)
+    assert threads == {threading.main_thread()}

@@ -1,6 +1,7 @@
 """Traced peak memory of the stages whose temporaries grow with input length.
 
-Each bound holds at 20 s of 22.05 kHz audio (1723 frames at the default hop).
+Each bound holds at 20 s of 22.05 kHz audio (1723 frames at the default hop);
+Griffin-Lim's peak is bounded at 2 s (173 frames) too.
 tracemalloc sees numpy's array allocations, so a whole-utterance temporary
 that returns shows up here as a bound exceeded.
 """
@@ -74,6 +75,14 @@ def test_griffin_lim_peak_on_20s(mel_cfg):
     # buffers for 96 frames, magnitudes held in the frame buffer; two signal
     # buffers and 32-frame runs took 8.4 MiB, and a whole (1723, 513) spectrum 18.1 MiB
     assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 7.5 * MIB
+
+
+def test_griffin_lim_peak_on_2s(mel_cfg):
+    mag = np.random.default_rng(0).random((173, mel_cfg.n_bins))
+    # measured 3.74 MiB on 2 CPUs: each run's frame, spectrum and staging buffers
+    # for its 88 frames, and the signal buffer; 32-frame runs with two signal
+    # buffers took 2.38 MiB
+    assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 3.9 * MIB
 
 
 def test_convert_peak_on_20s(trained_bundle):

@@ -12,7 +12,7 @@ from conftest import BLOCK_EDGE_FRAMES, WIDE_HOP, force_runs, wide_hop_noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosovc import signal_core
+from prosovc import vocoder
 from prosovc.cli import _load_pair_list, load_modulation_file
 from prosovc.encoders import _speaker_projection, load_alignment
 from prosovc.errors import ConfigMismatch, InvalidCutoff, ParseError, TooShort, UnreadableFile, UnsupportedFormat
@@ -20,28 +20,22 @@ from prosovc.signal_core import (
     BIQUAD_BLOCK,
     BIQUAD_RUN,
     FRAME_BLOCK,
-    MAX_RUNS,
     MelConfig,
     MelSpectrogram,
     Waveform,
     _butterworth_hp_biquad,
     _mel_edges,
     _padded_window,
-    _wola_buffers,
-    _wola_pass,
-    _wola_run,
     butterworth_hp_gain,
     frame_blocks,
-    frame_runs,
     highpass_filter,
-    istft,
     load_wav,
     mel_filterbank,
     mel_spectrogram,
     save_wav,
     stft,
 )
-from prosovc.vocoder import _mel_pinv
+from prosovc.vocoder import MAX_RUNS, _mel_pinv, _wola_buffers, _wola_pass, _wola_run, frame_runs, istft
 
 SR = 22050
 
@@ -336,7 +330,7 @@ def test_frame_blocks_are_near_equal_and_cover_every_frame():
 def test_frame_runs_are_one_per_cpu_and_never_shorter_than_the_shared_rows(monkeypatch, cpus, k):
     # the runs cut the n_frames + k - 1 signal rows; a run past the first also works
     # the k - 1 frames before its rows, which is never more frames than it has rows
-    monkeypatch.setattr(signal_core, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(vocoder, "_cpu_count", lambda: cpus)
     for n_frames in range(1, 80):
         runs = frame_runs(n_frames, k)
         assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(n_frames + k - 1))
@@ -349,7 +343,7 @@ def test_frame_runs_are_one_per_cpu_and_never_shorter_than_the_shared_rows(monke
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
 def test_cpu_count_reads_the_affinity_mask():
-    assert signal_core._cpu_count() == len(os.sched_getaffinity(0))
+    assert vocoder._cpu_count() == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -445,7 +439,7 @@ def test_istft_is_the_same_on_any_number_of_runs(monkeypatch, name, n_frames):
         force_runs(monkeypatch, count)
         runs, blocks, divisor = _wola_buffers(cfg, n_frames)
         with ThreadPoolExecutor(max(len(runs) - 1, 1)) as pool:
-            ours = _wola_pass(lambda r, lo, hi: spec[lo:hi], runs, cfg, blocks, divisor, pool)
+            ours = _wola_pass(lambda run, lo, hi: spec[lo:hi], runs, cfg, blocks, divisor, pool)
         assert ours.tobytes() == one_run, count
 
 
@@ -459,7 +453,7 @@ def test_istft_starts_no_thread(monkeypatch):
         threads.append(threading.current_thread())
         return _wola_run(*args)
 
-    monkeypatch.setattr(signal_core, "_wola_run", run)
+    monkeypatch.setattr(vocoder, "_wola_run", run)
     before = threading.active_count()
     spec = np.random.default_rng(0).standard_normal((n_frames, cfg.n_bins)).astype(complex)
     istft(spec, cfg)
@@ -479,7 +473,7 @@ def test_each_run_writes_only_its_own_rows(monkeypatch):
     for r, run in enumerate(runs):
         for fill in (np.nan, 0.5):
             blocks[:] = fill
-            _wola_run(lambda r, lo, hi: spec[lo:hi], r, run, cfg, blocks, divisor)
+            _wola_run(lambda run, lo, hi: spec[lo:hi], run, cfg, blocks, divisor)
             assert np.isfinite(blocks[run.lo:run.hi]).all(), (r, fill)
             others = np.delete(blocks, np.s_[run.lo:run.hi], axis=0)
             assert np.array_equal(others, np.full_like(others, fill), equal_nan=True), (r, fill)

@@ -5,22 +5,28 @@ import numpy as np
 import pytest
 
 from conftest import force_runs, project_magnitude, sine_wave
-from prosovc import signal_core, vocoder
+from prosovc import vocoder
+from prosovc.errors import TooShort
 from prosovc.signal_core import (
     FRAME_BLOCK,
-    RUN_BLOCK,
     MelConfig,
     MelSpectrogram,
-    _normalise,
     _padded_window,
-    _wola_buffers,
     frame_blocks,
-    istft,
     mel_spectrogram,
     stft,
 )
 from prosovc.synth import toy_utterance
-from prosovc.vocoder import _phase_stream, _project, griffin_lim, mel_to_linear
+from prosovc.vocoder import (
+    RUN_BLOCK,
+    _normalise,
+    _phase_stream,
+    _project,
+    _wola_buffers,
+    griffin_lim,
+    istft,
+    mel_to_linear,
+)
 
 SR = 22050
 
@@ -98,6 +104,13 @@ def test_spectral_convergence_non_increasing(mel_cfg):
         spec = project_magnitude(rebuilt, mag)
     diffs = np.diff(errors)
     assert np.all(diffs <= 1e-6)
+
+
+@pytest.mark.parametrize("synthesise", [lambda spec, cfg: griffin_lim(np.abs(spec), cfg, n_iters=2), istft],
+                         ids=["griffin_lim", "istft"])
+def test_a_spectrum_with_no_frames_is_refused(mel_cfg, synthesise):
+    with pytest.raises(TooShort, match="no frames"):
+        synthesise(np.zeros((0, mel_cfg.n_bins), dtype=complex), mel_cfg)
 
 
 def test_griffin_lim_negative_iters_rejected(mel_cfg):
@@ -304,8 +317,8 @@ def assert_in_place_equals_unbuffered(monkeypatch, cfg, n_frames, n_iters=2):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for size in block_sizes(signal_core._columns(cfg)):
-            monkeypatch.setattr(signal_core, "RUN_BLOCK", size)
+        for size in block_sizes(vocoder._columns(cfg)):
+            monkeypatch.setattr(vocoder, "RUN_BLOCK", size)
             wave = griffin_lim(mag, cfg, n_iters=n_iters, seed=7)
             assert np.array_equal(wave.samples, expected), (n_frames, size)
     finally:
@@ -318,7 +331,7 @@ def test_in_place_runs_and_blocks_equal_unbuffered_loop(monkeypatch, name, count
     # a halo captured after a neighbour wrote it, or a carry that overlaps its
     # source and is copied wrongly, shows here; threads switch every microsecond
     cfg = IN_PLACE_CFGS[name]
-    k = signal_core._columns(cfg)
+    k = vocoder._columns(cfg)
     force_runs(monkeypatch, count)
     shortest = count * max(k - 1, 1)  # the fewest frames that make `count` runs: halos span most of a run
     for n_frames in (shortest, shortest + 1, 2 * RUN_BLOCK + 5):
@@ -332,9 +345,9 @@ def test_upper_halo_reaching_the_last_signal_row_equals_unbuffered_loop(monkeypa
     # the last run holds only the k - 1 rows past the last frame's first row,
     # so the upper halo of the run before it ends at the last signal row
     cfg = GL_CFGS[name]
-    k = signal_core._columns(cfg)
+    k = vocoder._columns(cfg)
     spans = [(0, n_frames), (n_frames, n_frames + k - 1)]
-    monkeypatch.setattr(signal_core, "frame_runs", lambda n, k: spans)
+    monkeypatch.setattr(vocoder, "frame_runs", lambda n, k: spans)
     runs, signal, _ = _wola_buffers(cfg, n_frames)
     assert runs[0].hi + len(runs[0].upper) == len(signal)
     assert_in_place_equals_unbuffered(monkeypatch, cfg, n_frames)
