@@ -18,6 +18,22 @@ it noises x0 toward the prior, runs the conditioning and the noise
 predictor, and keeps their caches for _forward_backward's backprop.
 noise_loss is the one place the objective is written.
 
+train_step may be given a one-worker pool (train_toy opens one on 2 or
+more CPUs); without one, each job below runs inline on the calling thread,
+through the same code. In _forward the worker draws eps from the step's
+rng and forms x_t while the calling thread runs cond_forward_cache, which
+never reads the rng, so the draw order is unchanged. In the backward pass
+each decoder layer's weight gradient is a job started as soon as its
+upstream gradient exists, while the calling thread runs the
+input-gradient chain (layer 3, layer 2, layer 1's condition rows, then
+cond_backward); it joins the jobs before the update. Every matrix product
+is computed whole, with the same operands, on one thread, so the step is
+the same bit for bit on either path. A job runs under the calling
+thread's np.errstate, which is context-local: a worker thread would start
+with numpy's defaults and warn of an overflow the step means to catch as
+NonFiniteLoss. No function the benchmark's span tracer wraps runs on the
+worker.
+
 The noise predictor computes in the dtype of the weights it is given.
 Training, eval_loss and gradient_check pass float64 weights; the
 pipeline's decode passes a float32 copy of the dict. reverse_sample draws
@@ -28,13 +44,14 @@ noise estimate in its update.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conditioning import ModelDims, cond_backward, cond_forward_cache, cond_shapes, he_normal
 from .errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
-from .nn import conv1d, conv1d_backward, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
+from .nn import conv1d, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
 from .prosody import ProsodyTrack
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -127,48 +144,83 @@ class TrainBatch:
     speaker: np.ndarray
 
 
-def _forward(params: DecoderParams, batch: TrainBatch, t: float, eps: np.ndarray):
-    """(noise_loss, eps_hat, decoder cache, conditioning cache) of batch noised by eps at time t."""
-    x_t = forward_diffuse(batch.x0, batch.prior, t, eps)
+def _job(pool: Executor | None, fn, *args) -> Future:
+    """fn(*args) as a job: on pool's worker under the calling thread's
+    floating-point error settings, or at once on the calling thread when
+    pool is None. Either way its exception is raised by result()."""
+    if pool is not None:
+        # np.errstate is context-local: a worker thread starts with numpy's defaults
+        return pool.submit(_under_errstate, np.geterr(), fn, *args)
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _under_errstate(settings: dict, fn, *args):
+    with np.errstate(**settings):
+        return fn(*args)
+
+
+def _noised(batch: TrainBatch, t: float, noise) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, x_t): eps = noise, or a standard normal draw from it if it is a
+    Generator, and batch's x0 noised by eps at time t."""
+    eps = noise.standard_normal(batch.x0.shape) if isinstance(noise, np.random.Generator) else noise
+    return eps, forward_diffuse(batch.x0, batch.prior, t, eps)
+
+
+def _forward(params: DecoderParams, batch: TrainBatch, t: float, noise, pool: Executor | None = None):
+    """(noise_loss, eps, eps_hat, decoder cache, conditioning cache) of batch noised at time t
+    by eps, given as noise or drawn from it (`_noised`) by a job while the calling thread runs
+    the conditioning."""
+    noised = _job(pool, _noised, batch, t, noise)
     cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
+    eps, x_t = noised.result()
     cache = {}
     eps_hat = predict_noise(x_t, cond, params, cache)
-    return noise_loss(eps_hat, eps), eps_hat, cache, ccache
+    return noise_loss(eps_hat, eps), eps, eps_hat, cache, ccache
 
 
-def _forward_backward(params: DecoderParams, batch: TrainBatch, t: float, eps: np.ndarray):
-    """Loss and gradients of noise_loss w.r.t. every parameter."""
+def _forward_backward(params: DecoderParams, batch: TrainBatch, t: float, noise, pool: Executor | None = None):
+    """Loss and gradients of noise_loss w.r.t. every parameter; the decoder's
+    weight gradients are jobs, joined at the end."""
     w = params.weights
-    loss, eps_hat, cache, ccache = _forward(params, batch, t, eps)
+    loss, eps, eps_hat, cache, ccache = _forward(params, batch, t, noise, pool)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss became {loss}")
 
-    d_eps_hat = (2.0 / eps.size) * (eps_hat - eps)
-    dw3, db3, da2 = conv1d_backward(w["dec.w3"], cache["a2"], d_eps_hat.T)
-    dpre2 = relu_backward(cache["pre2"], da2)
-    dw2, db2, da1 = conv1d_backward(w["dec.w2"], cache["a1"], dpre2)
-    dpre1 = relu_backward(cache["pre1"], da1)
+    dy = ((2.0 / eps.size) * (eps_hat - eps)).T
+    jobs = {"3": _job(pool, conv1d_param_grads, w["dec.w3"], cache["a2"], dy)}
+    dy = relu_backward(cache["pre2"], conv1d_input_grad(w["dec.w3"], dy))
+    jobs["2"] = _job(pool, conv1d_param_grads, w["dec.w2"], cache["a1"], dy)
+    dy = relu_backward(cache["pre1"], conv1d_input_grad(w["dec.w2"], dy))
+    jobs["1"] = _job(pool, conv1d_param_grads, w["dec.w1"], cache["d_in"], dy)
     # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
-    dw1, db1 = conv1d_param_grads(w["dec.w1"], cache["d_in"], dpre1)
-    d_cond = conv1d_input_grad(w["dec.w1"][:, eps.shape[1]:], dpre1).T
-    grads = {"dec.w1": dw1, "dec.b1": db1, "dec.w2": dw2, "dec.b2": db2, "dec.w3": dw3, "dec.b3": db3}
-    return loss, grads | cond_backward(d_cond, ccache, w)
+    d_cond = conv1d_input_grad(w["dec.w1"][:, eps.shape[1]:], dy).T
+    grads = cond_backward(d_cond, ccache, w)
+    for layer, job in jobs.items():
+        grads[f"dec.w{layer}"], grads[f"dec.b{layer}"] = job.result()
+    return loss, grads
 
 
-def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.random.Generator):
+def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.random.Generator,
+               pool: Executor | None = None):
     """One SGD update over all decoder and conditioning parameters.
 
     Samples t uniformly from the positive schedule grid and eps from rng;
     returns (updated params, loss).  The input params are left untouched.
     A non-finite loss, or an update that leaves any parameter beyond the
-    float32 range the decoder runs in, raises NonFiniteLoss.
+    float32 range the decoder runs in, raises NonFiniteLoss.  Given a
+    pool, the noise draw and the decoder's weight gradients run on its
+    worker; the result is the same bit for bit.
     """
     i = int(rng.integers(1, N_STEPS + 1))
     t = i / N_STEPS
-    eps = rng.standard_normal(batch.x0.shape)
     # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = _forward_backward(params, batch, t, eps)
+        loss, grads = _forward_backward(params, batch, t, rng, pool)
         updated = {name: arr - lr * grads[name] for name, arr in params.weights.items()}
     # a finite loss can still drive a weight past what decode's float32 copy can hold; stop at that step
     for name, arr in updated.items():

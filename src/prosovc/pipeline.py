@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -65,6 +67,7 @@ from .transform import (
     modulate,
     voiced_mean,
 )
+from . import vocoder
 from .vocoder import griffin_lim, mel_to_linear
 
 HPF_CUTOFF_HZ = 50.0
@@ -279,6 +282,13 @@ class CorpusItem:
     align: Alignment
 
 
+def _training_pool():
+    """A context manager giving train_step's pool, closed on exit: one worker
+    when this process may run on 2 or more CPUs (the rule Griffin-Lim's runs
+    follow), else None, so that train_step runs its jobs inline."""
+    return ThreadPoolExecutor(1) if vocoder._cpu_count() >= 2 else nullcontext()
+
+
 def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DEFAULT_LR,
               dims: ModelDims = ModelDims(), mel_cfg: MelConfig = MelConfig(),
               kmeans_k: int = DEFAULT_KMEANS_K, log=None):
@@ -319,21 +329,22 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     params = init_decoder_params(dims, mel_cfg.n_mels, rng, input_shift=shift, input_scale=scale)
 
     epoch_losses = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(items))
-        losses = []
-        for step, idx in enumerate(order, 1):
-            mates = by_speaker[items[idx].speaker]
-            mate = examples[mates[int(rng.integers(len(mates)))]]
-            try:
-                params, loss = train_step(replace(examples[idx], speaker=mate.speaker), params, lr, rng)
-            except NonFiniteLoss as exc:
-                raise NonFiniteLoss(f"{exc} at epoch {epoch + 1}/{epochs}, "
-                                    f"step {step}/{len(order)}") from exc
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
-        if log is not None:
-            log(f"epoch {epoch + 1}/{epochs} loss {epoch_losses[-1]:.6f}")
+    with _training_pool() as pool:
+        for epoch in range(epochs):
+            order = rng.permutation(len(items))
+            losses = []
+            for step, idx in enumerate(order, 1):
+                mates = by_speaker[items[idx].speaker]
+                mate = examples[mates[int(rng.integers(len(mates)))]]
+                try:
+                    params, loss = train_step(replace(examples[idx], speaker=mate.speaker), params, lr, rng, pool)
+                except NonFiniteLoss as exc:
+                    raise NonFiniteLoss(f"{exc} at epoch {epoch + 1}/{epochs}, "
+                                        f"step {step}/{len(order)}") from exc
+                losses.append(loss)
+            epoch_losses.append(float(np.mean(losses)))
+            if log is not None:
+                log(f"epoch {epoch + 1}/{epochs} loss {epoch_losses[-1]:.6f}")
 
     bundle = ModelBundle(params, dims, mel_cfg, f0_cfg, codebook)
     return bundle, epoch_losses

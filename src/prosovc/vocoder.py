@@ -131,8 +131,9 @@ def frame_runs(n_frames: int, k: int) -> list[tuple[int, int]]:
 class _Run(NamedTuple):
     """Signal rows lo..hi-1 of an overlap-add pass, worked on one thread, and
     the buffers for its blocks of frames first..last-1, the frames that reach
-    those rows, at most len(frames) frames each: `frames` and their spectrum
-    rows `spec`, with `amp` a view of `frames` shaped like `spec`; `stage`,
+    those rows, at most len(frames) frames each: `frames`, with `amp` a view
+    of it shaped like their spectrum rows, and `spec`, a buffer for those
+    rows that only `griffin_lim` builds (None in `istft`); `stage`,
     the block + k - 1 old signal rows they read, and `old`, its frames; and
     `upper`, the old rows from hi on that the next run overwrites: k - 1 of
     them, or fewer at the signal's end.
@@ -143,7 +144,7 @@ class _Run(NamedTuple):
     first: int
     last: int
     frames: np.ndarray
-    spec: np.ndarray
+    spec: np.ndarray | None
     amp: np.ndarray
     stage: np.ndarray
     old: np.ndarray
@@ -176,7 +177,7 @@ def _wola_buffers(cfg: MelConfig, n_frames: int, spans: list[tuple[int, int]] | 
         frames, stage = np.empty((size, cfg.fft_size)), np.empty((size + k - 1, cfg.hop))
         amp = frames.reshape(-1)[:size * cfg.n_bins].reshape(size, cfg.n_bins)
         old = _frame_view(stage.reshape(-1), cfg.fft_size, cfg.hop, size)
-        runs.append(_Run(lo, hi, first, last, frames, np.empty(amp.shape, dtype=complex), amp, stage, old,
+        runs.append(_Run(lo, hi, first, last, frames, None, amp, stage, old,
                          np.empty((min(k - 1, n_frames + k - 1 - hi), cfg.hop))))
     signal = np.empty((n_frames + k - 1, cfg.hop))
     return runs, signal, np.where(norm > 1e-11, norm, 1.0)
@@ -327,6 +328,7 @@ def griffin_lim(mag: np.ndarray, cfg: MelConfig, n_iters: int, seed: int = 0) ->
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     runs, signal, divisor = _wola_buffers(cfg, mag.shape[0])
+    runs = [run._replace(spec=np.empty(run.amp.shape, dtype=complex)) for run in runs]
 
     def random_phase(run: _Run, lo: int, hi: int) -> np.ndarray:
         n = hi - lo

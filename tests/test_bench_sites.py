@@ -80,9 +80,9 @@ def test_every_public_package_name_is_referenced():
     assert sorted(set(unreferenced) - TEST_ONLY_NAMES) == []
 
 
-def test_no_traced_site_runs_off_the_calling_thread(monkeypatch, conversion_pair, trained_bundle):
-    # the span tracer keeps one span stack for all threads, so a traced site that a
-    # Griffin-Lim worker thread calls would nest its span under whatever the main thread runs
+def test_no_traced_site_runs_off_the_calling_thread(monkeypatch, conversion_pair, trained_bundle, demo_corpus):
+    # the span tracer keeps one span stack for all threads, so a traced site that a Griffin-Lim
+    # or training worker thread calls would nest its span under whatever the main thread runs
     threads = set()
 
     def recorded(fn):
@@ -97,4 +97,6 @@ def test_no_traced_site_runs_off_the_calling_thread(monkeypatch, conversion_pair
     force_runs(monkeypatch, 3)
     src, src_align, trg = conversion_pair
     pipeline.convert(src, trg, src_align, trained_bundle, rate_control=True, gl_iters=2)
+    force_runs(monkeypatch, 2)
+    pipeline.train_toy(demo_corpus[1], epochs=2, seed=1, kmeans_k=8)
     assert threads == {threading.main_thread()}

@@ -16,7 +16,7 @@ from prosovc.pipeline import ModelBundle, convert, load_bundle, save_bundle
 from prosovc.prosody import Codebook, F0Config, extract_f0, extract_prosody
 from prosovc.signal_core import MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
 from prosovc.synth import toy_utterance
-from prosovc.vocoder import griffin_lim, mel_to_linear
+from prosovc.vocoder import griffin_lim, istft, mel_to_linear
 
 MIB = 2**20
 N_FRAMES = 1723  # frames of 20 s at 22.05 kHz and hop 256
@@ -75,6 +75,13 @@ def test_griffin_lim_peak_on_20s(mel_cfg):
     # buffers for 96 frames, magnitudes held in the frame buffer; two signal
     # buffers and 32-frame runs took 8.4 MiB, and a whole (1723, 513) spectrum 18.1 MiB
     assert traced_peak(griffin_lim, mag, mel_cfg, 2) < 7.5 * MIB
+
+
+def test_istft_peak_on_20s(mel_cfg):
+    spec = np.random.default_rng(0).random((N_FRAMES, mel_cfg.n_bins)) * np.exp(1j)
+    # measured 4.52 MiB: the signal buffer (3.4 MiB) and one 96-frame block's frame
+    # and staging buffers; an unwritten complex spectrum buffer per run took 5.28 MiB
+    assert traced_peak(istft, spec, mel_cfg) < 4.7 * MIB
 
 
 def test_griffin_lim_peak_on_2s(mel_cfg):

@@ -1,21 +1,26 @@
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import record_network_dtypes
+from conftest import TINY_N_MELS, force_runs, make_track, record_network_dtypes
 from prosovc.conditioning import ModelDims, build_condition, build_style
+from prosovc import diffusion
 from prosovc.diffusion import (
     N_STEPS,
     DecoderParams,
+    TrainBatch,
     init_decoder_params,
     param_shapes,
     predict_noise,
     reverse_sample,
+    train_step,
 )
 from prosovc.encoders import average_mel_target, speaker_embedding
-from prosovc.errors import NonFiniteSample, UnreadableFile
+from prosovc.errors import NonFiniteLoss, NonFiniteSample, UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
 from prosovc import pipeline
 from prosovc.pipeline import ModelBundle, load_bundle, save_bundle
@@ -249,6 +254,57 @@ def test_train_toy_steps_on_each_utterance_with_a_same_speaker_vector(demo_corpu
         mates = [i for i, item in enumerate(items) if item.speaker == items[idx].speaker]
         assert any(np.array_equal(batch.speaker, own[i][3]) for i in mates)
     assert sorted(seen) == sorted(list(range(len(items))) * epochs)
+
+
+@pytest.fixture(params=[None, 1e-6], ids=["default-switch", "switch-often"])
+def switch_interval(request):
+    # at 1e-6 s, threads switch as often as the interpreter allows, to shake out
+    # any ordering between the calling thread and the training worker
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(request.param or before)
+    yield
+    sys.setswitchinterval(before)
+
+
+def trained_bytes(items, tmp_path, name):
+    bundle, losses = pipeline.train_toy(items, epochs=2, seed=4, kmeans_k=8)
+    save_bundle(tmp_path / name, bundle)
+    return losses, (tmp_path / name).read_bytes()
+
+
+def test_train_toy_is_bit_for_bit_on_one_and_two_cpus(demo_corpus, tmp_path, monkeypatch, switch_interval):
+    _, items = demo_corpus
+    force_runs(monkeypatch, 1)
+    one_cpu = trained_bytes(items, tmp_path, "one.pfck")
+    force_runs(monkeypatch, 2)
+    threads = set()
+    real_noised = diffusion._noised
+
+    def recording(*args):
+        threads.add(threading.current_thread())
+        return real_noised(*args)
+
+    monkeypatch.setattr(diffusion, "_noised", recording)
+    assert trained_bytes(items, tmp_path, "two.pfck") == one_cpu
+    # the noise was drawn on the training worker, not inline
+    assert len(threads) == 1 and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_weight_gradient_overflow_ends_as_on_one_cpu(tiny_dims, monkeypatch, cpus):
+    # the loss is finite, but dec.w1's gradient, a job of the training worker on 2 CPUs,
+    # overflows: the job runs under train_step's errstate, so it warns of nothing
+    rng = np.random.default_rng(12)
+    n_frames = 12
+    batch = TrainBatch(rng.standard_normal((n_frames, TINY_N_MELS)), rng.standard_normal((n_frames, TINY_N_MELS)),
+                       make_track(rng, n_frames=n_frames), rng.standard_normal(tiny_dims.speaker_dim))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng, input_scale=1e-300)
+    params.weights["dec.w1"][:, :TINY_N_MELS] *= 1e-300  # the layer's state rows read 1e300-sized inputs
+    params.weights["dec.b3"][:] = 1e11  # a 1e22 loss, and a large upstream gradient
+    force_runs(monkeypatch, cpus)
+    with pipeline._training_pool() as pool:
+        with pytest.raises(NonFiniteLoss, match=r"^parameter dec\.w1 left the float32 range$"):
+            train_step(batch, params, 1e-3, np.random.default_rng(0), pool)
 
 
 # -- decoder precision: float32 network at inference, float64 in training -------------

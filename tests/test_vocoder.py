@@ -264,6 +264,18 @@ def traced_project(monkeypatch, fail_off_main=False):
 def test_no_worker_thread_outlives_griffin_lim(monkeypatch, mel_cfg):
     force_runs(monkeypatch, 3)
     threads = traced_project(monkeypatch)
+    # each of the 3 runs draws its phases once, in one block; every draw waits until all
+    # three have started, so a worker that finishes its run early is not handed the next
+    # one (a pool reuses an idle worker, which on one CPU left a run no thread of its own)
+    meet = threading.Barrier(3, timeout=60)
+    real_phase_stream = vocoder._phase_stream
+
+    def phase_stream(*args):
+        threads.add(threading.current_thread())
+        meet.wait()
+        return real_phase_stream(*args)
+
+    monkeypatch.setattr(vocoder, "_phase_stream", phase_stream)
     before = threading.active_count()
     griffin_lim(banded_mag(173, mel_cfg), mel_cfg, n_iters=2, seed=0)
     assert threading.active_count() == before
