@@ -15,6 +15,10 @@ the outer product of its frame-summed upstream gradient with the style
 vector, and the style gradient sums each tap's weights times that sum.
 Both equal the convolution over the broadcast input up to rounding.
 
+The prosody rows and the hidden activation h are built zero-padded
+(nn.conv_input); the forward pass convolves them and cond_backward reads
+the same arrays from the cache for the merge1 and merge2 weight gradients.
+
 Each function reads the cond.* arrays of the decoder's weights dict
 (DecoderParams.weights) and computes in their dtype: float64 in training,
 float32 when pipeline.decode passes its float32 copy of the dict.
@@ -32,8 +36,9 @@ from .nn import (
     affine,
     affine_backward,
     conv1d,
-    conv1d_backward,
+    conv1d_input_grad,
     conv1d_param_grads,
+    conv_input,
     relu,
     relu_backward,
     tanh_backward,
@@ -111,11 +116,12 @@ def build_style(speaker: np.ndarray, t: float, weights: dict[str, np.ndarray],
     return style
 
 
-def _prosody_rows(track: ProsodyTrack, dtype) -> np.ndarray:
-    x = np.empty((2, track.n_frames), dtype=dtype)
+def _prosody_rows(track: ProsodyTrack, w: np.ndarray) -> np.ndarray:
+    """[logF0, scaled log energy] as the zero-padded input of conv weights w."""
+    xp, x = conv_input(w, track.n_frames)
     x[0] = track.log_f0
     x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
-    return x
+    return xp
 
 
 def _tap_frames(j: int, k: int, n_frames: int) -> slice:
@@ -128,20 +134,23 @@ def build_condition(track: ProsodyTrack, style: np.ndarray, weights: dict[str, n
                     cache: dict | None = None) -> np.ndarray:
     """Condition tensor (T, n_mels) from prosody and a style vector.
 
-    A given cache receives the prosody rows, pre1 and h.
+    A given cache receives the zero-padded prosody rows, pre1 and the
+    zero-padded h.
     """
     m1w = weights["cond.merge1_w"]
     if len(style) != m1w.shape[1] - 2:
         raise DimMismatch(f"style dim {len(style)} does not match the merge network")
-    prosody = _prosody_rows(track, m1w.dtype)
+    prosody = _prosody_rows(track, m1w[:, :2])
     pre1 = conv1d(m1w[:, :2], weights["cond.merge1_b"], prosody)
     k = m1w.shape[2]
     for j in range(k):
         pre1[:, _tap_frames(j, k, track.n_frames)] += (m1w[:, 2:, j] @ style)[:, None]
-    h = relu(pre1)
+    m2w = weights["cond.merge2_w"]
+    h, h_frames = conv_input(m2w, track.n_frames)
+    relu(pre1, out=h_frames)
     if cache is not None:
         cache.update(prosody=prosody, pre1=pre1, h=h)
-    return conv1d(weights["cond.merge2_w"], weights["cond.merge2_b"], h).T
+    return conv1d(m2w, weights["cond.merge2_b"], h).T
 
 
 def cond_forward_cache(track: ProsodyTrack, speaker: np.ndarray, t: float, weights: dict[str, np.ndarray]):
@@ -153,8 +162,9 @@ def cond_forward_cache(track: ProsodyTrack, speaker: np.ndarray, t: float, weigh
 
 def cond_backward(d_cond: np.ndarray, cache, weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradients of every cond.* weight given d(condition) of shape (T, n_mels)."""
-    dm2w, dm2b, dh = conv1d_backward(weights["cond.merge2_w"], cache["h"], d_cond.T)
-    dpre1 = relu_backward(cache["pre1"], dh)
+    m2w = weights["cond.merge2_w"]
+    dm2w, dm2b = conv1d_param_grads(m2w, cache["h"], d_cond.T)
+    dpre1 = relu_backward(cache["pre1"], conv1d_input_grad(m2w, d_cond.T))
     m1w = weights["cond.merge1_w"]
     k = m1w.shape[2]
     dm1w = np.empty_like(m1w)

@@ -16,7 +16,14 @@ A training example is a TrainBatch. train_step, eval_loss and
 gradient_check score it at (t, eps) through one forward pass, _forward:
 it noises x0 toward the prior, runs the conditioning and the noise
 predictor, and keeps their caches for _forward_backward's backprop.
-noise_loss is the one place the objective is written.
+_scored is the one place the objective is written: it forms the residual
+eps_hat - eps once, and returns the loss with it for the backprop to
+read; noise_loss is that loss alone, the one eval_loss takes.
+
+Every convolution input (the stacked [x, condition] rows and both ReLU
+outputs) is built zero-padded in predict_noise (nn.conv_input), and the
+cache keeps those padded arrays for the weight gradients. train_step
+writes each parameter's update over that step's own gradient array.
 
 train_step may be given a one-worker pool (train_toy opens one on 2 or
 more CPUs); without one, each job below runs inline on the calling thread,
@@ -51,7 +58,7 @@ import numpy as np
 
 from .conditioning import ModelDims, cond_backward, cond_forward_cache, cond_shapes, he_normal
 from .errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
-from .nn import conv1d, conv1d_input_grad, conv1d_param_grads, relu, relu_backward
+from .nn import conv1d, conv1d_input_grad, conv1d_param_grads, conv_input, relu, relu_backward
 from .prosody import ProsodyTrack
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -109,16 +116,20 @@ def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray
 def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
                   cache: dict | None = None) -> np.ndarray:
     """Estimated noise, same shape as x_t (T, n_mels), in the dtype of dec.w1;
-    a given cache receives the layer intermediates."""
+    a given cache receives the layer intermediates, each layer's input zero-padded."""
     if x_t.shape != condition.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} != condition {condition.shape}")
     w = params.weights
-    xn = (x_t - params.input_shift) / params.input_scale
-    d_in = np.concatenate([xn.T, condition.T], axis=0, dtype=w["dec.w1"].dtype)
+    n_frames, n_mels = x_t.shape
+    d_in, rows = conv_input(w["dec.w1"], n_frames)
+    rows[:n_mels] = ((x_t - params.input_shift) / params.input_scale).T
+    rows[n_mels:] = condition.T
     pre1 = conv1d(w["dec.w1"], w["dec.b1"], d_in)
-    a1 = relu(pre1)
+    a1, rows = conv_input(w["dec.w2"], n_frames)
+    relu(pre1, out=rows)
     pre2 = conv1d(w["dec.w2"], w["dec.b2"], a1)
-    a2 = relu(pre2)
+    a2, rows = conv_input(w["dec.w3"], n_frames)
+    relu(pre2, out=rows)
     if cache is not None:
         cache.update(d_in=d_in, pre1=pre1, a1=a1, pre2=pre2, a2=a2)
     return conv1d(w["dec.w3"], w["dec.b3"], a2).T
@@ -126,10 +137,15 @@ def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
 
 def noise_loss(eps_hat: np.ndarray, eps: np.ndarray) -> float:
     """Mean squared error between estimated and true noise."""
+    return _scored(eps_hat, eps)[0]
+
+
+def _scored(eps_hat: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarray]:
+    """(noise_loss, residual eps_hat - eps): the objective, and the residual its gradient reads."""
     if eps_hat.shape != eps.shape:
         raise ShapeMismatch(f"{eps_hat.shape} != {eps.shape}")
-    diff = eps_hat - eps
-    return float(np.mean(diff * diff))
+    residual = eps_hat - eps
+    return float(np.mean(residual * residual)), residual
 
 
 # -- training ----------------------------------------------------------------------
@@ -172,33 +188,33 @@ def _noised(batch: TrainBatch, t: float, noise) -> tuple[np.ndarray, np.ndarray]
 
 
 def _forward(params: DecoderParams, batch: TrainBatch, t: float, noise, pool: Executor | None = None):
-    """(noise_loss, eps, eps_hat, decoder cache, conditioning cache) of batch noised at time t
-    by eps, given as noise or drawn from it (`_noised`) by a job while the calling thread runs
-    the conditioning."""
+    """(eps_hat, eps, decoder cache, conditioning cache) of batch noised at time t by eps,
+    given as noise or drawn from it (`_noised`) by a job while the calling thread runs the
+    conditioning."""
     noised = _job(pool, _noised, batch, t, noise)
     cond, ccache = cond_forward_cache(batch.prosody, batch.speaker, t, params.weights)
     eps, x_t = noised.result()
     cache = {}
-    eps_hat = predict_noise(x_t, cond, params, cache)
-    return noise_loss(eps_hat, eps), eps, eps_hat, cache, ccache
+    return predict_noise(x_t, cond, params, cache), eps, cache, ccache
 
 
 def _forward_backward(params: DecoderParams, batch: TrainBatch, t: float, noise, pool: Executor | None = None):
     """Loss and gradients of noise_loss w.r.t. every parameter; the decoder's
     weight gradients are jobs, joined at the end."""
     w = params.weights
-    loss, eps, eps_hat, cache, ccache = _forward(params, batch, t, noise, pool)
+    eps_hat, eps, cache, ccache = _forward(params, batch, t, noise, pool)
+    loss, residual = _scored(eps_hat, eps)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss became {loss}")
 
-    dy = ((2.0 / eps.size) * (eps_hat - eps)).T
+    dy = ((2.0 / residual.size) * residual).T
     jobs = {"3": _job(pool, conv1d_param_grads, w["dec.w3"], cache["a2"], dy)}
     dy = relu_backward(cache["pre2"], conv1d_input_grad(w["dec.w3"], dy))
     jobs["2"] = _job(pool, conv1d_param_grads, w["dec.w2"], cache["a1"], dy)
     dy = relu_backward(cache["pre1"], conv1d_input_grad(w["dec.w2"], dy))
     jobs["1"] = _job(pool, conv1d_param_grads, w["dec.w1"], cache["d_in"], dy)
     # layer 1 reads x_t, which has no parameter behind it: only the condition rows need an input gradient
-    d_cond = conv1d_input_grad(w["dec.w1"][:, eps.shape[1]:], dy).T
+    d_cond = conv1d_input_grad(w["dec.w1"][:, residual.shape[1]:], dy).T
     grads = cond_backward(d_cond, ccache, w)
     for layer, job in jobs.items():
         grads[f"dec.w{layer}"], grads[f"dec.b{layer}"] = job.result()
@@ -210,7 +226,8 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.rand
     """One SGD update over all decoder and conditioning parameters.
 
     Samples t uniformly from the positive schedule grid and eps from rng;
-    returns (updated params, loss).  The input params are left untouched.
+    returns (updated params, loss).  The input params are left untouched:
+    each updated array is written over the step's own gradient array.
     A non-finite loss, or an update that leaves any parameter beyond the
     float32 range the decoder runs in, raises NonFiniteLoss.  Given a
     pool, the noise draw and the decoder's weight gradients run on its
@@ -218,20 +235,25 @@ def train_step(batch: TrainBatch, params: DecoderParams, lr: float, rng: np.rand
     """
     i = int(rng.integers(1, N_STEPS + 1))
     t = i / N_STEPS
+    updated = {}
     # an overflow shows up as a non-finite loss, reported once as NonFiniteLoss
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = _forward_backward(params, batch, t, rng, pool)
-        updated = {name: arr - lr * grads[name] for name, arr in params.weights.items()}
-    # a finite loss can still drive a weight past what decode's float32 copy can hold; stop at that step
+        for name, arr in params.weights.items():
+            step = grads[name]
+            step *= lr
+            updated[name] = np.subtract(arr, step, out=step)
+    # a finite loss can still drive a weight past what decode's float32 copy can hold; stop at that
+    # step (a NaN fails both comparisons)
     for name, arr in updated.items():
-        if not np.abs(arr).max() <= _F32_MAX:
+        if not (arr.max() <= _F32_MAX and arr.min() >= -_F32_MAX):
             raise NonFiniteLoss(f"parameter {name} left the float32 range")
     return replace(params, weights=updated), loss
 
 
 def eval_loss(params: DecoderParams, batch: TrainBatch, pairs: list[tuple[float, np.ndarray]]) -> float:
     """Mean noise loss over fixed (t, eps) pairs; deterministic validation."""
-    return sum(_forward(params, batch, t, eps)[0] for t, eps in pairs) / len(pairs)
+    return sum(noise_loss(*_forward(params, batch, t, eps)[:2]) for t, eps in pairs) / len(pairs)
 
 
 # -- sampling -----------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 Layout convention: 1-D convolutions act over time with channels first,
 weights (c_out, c_in, k), zero padding so the frame count is preserved.
+A convolution reads its input already zero-padded: (c_in, T + 2 (k // 2))
+columns, made by conv_input and filled in place through its interior view,
+so that the forward pass and the weight gradient read the same array and
+neither copies it.
 """
 
 from __future__ import annotations
@@ -9,18 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def _zero_padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """x with pad zero columns on each side, as np.pad would give it."""
-    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=x.dtype)
-    xp[:, pad:pad + x.shape[1]] = x
-    return xp
+def conv_input(w: np.ndarray, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xp, x): an input for conv1d with weights w over n_frames, in w's dtype, whose pad
+    columns are zero, and x, the view of its n_frames interior columns, for the caller to fill."""
+    pad = w.shape[2] // 2
+    xp = np.empty((w.shape[1], n_frames + 2 * pad), dtype=w.dtype)
+    xp[:, :pad] = 0.0
+    xp[:, pad + n_frames:] = 0.0
+    return xp, xp[:, pad:pad + n_frames]
 
 
-def conv1d(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x: (c_in, T) -> (c_out, T)."""
+def conv1d(w: np.ndarray, b: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """xp: zero-padded (c_in, T + 2 (k // 2)) -> (c_out, T)."""
     k = w.shape[2]
-    t = x.shape[1]
-    xp = _zero_padded(x, k // 2)
+    t = xp.shape[1] - 2 * (k // 2)
     y = np.empty((b.shape[0], t), dtype=b.dtype)
     y[...] = b[:, None]
     for j in range(k):
@@ -28,11 +34,10 @@ def conv1d(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def conv1d_param_grads(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
-    """Weight and bias gradients (dw, db) of conv1d given upstream dy."""
+def conv1d_param_grads(w: np.ndarray, xp: np.ndarray, dy: np.ndarray):
+    """Weight and bias gradients (dw, db) of conv1d over the zero-padded input xp given upstream dy."""
     k = w.shape[2]
-    t = x.shape[1]
-    xp = _zero_padded(x, k // 2)
+    t = dy.shape[1]
     dw = np.empty_like(w)
     for j in range(k):
         dw[:, :, j] = dy @ xp[:, j:j + t].T
@@ -54,11 +59,6 @@ def conv1d_input_grad(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dxp[:, pad:pad + t]
 
 
-def conv1d_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
-    """Gradients (dw, db, dx) of conv1d given upstream dy."""
-    return (*conv1d_param_grads(w, x, dy), conv1d_input_grad(w, dy))
-
-
 def affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w @ x + b
 
@@ -67,8 +67,8 @@ def affine_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray):
     return np.outer(dy, x), dy, w.T @ dy
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:

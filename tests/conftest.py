@@ -5,7 +5,15 @@ import pytest
 
 from prosovc import vocoder
 from prosovc.conditioning import ENERGY_SCALE, ENERGY_SHIFT, ModelDims, cond_shapes, he_normal
-from prosovc.nn import affine_backward, conv1d, conv1d_backward, relu, relu_backward, tanh_backward
+from prosovc.nn import (
+    affine_backward,
+    conv1d,
+    conv1d_input_grad,
+    conv1d_param_grads,
+    relu,
+    relu_backward,
+    tanh_backward,
+)
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
 from prosovc.signal_core import FRAME_BLOCK, MelConfig, Waveform, frame_signal
@@ -133,14 +141,26 @@ def conversion_pair():
 
 # -- oracles: merge1 as one conv1d over the style broadcast to every frame ----------
 
+def pad_frames(x, w):
+    """x with the zero columns conv1d with weights w reads on each side, by np.pad."""
+    pad = w.shape[2] // 2
+    return np.pad(x, ((0, 0), (pad, pad)))
+
+
+def conv1d_backward(w, xp, dy):
+    """Gradients (dw, db, dx) of conv1d over the zero-padded input xp given upstream dy."""
+    return (*conv1d_param_grads(w, xp, dy), conv1d_input_grad(w, dy))
+
+
 def oracle_build_condition(track, style, weights, cache=None):
     """build_condition with merge1 convolving [logF0, energy, style repeated per frame]."""
     x = np.empty((2 + len(style), track.n_frames))
     x[0] = track.log_f0
     x[1] = (track.log_energy + ENERGY_SHIFT) / ENERGY_SCALE
     x[2:] = style[:, None]
+    x = pad_frames(x, weights["cond.merge1_w"])
     pre1 = conv1d(weights["cond.merge1_w"], weights["cond.merge1_b"], x)
-    h = relu(pre1)
+    h = pad_frames(relu(pre1), weights["cond.merge2_w"])
     if cache is not None:
         cache.update(x=x, pre1=pre1, h=h)
     return conv1d(weights["cond.merge2_w"], weights["cond.merge2_b"], h).T

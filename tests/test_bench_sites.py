@@ -11,7 +11,7 @@ import threading
 from pathlib import Path
 
 from conftest import force_runs
-from prosovc import pipeline
+from prosovc import evaluate, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -97,6 +97,8 @@ def test_no_traced_site_runs_off_the_calling_thread(monkeypatch, conversion_pair
     force_runs(monkeypatch, 3)
     src, src_align, trg = conversion_pair
     pipeline.convert(src, trg, src_align, trained_bundle, rate_control=True, gl_iters=2)
+    for mode in ("f0", "rate"):
+        evaluate.modulation_sweep([(src, src_align, trg)], trained_bundle, mode=mode, gl_iters=2)
     force_runs(monkeypatch, 2)
     pipeline.train_toy(demo_corpus[1], epochs=2, seed=1, kmeans_k=8)
     assert threads == {threading.main_thread()}

@@ -141,6 +141,28 @@ def test_extract_extensible_wav_exit_2(tmp_path, capsys):
     assert not any(tmp_path.glob("feat*"))
 
 
+def with_chunk_before_fmt(data: bytes, chunk_id: bytes, payload: bytes) -> bytes:
+    """The RIFF/WAVE file `data` with a chunk inserted before its `fmt ` chunk, padded to an even size."""
+    chunk = chunk_id + struct.pack("<I", len(payload)) + payload + bytes(len(payload) % 2)
+    body = data[8:12] + chunk + data[12:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_load_wav_skips_a_chunk_before_fmt(tmp_path):
+    # an odd-sized chunk is followed by one pad byte, which the format-tag read must skip too
+    save_wav(Waveform(np.linspace(-0.5, 0.5, 64), 8000), tmp_path / "plain.wav")
+    path = tmp_path / "list.wav"
+    path.write_bytes(with_chunk_before_fmt((tmp_path / "plain.wav").read_bytes(), b"LIST", b"abc"))
+    assert np.array_equal(load_wav(path).samples, load_wav(tmp_path / "plain.wav").samples)
+
+
+def test_load_wav_refuses_extensible_behind_a_junk_chunk(tmp_path):
+    path = tmp_path / "junk.wav"
+    path.write_bytes(with_chunk_before_fmt(extensible_pcm16_wav(), b"JUNK", bytes(28)))
+    with pytest.raises(UnreadableFile, match=r"\(unknown format: 65534\)$"):
+        load_wav(path)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("extensible", [False, True], ids=["pcm16", "extensible"])
 def test_load_wav_reads_a_pipe_as_a_file(tmp_path, extensible):

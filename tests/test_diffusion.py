@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     TINY_N_MELS,
     assert_close_to_oracle,
+    conv1d_backward,
     make_track,
     oracle_build_condition,
     oracle_cond_backward,
@@ -32,7 +33,7 @@ from prosovc.diffusion import (
     train_step,
 )
 from prosovc.errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch
-from prosovc.nn import affine, affine_backward, conv1d_backward, relu_backward
+from prosovc.nn import affine, affine_backward, relu_backward
 from prosovc.signal_core import MelConfig
 
 

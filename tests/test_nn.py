@@ -2,8 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close_to_oracle
-from prosovc.nn import conv1d, conv1d_backward, conv1d_input_grad
+from conftest import assert_close_to_oracle, conv1d_backward, pad_frames
+from prosovc.nn import conv1d, conv1d_input_grad
 
 
 def reference_conv1d(w, b, x):
@@ -40,8 +40,9 @@ def test_conv1d_and_backward_equal_np_pad_versions(k, t, c_in, c_out, seed):
     b = rng.standard_normal(c_out)
     x = rng.standard_normal((c_in, t))
     dy = rng.standard_normal((c_out, t))
-    assert np.array_equal(conv1d(w, b, x), reference_conv1d(w, b, x))
-    for ours, ref in zip(conv1d_backward(w, x, dy), reference_conv1d_backward(w, x, dy), strict=True):
+    assert np.array_equal(conv1d(w, b, pad_frames(x, w)), reference_conv1d(w, b, x))
+    for ours, ref in zip(conv1d_backward(w, pad_frames(x, w), dy), reference_conv1d_backward(w, x, dy),
+                         strict=True):
         assert np.array_equal(ours, ref)
 
 

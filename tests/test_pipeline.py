@@ -20,7 +20,7 @@ from prosovc.diffusion import (
     train_step,
 )
 from prosovc.encoders import average_mel_target, speaker_embedding
-from prosovc.errors import NonFiniteLoss, NonFiniteSample, UnreadableFile
+from prosovc.errors import NonFiniteLoss, NonFiniteSample, ShapeMismatch, UnreadableFile
 from prosovc.formats import read_pfck, write_pfck
 from prosovc import pipeline
 from prosovc.pipeline import ModelBundle, load_bundle, save_bundle
@@ -305,6 +305,23 @@ def test_a_weight_gradient_overflow_ends_as_on_one_cpu(tiny_dims, monkeypatch, c
     with pipeline._training_pool() as pool:
         with pytest.raises(NonFiniteLoss, match=r"^parameter dec\.w1 left the float32 range$"):
             train_step(batch, params, 1e-3, np.random.default_rng(0), pool)
+
+
+def test_a_failed_noise_job_raises_its_error_on_one_and_two_cpus(tiny_dims, monkeypatch):
+    # the noise job fails in forward_diffuse: inline on one CPU, on the training worker on two
+    rng = np.random.default_rng(13)
+    batch = TrainBatch(rng.standard_normal((12, TINY_N_MELS)), rng.standard_normal((13, TINY_N_MELS)),
+                       make_track(rng, n_frames=12), rng.standard_normal(tiny_dims.speaker_dim))
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    states = []
+    for cpus in (1, 2):
+        force_runs(monkeypatch, cpus)
+        step_rng = np.random.default_rng(0)
+        with pipeline._training_pool() as pool:
+            with pytest.raises(ShapeMismatch, match=r"^x0 \(12, 4\), prior \(13, 4\), eps \(12, 4\) must match$"):
+                train_step(batch, params, 1e-3, step_rng, pool)
+        states.append(step_rng.bit_generator.state)
+    assert states[0] == states[1]
 
 
 # -- decoder precision: float32 network at inference, float64 in training -------------
