@@ -20,8 +20,9 @@ The prosody rows and the hidden activation h are built zero-padded
 the same arrays from the cache for the merge1 and merge2 weight gradients.
 
 Each function reads the cond.* arrays of the decoder's weights dict
-(DecoderParams.weights) and computes in their dtype: float64 in training,
-float32 when pipeline.decode passes its float32 copy of the dict.
+(DecoderParams.weights) and computes in their dtype, gradients included:
+float32 in pipeline.train_toy and decode, which pass float32 copies of the
+dict, float64 in the gradient check.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def cond_backward(d_cond: np.ndarray, cache, weights: dict[str, np.ndarray]) -> 
     k = m1w.shape[2]
     dm1w = np.empty_like(m1w)
     dm1w[:, :2], dm1b = conv1d_param_grads(m1w[:, :2], cache["prosody"], dpre1)
-    dstyle = np.zeros(m1w.shape[1] - 2)
+    dstyle = np.zeros(m1w.shape[1] - 2, dtype=m1w.dtype)
     for j in range(k):
         tap_sum = dpre1[:, _tap_frames(j, k, dpre1.shape[1])].sum(axis=1)
         dm1w[:, 2:, j] = np.outer(tap_sum, cache["style"])

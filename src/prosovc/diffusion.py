@@ -41,10 +41,14 @@ with numpy's defaults and warn of an overflow the step means to catch as
 NonFiniteLoss. No function the benchmark's span tracer wraps runs on the
 worker.
 
-The noise predictor computes in the dtype of the weights it is given.
-Training, eval_loss and gradient_check pass float64 weights; the
-pipeline's decode passes a float32 copy of the dict. reverse_sample draws
-no noise: it keeps its state in float64 either way, promoting each float32
+The noise predictor, its backward pass and the SGD update compute in the
+dtype of the weights they are given: predict_noise casts the state it is
+given to that dtype before normalising it, and the backward pass casts the
+upstream gradient (2/size)(eps_hat - eps) to it. eps is drawn, x_t formed
+and the loss summed in float64 either way. pipeline.train_toy and decode
+pass float32 copies of the weights; eval_loss and gradient_check run in
+float64 when given float64 weights, through the same code. reverse_sample
+draws no noise: it keeps its state in float64, promoting each float32
 noise estimate in its update.
 """
 
@@ -115,14 +119,15 @@ def forward_diffuse(x0: np.ndarray, prior: np.ndarray, t: float, eps: np.ndarray
 
 def predict_noise(x_t: np.ndarray, condition: np.ndarray, params: DecoderParams,
                   cache: dict | None = None) -> np.ndarray:
-    """Estimated noise, same shape as x_t (T, n_mels), in the dtype of dec.w1;
-    a given cache receives the layer intermediates, each layer's input zero-padded."""
+    """Estimated noise, same shape as x_t (T, n_mels), in the dtype of dec.w1, to which
+    x_t is cast before it is normalised; a given cache receives the layer intermediates,
+    each layer's input zero-padded."""
     if x_t.shape != condition.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} != condition {condition.shape}")
     w = params.weights
     n_frames, n_mels = x_t.shape
     d_in, rows = conv_input(w["dec.w1"], n_frames)
-    rows[:n_mels] = ((x_t - params.input_shift) / params.input_scale).T
+    rows[:n_mels] = ((x_t.astype(d_in.dtype) - params.input_shift) / params.input_scale).T
     rows[n_mels:] = condition.T
     pre1 = conv1d(w["dec.w1"], w["dec.b1"], d_in)
     a1, rows = conv_input(w["dec.w2"], n_frames)
@@ -207,7 +212,7 @@ def _forward_backward(params: DecoderParams, batch: TrainBatch, t: float, noise,
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss became {loss}")
 
-    dy = ((2.0 / residual.size) * residual).T
+    dy = ((2.0 / residual.size) * residual).T.astype(w["dec.w3"].dtype, copy=False)
     jobs = {"3": _job(pool, conv1d_param_grads, w["dec.w3"], cache["a2"], dy)}
     dy = relu_backward(cache["pre2"], conv1d_input_grad(w["dec.w3"], dy))
     jobs["2"] = _job(pool, conv1d_param_grads, w["dec.w2"], cache["a1"], dy)

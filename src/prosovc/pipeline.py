@@ -11,13 +11,16 @@ prior; render optionally re-samples in time and vocodes. convert is
 analysis, plan, decode and render in sequence; the sweep plans each pair
 once for all its levels, and in rate mode decodes each pair once.
 
-decode runs the decoder network (style, condition and noise predictor) in
-float32 on float32 copies of the bundle's weights; the sampler draws no
-noise, and its state and the decoded mel stay float64. Training and the
-checkpoint keep float64 parameters, so load_bundle(save_bundle(b)) holds
-b's weights and configs bit for bit. The noise schedule is diffusion's
-fixed one, not part of the bundle, and the band count is mel_cfg.n_mels
-alone: the bundle's ModelDims hold none.
+The decoder network (style, condition and noise predictor) runs in float32
+in training and in decode alike. train_toy draws its He-normal init in
+float64, trains a float32 copy of it, and returns the trained weights
+upcast to float64, which is exact. decode runs on float32 copies of the
+bundle's weights; the sampler draws no noise, and its state and the
+decoded mel stay float64. The bundle and the checkpoint hold float64
+parameters, so load_bundle(save_bundle(b)) holds b's weights and configs
+bit for bit. The noise schedule is diffusion's fixed one, not part of the
+bundle, and the band count is mel_cfg.n_mels alone: the bundle's ModelDims
+hold none.
 """
 
 from __future__ import annotations
@@ -245,19 +248,24 @@ def plan_synthesis(src_features, trg_features, src_align: Alignment, bundle: Mod
     return SynthesisPlan(requested, rc, spk, prior, report)
 
 
+def _weights_as(weights: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
+    """A copy of a weights dict with every array cast to dtype."""
+    return {name: arr.astype(dtype) for name, arr in weights.items()}
+
+
 def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle) -> MelSpectrogram:
     """Sample the diffusion decoder from the plan's prior, conditioned on
     requested and the plan's speaker, and clip the mel to the vocodable range.
 
-    The network runs in float32, on float32 copies of the weights and of
-    each state; the sampler keeps its state in float64 and draws no noise."""
-    weights = {name: arr.astype(np.float32) for name, arr in bundle.params.weights.items()}
+    The network runs in float32, on float32 copies of the weights (predict_noise
+    casts each state); the sampler keeps its state in float64 and draws no noise."""
+    weights = _weights_as(bundle.params.weights, np.float32)
     params = replace(bundle.params, weights=weights)
 
     def denoise(x_t, t):
         style = build_style(plan.speaker, t, weights)
         cond = build_condition(requested, style, weights)
-        return predict_noise(x_t.astype(np.float32), cond, params)
+        return predict_noise(x_t, cond, params)
 
     sampled = reverse_sample(plan.prior.values, denoise)
     return MelSpectrogram(np.clip(sampled, np.log(bundle.mel_cfg.log_floor), MEL_LOG_CEIL),
@@ -298,7 +306,8 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
     (mel, prior, prosody and speaker vector) is built once; each step trains
     on one with the speaker vector of a randomly chosen utterance of the
     same speaker, itself included. The decoder input normalization comes
-    from corpus mel statistics.
+    from corpus mel statistics. The steps run on float32 weights; the
+    bundle holds them as float64.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
@@ -327,6 +336,7 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
 
     rng = np.random.default_rng(seed)
     params = init_decoder_params(dims, mel_cfg.n_mels, rng, input_shift=shift, input_scale=scale)
+    params = replace(params, weights=_weights_as(params.weights, np.float32))
 
     epoch_losses = []
     with _training_pool() as pool:
@@ -346,5 +356,5 @@ def train_toy(items: list[CorpusItem], *, epochs: int, seed: int, lr: float = DE
             if log is not None:
                 log(f"epoch {epoch + 1}/{epochs} loss {epoch_losses[-1]:.6f}")
 
-    bundle = ModelBundle(params, dims, mel_cfg, f0_cfg, codebook)
-    return bundle, epoch_losses
+    params = replace(params, weights=_weights_as(params.weights, np.float64))
+    return ModelBundle(params, dims, mel_cfg, f0_cfg, codebook), epoch_losses

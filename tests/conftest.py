@@ -82,13 +82,15 @@ def init_cond_weights(dims: ModelDims, n_mels: int, rng: np.random.Generator) ->
 
 
 def record_network_dtypes(monkeypatch, module) -> set:
-    """Patch module.predict_noise to collect the dtypes of the state, condition and weights it is given."""
+    """Patch module.predict_noise to collect the dtypes of the condition and weights it is given
+    and of the noise estimate it returns; it casts the state it is given to the weights' dtype."""
     seen = set()
     real = module.predict_noise
 
     def recording(x_t, condition, params, cache=None):
-        seen.update(arr.dtype for arr in (x_t, condition, *params.weights.values()))
-        return real(x_t, condition, params, cache)
+        eps_hat = real(x_t, condition, params, cache)
+        seen.update(arr.dtype for arr in (condition, *params.weights.values(), eps_hat))
+        return eps_hat
 
     monkeypatch.setattr(module, "predict_noise", recording)
     return seen

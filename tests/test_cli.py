@@ -541,7 +541,7 @@ def test_train_toy_missing_alignment(demo_corpus, tmp_path):
 
 
 def test_train_toy_diverged_writes_no_checkpoint(demo_corpus, tmp_path, capsys):
-    # lr 1e4 drives the float64 weights past the float32 range while the loss stays finite;
+    # lr 1e4 drives the weights past the float32 range while the loss stays finite;
     # the step that does so stops the run, before any checkpoint is written
     root, _ = demo_corpus
     corpus = tmp_path / "corpus"

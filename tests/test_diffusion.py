@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     oracle_cond_backward,
     record_network_dtypes,
 )
-from prosovc import diffusion
+from prosovc import conditioning, diffusion, nn
 from prosovc.conditioning import ModelDims, build_condition, build_style
 from prosovc.diffusion import (
     GRID,
@@ -347,6 +348,26 @@ def test_training_and_the_gradient_check_run_the_network_in_float64(monkeypatch)
     seen.clear()
     gradient_check(params, batch)
     assert seen == {np.dtype(np.float64)}
+
+
+def test_a_step_on_float32_weights_computes_and_returns_float32(tiny_dims, monkeypatch):
+    # eps is drawn and x_t formed in float64; every convolution and every gradient follows the weights
+    operands = set()
+    for module in (diffusion, conditioning):
+        for name in ("conv1d", "conv1d_param_grads", "conv1d_input_grad"):
+            def recording(*args, real=getattr(nn, name)):
+                operands.update(arr.dtype for arr in args)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, recording)
+    rng = np.random.default_rng(14)
+    params = init_decoder_params(tiny_dims, TINY_N_MELS, rng)
+    params = replace(params, weights={name: arr.astype(np.float32) for name, arr in params.weights.items()})
+    updated, loss = train_step(make_batch(rng, tiny_dims, TINY_N_MELS), params, 1e-3, rng)
+    assert math.isfinite(loss)
+    assert operands == {np.dtype(np.float32)}
+    assert list(updated.weights) == list(param_shapes(tiny_dims, TINY_N_MELS))
+    assert {arr.dtype for arr in updated.weights.values()} == {np.dtype(np.float32)}
 
 
 def oracle_forward_backward(params, batch, x_t, t, eps):

@@ -324,7 +324,7 @@ def test_a_failed_noise_job_raises_its_error_on_one_and_two_cpus(tiny_dims, monk
     assert states[0] == states[1]
 
 
-# -- decoder precision: float32 network at inference, float64 in training -------------
+# -- decoder precision: float32 network in training and at inference, float64 checkpoint -------
 
 @pytest.fixture(scope="module")
 def conversion_plan(trained_bundle, conversion_pair):
@@ -355,10 +355,44 @@ def test_decode_runs_the_network_in_float32_and_training_keeps_float64(trained_b
     assert {arr.dtype for arr in trained_bundle.params.weights.values()} == {np.dtype(np.float64)}
 
 
+def test_train_toy_runs_the_network_in_float32_and_returns_float64_weights(demo_corpus, conversion_plan,
+                                                                            tmp_path, monkeypatch):
+    _, items = demo_corpus
+    seen = record_network_dtypes(monkeypatch, diffusion)
+    bundle, _ = pipeline.train_toy(items, epochs=1, seed=4, kmeans_k=8)
+    assert seen == {np.dtype(np.float32)}
+    weights = bundle.params.weights
+    assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float64)}
+    for arr in weights.values():
+        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr)
+    save_bundle(tmp_path / "b.pfck", bundle)
+    decoded = [pipeline.decode(conversion_plan, conversion_plan.requested[0], b).values.tobytes()
+               for b in (bundle, load_bundle(tmp_path / "b.pfck"))]
+    assert decoded[0] == decoded[1]
+
+
+def test_decode_gives_the_bytes_of_the_network_on_a_float32_state(trained_bundle, conversion_plan, tmp_path):
+    # predict_noise casts the sampler's float64 state to the weights' dtype before normalising it,
+    # as training does with x_t: the same bytes as handing the network the float32 state
+    save_bundle(tmp_path / "b.pfck", trained_bundle)
+    bundle = load_bundle(tmp_path / "b.pfck")
+    weights = {name: arr.astype(np.float32) for name, arr in bundle.params.weights.items()}
+    params = replace(bundle.params, weights=weights)
+    plan, track = conversion_plan, conversion_plan.requested[0]
+
+    def denoise(x_t, t):
+        cond = build_condition(track, build_style(plan.speaker, t, weights), weights)
+        return predict_noise(x_t.astype(np.float32), cond, params)
+
+    expected = np.clip(reverse_sample(plan.prior.values, denoise), np.log(bundle.mel_cfg.log_floor),
+                       pipeline.MEL_LOG_CEIL)
+    assert pipeline.decode(plan, track, bundle).values.tobytes() == expected.tobytes()
+
+
 def test_float32_decode_stays_near_the_float64_oracle(trained_bundle, conversion_plan):
     decoded = pipeline.decode(conversion_plan, conversion_plan.requested[0], trained_bundle)
     drift = np.abs(decoded.values - float64_decode(conversion_plan, trained_bundle)).max()
-    # measured 7.1e-4 at these 173 frames (3-epoch toy bundle)
+    # measured 6.2e-4 at these 173 frames (3-epoch toy bundle, trained in float32)
     assert 0 < drift < 2e-3
 
 
