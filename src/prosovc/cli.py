@@ -46,8 +46,6 @@ from .transform import ModulationSpec
 _MODULATION_FLAGS = {"octave": "octave_shift", "semitones": "semitone_shift",
                      "energy_gain": "energy_gain", "rate": "rate_multiplier"}
 
-GL_SEED_HELP = "seeds only Griffin-Lim's random start phase; the decoder draws no noise"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prosovc",
@@ -82,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-sample the output mel by the conversion rate")
     p.add_argument("--mod-file", help="key=value file with modulation defaults")
     p.add_argument("--gl-iters", type=int, default=DEFAULT_GL_ITERS)
-    p.add_argument("--seed", type=int, default=0, help=GL_SEED_HELP)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train-toy", help="train the toy decoder on a corpus directory")
@@ -102,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("f0", "rate"), default="f0")
     p.add_argument("--levels", type=float, nargs="+")
     p.add_argument("--gl-iters", type=int, default=evaluate.DEFAULT_SWEEP_GL_ITERS)
-    p.add_argument("--seed", type=int, default=0, help=GL_SEED_HELP)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -158,8 +154,7 @@ def cmd_convert(args) -> int:
     align = load_alignment(args.src_align)
     bundle = load_bundle(args.ckpt)
     mod = _modulation_from_args(args)
-    result = convert(src, trg, align, bundle, mod,
-                     rate_control=args.rate_control, seed=args.seed, gl_iters=args.gl_iters)
+    result = convert(src, trg, align, bundle, mod, rate_control=args.rate_control, gl_iters=args.gl_iters)
     save_wav(result.wave, args.out)
     report = dict(result.report)
     report["source"] = args.src
@@ -198,8 +193,7 @@ def cmd_sweep(args) -> int:
     pair_rows = _load_pair_list(args.pairs)
     bundle = load_bundle(args.ckpt)
     pairs = [(load_wav(s), load_alignment(a), load_wav(t)) for s, a, t in pair_rows]
-    rows = evaluate.modulation_sweep(pairs, bundle, levels=args.levels, mode=args.mode,
-                                     seed=args.seed, gl_iters=args.gl_iters)
+    rows = evaluate.modulation_sweep(pairs, bundle, levels=args.levels, mode=args.mode, gl_iters=args.gl_iters)
     evaluate.write_sweep_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -68,7 +68,7 @@ def sweep_plan(mode: str = "f0", levels=None) -> list[tuple[float, ModulationSpe
     return grid
 
 
-def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", seed: int = 0,
+def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0",
                      gl_iters: int = DEFAULT_SWEEP_GL_ITERS) -> list[dict]:
     """Analyse and plan each pair once, then synthesize once per level; one averaged row per level.
 
@@ -81,8 +81,8 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
     mode "rate" sweeps re-sampling ratios.  Quality columns that cannot
     be measured on a given output (no voiced frames) are recorded as NaN.
     Every argument is checked before any analysis, and every pair is
-    planned with every level's modulation before any synthesis. seed
-    seeds only Griffin-Lim's random start phase: decoding draws no noise.
+    planned with every level's modulation before any synthesis. No seed is
+    read: decoding draws no noise, and render starts Griffin-Lim from seed 0.
     """
     grid = sweep_plan(mode, levels)
     if gl_iters < 0:
@@ -102,7 +102,7 @@ def modulation_sweep(pairs, bundle: ModelBundle, levels=None, mode: str = "f0", 
             requested = plan.requested[i]
             mel = shared[k] if shared else decode(plan, requested, bundle)
             rate = None if mod.rate_multiplier is None else ConversionRate(mod.rate_multiplier)
-            wave, mel_out = render(mel, rate, bundle, seed=seed, gl_iters=gl_iters)
+            wave, mel_out = render(mel, rate, bundle, gl_iters=gl_iters)
             if mode == "f0":
                 cols.append(_f0_row(wave, requested, mel_out.n_frames, bundle))
             else:

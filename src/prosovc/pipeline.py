@@ -201,7 +201,7 @@ def convert(src: Waveform, trg: Waveform, src_align: Alignment, bundle: ModelBun
             seed: int = 0, gl_iters: int = DEFAULT_GL_ITERS) -> ConvertResult:
     """Full inference path: analysis of both waves, plan, decode, then render.
     A given mod.rate_multiplier wins over rate_control's unit conversion rate;
-    seed seeds only Griffin-Lim's random start phase."""
+    seed seeds only Griffin-Lim's random start phase, and the CLI leaves it at 0."""
     if gl_iters < 0:
         raise ValueError(f"gl_iters must be >= 0, got {gl_iters}")
     started = time.perf_counter()
@@ -273,8 +273,9 @@ def decode(plan: SynthesisPlan, requested: ProsodyTrack, bundle: ModelBundle) ->
 
 
 def render(mel: MelSpectrogram, rate: ConversionRate | None, bundle: ModelBundle, *,
-           seed: int, gl_iters: int) -> tuple[Waveform, MelSpectrogram]:
-    """(wave, vocoded mel): mel re-sampled in time by rate unless it is None, then vocoded."""
+           gl_iters: int, seed: int = 0) -> tuple[Waveform, MelSpectrogram]:
+    """(wave, vocoded mel): mel re-sampled in time by rate unless it is None, then vocoded.
+    seed seeds Griffin-Lim's random start phase; only convert passes one."""
     if rate is not None:
         mel = resample_mel(mel, rate)
     return griffin_lim(mel_to_linear(mel), bundle.mel_cfg, gl_iters, seed), mel

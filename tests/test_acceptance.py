@@ -296,8 +296,8 @@ def test_criterion_12_modulation_sweep(smoke_ckpt, conversion_pair):
     bundle = load_bundle(smoke_ckpt)
     src, src_align, trg = conversion_pair
     pair = [(src, src_align, trg)]
-    f0_rows = modulation_sweep(pair, bundle, mode="f0", seed=0, gl_iters=8)
-    rate_rows = modulation_sweep(pair, bundle, mode="rate", seed=0, gl_iters=8)
+    f0_rows = modulation_sweep(pair, bundle, mode="f0", gl_iters=8)
+    rate_rows = modulation_sweep(pair, bundle, mode="rate", gl_iters=8)
     assert [row["level"] for row in f0_rows] == [-0.50, -0.25, 0.0, 0.25, 0.50]
     assert [row["level"] for row in rate_rows] == [0.66, 0.75, 1.0, 1.20, 1.33]
     assert len(f0_rows) == 5 and len(rate_rows) == 5

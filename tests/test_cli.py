@@ -302,18 +302,21 @@ def test_convert_f0_beyond_float_range_exit_5(ckpt, pair_files, tmp_path, capsys
 
 
 def test_convert_report_reproducible(ckpt, pair_files, tmp_path):
-    reports = []
+    # no seed anywhere: two runs of one input give the same report and WAV bytes
+    reports, waves = [], []
     for name in ("r1.json", "r2.json"):
         rc = main(["convert", "--src", str(pair_files / "src.wav"),
                    "--trg", str(pair_files / "trg.wav"),
                    "--src-align", str(pair_files / "src.tsv"), "--ckpt", str(ckpt),
-                   "--octave", "0.25", "--gl-iters", "2", "--seed", "7",
+                   "--octave", "0.25", "--gl-iters", "2",
                    "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / name)])
         assert rc == 0
         report = json.loads((tmp_path / name).read_text())
         report.pop("elapsed_ms")
         reports.append(report)
+        waves.append((tmp_path / "o.wav").read_bytes())
     assert reports[0] == reports[1]
+    assert waves[0] == waves[1]
 
 
 def convert_args(ckpt, pair_files, out):
@@ -758,21 +761,36 @@ def test_extract_out_under_a_regular_file_exit_2(tmp_path, capsys):
     assert err.startswith(f"UnwritableFile: {tmp_path / 'afile'}: ")
 
 
-@pytest.mark.parametrize("command", ["extract", "convert", "train-toy", "sweep"])
-def test_negative_seed_is_one_parse_error_line(command, ckpt, pair_files, demo_corpus, tmp_path, capsys):
-    pairs = tmp_path / "pairs.tsv"
-    write_pairs_file(pairs, pair_files)
+@pytest.mark.parametrize("command", ["extract", "train-toy"])
+def test_negative_seed_is_one_parse_error_line(command, pair_files, demo_corpus, tmp_path, capsys):
     argv = {
         "extract": ["extract", "--in", str(pair_files / "src.wav"), "--out", str(tmp_path / "feat")],
-        "convert": convert_args(ckpt, pair_files, tmp_path / "o.wav"),
         "train-toy": ["train-toy", "--corpus", str(demo_corpus[0]), "--epochs", "1",
                       "--ckpt", str(tmp_path / "c.pfck")],
-        "sweep": ["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")],
     }[command]
     rc = main(argv + ["--seed", "-1"])
     err = assert_one_error_line(capsys, rc, "ParseError", 2)
     assert err == "ParseError: --seed must be >= 0, got -1\n"
-    assert not any(tmp_path.glob("feat*")) and not (tmp_path / "o.wav").exists()
+    assert not any(tmp_path.glob("feat*")) and not (tmp_path / "c.pfck").exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "sweep"])
+def test_inference_takes_no_seed(command, ckpt, pair_files, tmp_path, capsys):
+    # convert and sweep read no seed: --seed is argparse's usage error, before any work
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_file(pairs, pair_files)
+    out = tmp_path / ("o.wav" if command == "convert" else "x.csv")
+    argv = {
+        "convert": convert_args(ckpt, pair_files, out) + ["--gl-iters", "0"],
+        "sweep": ["sweep", "--pairs", str(pairs), "--ckpt", str(ckpt), "--out", str(out),
+                  "--levels", "0", "--gl-iters", "0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: prosovc") and "unrecognized arguments: --seed 0" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["1", "0", "-3"])

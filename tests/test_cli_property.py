@@ -102,14 +102,14 @@ def value_strategies(root):
                     "--f0-curve": (st.just(str(root / "curve.ftb")),
                                    bad_in | st.just(str(root / "short_curve.ftb"))),
                     "--rate": number(0.5, 2.0), "--rate-control": (st.just([]), st.just([])),
-                    "--mod-file": path_in(root / "mod.txt"), "--gl-iters": gl_iters, "--seed": seed},
+                    "--mod-file": path_in(root / "mod.txt"), "--gl-iters": gl_iters},
         "train-toy": {"--corpus": path_in(corpus), "--epochs": count(1, 1), "--seed": seed,
                       "--ckpt": path_out("c.pfck"), "--lr": number(1e-4, 1e-2), "--kmeans-k": kmeans_k},
         "sweep": {"--pairs": path_in(root / "pairs.tsv"), "--ckpt": ckpt, "--out": path_out("s.csv"),
                   "--mode": (st.sampled_from(["f0", "rate"]), st.sampled_from(["tempo", ""])),
                   "--levels": (st.lists(number(0.6, 1.4)[0], min_size=1, max_size=3),
                                st.lists(st.sampled_from(FLOATS), min_size=1, max_size=3)),
-                  "--gl-iters": gl_iters, "--seed": seed},
+                  "--gl-iters": gl_iters},
     }
 
 

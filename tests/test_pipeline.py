@@ -346,8 +346,8 @@ def float64_decode(plan, bundle):
     return np.clip(sampled, np.log(bundle.mel_cfg.log_floor), pipeline.MEL_LOG_CEIL)
 
 
-def test_decode_runs_the_network_in_float32_and_training_keeps_float64(trained_bundle, conversion_plan,
-                                                                       monkeypatch):
+def test_decode_runs_the_network_in_float32_and_the_bundle_keeps_float64(trained_bundle, conversion_plan,
+                                                                         monkeypatch):
     seen = record_network_dtypes(monkeypatch, pipeline)
     mel = pipeline.decode(conversion_plan, conversion_plan.requested[0], trained_bundle)
     assert seen == {np.dtype(np.float32)}
