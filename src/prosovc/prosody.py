@@ -12,6 +12,12 @@ one whole-utterance batch bit for bit, while the temporaries stay the size
 of one block. YIN's lag correlation takes the shortest FFT that does not
 wrap, and its lag pick runs as array operations over a block's rows, each
 step the IEEE operation a per-frame loop would do.
+
+The unit codebook's k-means and `unitize` find nearest centroids a frame
+block at a time, with each row's distances the expression of one
+whole-matrix pass, so the labels are the same and no (frames, k) matrix
+exists. k-means finds the distinct frames it starts from by ranking the
+pooled frames, not by sorting a copy of them.
 """
 
 from __future__ import annotations
@@ -216,7 +222,11 @@ def extract_prosody(wave: Waveform, mel_cfg: MelConfig, f0_cfg: F0Config = F0Con
 # -- pseudo-units ----------------------------------------------------------------
 
 def train_unit_codebook(features: list[MelSpectrogram], k: int, seed: int) -> Codebook:
-    """Deterministic k-means (<=100 Lloyd iterations) over pooled mel frames."""
+    """Deterministic k-means (<=100 Lloyd iterations) over pooled mel frames.
+
+    The initial centroids are k distinct frames drawn by `seed` from the
+    distinct frames in lexicographic order, the order np.unique(axis=0) gives.
+    """
     if not features:
         raise InsufficientData("no feature matrices given")
     if k < 2:
@@ -224,15 +234,14 @@ def train_unit_codebook(features: list[MelSpectrogram], k: int, seed: int) -> Co
     data = np.vstack([f.values for f in features])
     if data.shape[0] < k:
         raise InsufficientData(f"{data.shape[0]} frames < {k} clusters")
-    unique = np.unique(data, axis=0)
-    if unique.shape[0] < k:
-        raise InsufficientData(f"only {unique.shape[0]} distinct frames for {k} clusters")
+    distinct = _distinct_rows(data)
+    if len(distinct) < k:
+        raise InsufficientData(f"only {len(distinct)} distinct frames for {k} clusters")
     rng = np.random.default_rng(seed)
-    centroids = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
+    centroids = data[distinct[rng.choice(len(distinct), size=k, replace=False)]]
     labels = None
     for _ in range(100):
-        dists = _sq_distances(data, centroids)
-        new_labels = np.argmin(dists, axis=1)
+        new_labels = _nearest(data, centroids)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -243,8 +252,28 @@ def train_unit_codebook(features: list[MelSpectrogram], k: int, seed: int) -> Co
     return Codebook(centroids)
 
 
-def _sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ c.T) + np.sum(c**2, axis=1)[None, :]
+def _distinct_rows(data: np.ndarray) -> np.ndarray:
+    """Index of the first row of each run of equal rows of `data` ranked in
+    lexicographic order: one row per distinct value, in sorted order. Adjacent
+    ranked rows are gathered a frame block at a time, so no sorted copy of
+    `data` exists."""
+    order = np.lexsort(data.T[::-1])
+    first = np.ones(len(order), dtype=bool)
+    for lo, hi in frame_blocks(len(order) - 1):
+        rows = data[order[lo:hi + 1]]
+        first[lo + 1:hi + 1] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order[first]
+
+
+def _nearest(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of c to each row of x by squared distance, ties
+    to the lowest index, a frame block of x at a time."""
+    c_sq = np.sum(c**2, axis=1)
+    labels = np.empty(len(x), dtype=np.intp)
+    for lo, hi in frame_blocks(len(x)):
+        block = x[lo:hi]
+        labels[lo:hi] = np.argmin(np.sum(block**2, axis=1)[:, None] - 2.0 * (block @ c.T) + c_sq, axis=1)
+    return labels
 
 
 def run_bounds(labels: np.ndarray) -> np.ndarray:
@@ -257,6 +286,6 @@ def unitize(feats: MelSpectrogram, codebook: Codebook) -> UnitSequence:
     """Nearest-centroid labels (ties to the lowest index), run-length encoded."""
     if feats.values.shape[1] != codebook.dim:
         raise DimMismatch(f"feature dim {feats.values.shape[1]} != codebook dim {codebook.dim}")
-    labels = np.argmin(_sq_distances(feats.values, codebook.centroids), axis=1)
+    labels = _nearest(feats.values, codebook.centroids)
     bounds = run_bounds(labels)
     return UnitSequence(tuple((labels[s], e - s) for s, e in zip(bounds[:-1], bounds[1:])))

@@ -6,9 +6,9 @@ energy, units) lands on the same frame grid. The high-pass runs its
 recursion as one matrix product per block of samples, so it matches a
 per-sample loop to rounding, not bit for bit.
 
-The analysis loops (mel power, log energy, YIN) work FRAME_BLOCK frames at
-a time. Synthesis, the inverse STFT and Griffin-Lim, lives in `vocoder`;
-nothing here starts a thread.
+The analysis loops (mel power and its filterbank product, log energy, YIN)
+work FRAME_BLOCK frames at a time. Synthesis, the inverse STFT and
+Griffin-Lim, lives in `vocoder`; nothing here starts a thread.
 """
 
 from __future__ import annotations
@@ -386,13 +386,16 @@ def mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:
     """Log power mel-spectrogram with T = len//hop + 1 centered frames.
 
     |stft|^2 is taken a frame block at a time and mapped through the
-    filterbank in one product, which split by rows is not bit-identical.
+    filterbank into that block's rows of the output, so no (T, n_bins) power
+    array exists. Each block's product gives the same bytes as the rows of
+    one whole-utterance product.
     """
     if wave.sample_rate != cfg.sample_rate:
         raise ConfigMismatch(f"waveform rate {wave.sample_rate} != config rate {cfg.sample_rate}")
     frames = frame_signal(wave.samples, cfg.fft_size, cfg.hop, "reflect")
-    power = np.empty((len(frames), cfg.n_bins))
+    fb = mel_filterbank(cfg)
+    mel_energy = np.empty((len(frames), cfg.n_mels))
     for lo, hi in frame_blocks(len(frames)):
-        power[lo:hi] = np.abs(_windowed_rfft(frames[lo:hi], cfg)) ** 2
-    mel_energy = power @ mel_filterbank(cfg).T
-    return MelSpectrogram(np.log(np.maximum(mel_energy, cfg.log_floor)), cfg)
+        np.matmul(np.abs(_windowed_rfft(frames[lo:hi], cfg)) ** 2, fb.T, out=mel_energy[lo:hi])
+    np.maximum(mel_energy, cfg.log_floor, out=mel_energy)
+    return MelSpectrogram(np.log(mel_energy, out=mel_energy), cfg)

@@ -16,7 +16,7 @@ from prosovc.nn import (
 )
 from prosovc.pipeline import CorpusItem, train_toy
 from prosovc.prosody import F0Config, ProsodyTrack
-from prosovc.signal_core import FRAME_BLOCK, MelConfig, Waveform, frame_signal
+from prosovc.signal_core import FRAME_BLOCK, MelConfig, Waveform, frame_signal, mel_spectrogram
 from prosovc.synth import toy_utterance, write_alignment
 from prosovc.vocoder import _project
 
@@ -132,6 +132,13 @@ def trained_bundle(demo_corpus):
     _, items = demo_corpus
     bundle, losses = train_toy(items, epochs=3, seed=1)
     return bundle
+
+
+@pytest.fixture(scope="session")
+def toy_corpus_mels(mel_cfg):
+    """Log-mels of eight 3 s toy utterances, the size of the benchmark's reference
+    corpus (2072 frames); the pauses between phones repeat frames."""
+    return [mel_spectrogram(toy_utterance(seed=seed, duration=3.0)[0], mel_cfg) for seed in range(8)]
 
 
 @pytest.fixture(scope="session")

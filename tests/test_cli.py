@@ -66,6 +66,15 @@ def test_extract_silence(tmp_path):
     assert not track.log_f0.any()
 
 
+def test_extract_silence_skips_the_unit_sequence(tmp_path, capsys):
+    # every frame of silence has one log-mel, so k-means has 1 distinct frame for its 44
+    save_wav(silence(0.5), tmp_path / "sil.wav")
+    rc = main(["extract", "--in", str(tmp_path / "sil.wav"), "--out", str(tmp_path / "sil")])
+    assert rc == 0
+    assert capsys.readouterr().err == "note: skipping unit sequence (only 1 distinct frames for 44 clusters)\n"
+    assert (tmp_path / "sil.mel.ftb").exists() and not (tmp_path / "sil.units.ftb").exists()
+
+
 def test_extract_with_alignment(tmp_path):
     wave, align = toy_utterance(seed=0, duration=1.0)
     save_wav(wave, tmp_path / "u.wav")

@@ -1,7 +1,8 @@
 """Traced peak memory of the stages whose temporaries grow with input length.
 
 Each bound holds at 20 s of 22.05 kHz audio (1723 frames at the default hop);
-Griffin-Lim's peak is bounded at 2 s (173 frames) too.
+Griffin-Lim's peak is bounded at 2 s (173 frames) too, and the unit codebook's
+k-means on the 2072 frames of eight 3 s utterances.
 tracemalloc sees numpy's array allocations, so a whole-utterance temporary
 that returns shows up here as a bound exceeded.
 """
@@ -13,7 +14,7 @@ import numpy as np
 from prosovc.conditioning import ModelDims
 from prosovc.diffusion import init_decoder_params
 from prosovc.pipeline import ModelBundle, convert, load_bundle, save_bundle
-from prosovc.prosody import Codebook, F0Config, extract_f0, extract_prosody
+from prosovc.prosody import Codebook, F0Config, extract_f0, extract_prosody, train_unit_codebook, unitize
 from prosovc.signal_core import MelSpectrogram, Waveform, highpass_filter, mel_spectrogram
 from prosovc.synth import toy_utterance
 from prosovc.vocoder import griffin_lim, istft, mel_to_linear
@@ -64,9 +65,26 @@ def test_extract_prosody_peak_on_20s(mel_cfg):
 
 def test_mel_spectrogram_peak_on_20s(mel_cfg):
     wave, _ = toy_utterance(seed=3, duration=20.0)
-    # measured 13.7 MiB: the (1723, 513) power (6.7 MiB), the padded signal (3.4 MiB)
-    # and one block of frames; whole-utterance windowed frames and stft took 30.3 MiB
-    assert traced_peak(mel_spectrogram, wave, mel_cfg) < 14.3 * MIB
+    # measured 5.87 MiB: the padded signal (3.4 MiB), the (1723, 80) output (1.1 MiB),
+    # one block's frames and the filterbank built on a first call; a whole (1723, 513)
+    # power array took 13.7 MiB, and whole-utterance windowed frames and stft 30.3 MiB
+    assert traced_peak(mel_spectrogram, wave, mel_cfg) < 6.5 * MIB
+
+
+def test_train_unit_codebook_peak_on_8x3s(toy_corpus_mels):
+    # measured 1.67 MiB: the pooled (2072, 80) frames (1.3 MiB) and one block's
+    # distances; np.unique(axis=0)'s sorted copy and whole (2072, 100) distance
+    # matrices took 7.2 MiB, and 8.3 MiB on a process's first call
+    assert traced_peak(train_unit_codebook, toy_corpus_mels, 100, 0) < 1.9 * MIB
+
+
+def test_unitize_peak_on_20s(mel_cfg):
+    wave, _ = toy_utterance(seed=3, duration=20.0)
+    mel = mel_spectrogram(wave, mel_cfg)
+    codebook = Codebook(np.random.default_rng(1).standard_normal((100, mel_cfg.n_mels)))
+    # measured 0.16 MiB: the labels, one block's distances and the run pairs; a
+    # whole (1723, 100) distance matrix and its temporaries took 2.71 MiB
+    assert traced_peak(unitize, mel, codebook) < 0.25 * MIB
 
 
 def test_griffin_lim_peak_on_20s(mel_cfg):

@@ -22,6 +22,7 @@ from prosovc.prosody import (
     ProsodyTrack,
     UnitSequence,
     _cmndf,
+    _distinct_rows,
     extract_f0,
     extract_log_energy,
     extract_prosody,
@@ -253,6 +254,89 @@ def test_kmeans_insufficient_data():
         train_unit_codebook(feats, 10, seed=0)
     with pytest.raises(InsufficientData):
         train_unit_codebook([], 2, seed=0)
+
+
+def test_kmeans_refuses_fewer_distinct_frames_than_clusters():
+    rows = np.repeat(np.arange(3.0)[:, None], 4, axis=1)
+    feats = [MelSpectrogram(np.tile(rows, (4, 1)), small_cfg(4))]  # 12 frames, 3 distinct
+    with pytest.raises(InsufficientData, match=r"^only 3 distinct frames for 5 clusters$"):
+        train_unit_codebook(feats, 5, seed=0)
+
+
+def whole_sq_distances(x, c):
+    """Squared distances of every row of x to every row of c, as one (len(x), len(c)) matrix."""
+    return np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ c.T) + np.sum(c**2, axis=1)[None, :]
+
+
+def whole_matrix_kmeans(features, k, seed):
+    """train_unit_codebook's centroids from whole-matrix passes: the initial centroids
+    drawn from np.unique(axis=0)'s sorted distinct frames, and each Lloyd step's
+    labels the argmin of one (frames, k) distance matrix."""
+    data = np.vstack([f.values for f in features])
+    unique = np.unique(data, axis=0)
+    rng = np.random.default_rng(seed)
+    centroids = unique[rng.choice(unique.shape[0], size=k, replace=False)].copy()
+    labels = None
+    for _ in range(100):
+        new_labels = np.argmin(whole_sq_distances(data, centroids), axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = data[labels == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+    return centroids
+
+
+def test_kmeans_on_a_toy_corpus_equals_whole_matrix_kmeans(toy_corpus_mels):
+    data = np.vstack([m.values for m in toy_corpus_mels])
+    assert len(data) - len(np.unique(data, axis=0)) > 400  # the pauses repeat frames
+    for k, seed in [(100, 0), (44, 7)]:
+        cb = train_unit_codebook(toy_corpus_mels, k, seed)
+        assert np.array_equal(cb.centroids, whole_matrix_kmeans(toy_corpus_mels, k, seed))
+
+
+def test_kmeans_on_random_frames_equals_whole_matrix_kmeans():
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((700, 6))
+    values[rng.integers(0, 700, 100)] = values[:100]  # repeated frames
+    feats = [MelSpectrogram(values[:333], small_cfg(6)), MelSpectrogram(values[333:], small_cfg(6))]
+    for k in (2, 9, 64):
+        assert np.array_equal(train_unit_codebook(feats, k, seed=k).centroids, whole_matrix_kmeans(feats, k, k))
+
+
+def test_kmeans_with_k_equal_to_the_distinct_frames_equals_whole_matrix_kmeans():
+    rng = np.random.default_rng(5)
+    distinct = rng.standard_normal((70, 3))
+    feats = [MelSpectrogram(distinct[rng.permutation(np.arange(300) % 70)], small_cfg(3))]
+    cb = train_unit_codebook(feats, 70, seed=3)
+    assert np.array_equal(cb.centroids, whole_matrix_kmeans(feats, 70, 3))
+    assert len(np.unique(cb.centroids, axis=0)) == 70
+
+
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES + [1723])
+def test_distinct_rows_are_np_unique_rows(n_frames):
+    rng = np.random.default_rng(n_frames)
+    data = rng.integers(0, 3, (n_frames, 4)).astype(np.float64)  # most rows repeat
+    data[rng.random(n_frames) < 0.5] += rng.standard_normal(4)
+    distinct = _distinct_rows(data)
+    assert np.array_equal(data[distinct], np.unique(data, axis=0))
+
+
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129, 1723])
+def test_unitize_labels_are_the_whole_matrix_argmin(n_frames):
+    rng = np.random.default_rng(n_frames)
+    centroids = rng.standard_normal((12, 5))
+    centroids[7] = centroids[2]  # every frame nearest to either ties
+    values = centroids[rng.integers(0, 12, n_frames)] + 0.5 * rng.standard_normal((n_frames, 5))
+    values[rng.random(n_frames) < 0.2] = centroids[2]
+    values[0] = centroids[2]
+    want = np.argmin(whole_sq_distances(values, centroids), axis=1)
+    pairs = unitize(MelSpectrogram(values, small_cfg(5)), Codebook(centroids)).pairs
+    got = np.repeat([u for u, _ in pairs], [d for _, d in pairs])
+    assert np.array_equal(got, want)
+    assert got[0] == 2 and 7 not in got
 
 
 def test_unitize_run_length():
